@@ -243,3 +243,22 @@ def test_integer_powers_distribute_over_products():
     assert pow_(mul(Integer(2), x), Integer(3)) == mul(Integer(8), pow_(x, Integer(3)))
     # symbolic exponents stay factored
     assert type(pow_(mul(A, G), y)) is Pow
+
+
+def test_substitute_symbol_for_derivative_variable_renames_it():
+    d = derivative(applied("f", (x,)), x)
+    assert substitute(d, x, y) == derivative(applied("f", (y,)), y)
+    i = integral(mul(x, z), x)
+    assert substitute(i, x, y) == integral(mul(y, z), y)
+
+
+def test_substitute_non_symbol_for_derivative_variable_keeps_it():
+    repl = add(y, Integer(1))
+    d = derivative(mul(x, z), x, 2)
+    out = substitute(d, x, repl)
+    assert out.var == x and out.order == 2
+    assert out.body == mul(repl, z)
+    i = integral(mul(x, z), x)
+    out = substitute(i, x, repl)
+    assert out.var == x
+    assert out.body == mul(repl, z)

@@ -189,3 +189,37 @@ def test_remove_steps_strips_every_clause(small_dataset):
         assert "then derive" not in stripped.prompt
         assert stripped.target == prompt.target
     assert stripped_count > 10
+
+
+def test_rename_leaves_keeps_raw_shape_of_every_node_class():
+    from derivekit.expr import (Add, Derivative, Func, Integer, Integral, Mul, Pow,
+                                Rational)
+    from derivekit.perturb import rename_leaves
+
+    a, b = Symbol("a"), Symbol("b")
+    f = AppliedFunction("f", (a, b))
+    raw = Add((
+        a,
+        a,
+        Mul((Integer(1), a)),
+        Pow(a, Integer(1)),
+        Func("exp", Func("log", a)),
+        Rational(2, 4),
+        Derivative(Derivative(f, a, 1), a, 1),
+        Integral(Add((b, Integer(0))), b),
+    ))
+    out = rename_leaves(raw, {"a": "\\alpha", "b": "\\beta", "f": "\\chi"})
+    al, be = Symbol("\\alpha"), Symbol("\\beta")
+    g = AppliedFunction("\\chi", (al, be))
+    assert out == Add((
+        al,
+        al,
+        Mul((Integer(1), al)),
+        Pow(al, Integer(1)),
+        Func("exp", Func("log", al)),
+        Rational(2, 4),
+        Derivative(Derivative(g, al, 1), al, 1),
+        Integral(Add((be, Integer(0))), be),
+    ))
+    assert len(out.terms) == 8
+    assert isomorphic(raw, out)
