@@ -10,7 +10,7 @@ integration introduces a fresh constant drawn from the unused vocabulary.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .expr import (
     Add,
@@ -26,7 +26,6 @@ from .expr import (
     Rational,
     Symbol,
     add,
-    applied,
     as_fraction,
     canonicalize,
     derivative,
@@ -39,6 +38,7 @@ from .expr import (
     neg,
     num_from_fraction,
     pow_,
+    rebuild,
     sub,
 )
 
@@ -132,17 +132,6 @@ def _diff(e: Expr, v: Symbol) -> Expr:
 # ---------------------------------------------------------------------------
 # integration table
 
-class IntegralRule:
-    """One antiderivative rule: matches an integrand shape in var v."""
-
-    def __init__(self, name: str, match: Callable[[Expr, Symbol], Optional[Expr]]):
-        self.name = name
-        self.match = match
-
-    def __repr__(self) -> str:
-        return f"IntegralRule({self.name})"
-
-
 def _is_plain_coefficient(e: Expr) -> bool:
     """Numbers, symbols, products of them, and their integer powers."""
     t = type(e)
@@ -187,57 +176,46 @@ def _rule_elementary(e: Expr, v: Symbol) -> Optional[Expr]:
     return None
 
 
-CORE_RULES: tuple[IntegralRule, ...] = (
-    IntegralRule("constant", _rule_constant),
-    IntegralRule("power", _rule_power),
-    IntegralRule("elementary", _rule_elementary),
-)
+_RULES = (_rule_constant, _rule_power, _rule_elementary)
 
 
-class IntegralTable:
-    """Table of antiderivative rules over linear combinations of matched terms."""
-
-    def __init__(self, rules: Iterable[IntegralRule] = CORE_RULES):
-        self.rules = tuple(rules)
-
-    def antiderivative(self, e: Expr, v: Symbol) -> Optional[Expr]:
-        """Antiderivative of e in v without the integration constant, or None."""
-        if type(e) is Add:
-            parts = [self._term(t, v) for t in e.terms]
-            if any(p is None for p in parts):
-                return None
-            return add(*parts)  # type: ignore[arg-type]
-        return self._term(e, v)
-
-    def _term(self, e: Expr, v: Symbol) -> Optional[Expr]:
-        direct = self._atom(e, v)
-        if direct is not None:
-            return direct
-        if type(e) is Mul:
-            # split a coefficient free of v from the rest; the table's closure
-            # only covers coefficients built from numbers and plain symbols
-            const_parts = [f for f in e.factors if not _depends_on(f, v)]
-            var_parts = [f for f in e.factors if _depends_on(f, v)]
-            if not all(_is_plain_coefficient(f) for f in const_parts):
-                return None
-            if const_parts and len(var_parts) <= 1:
-                rest = var_parts[0] if var_parts else ONE
-                inner = self._atom(rest, v)
-                if inner is None and rest == ONE:
-                    inner = v
-                if inner is not None:
-                    return mul(*const_parts, inner)
-        return None
-
-    def _atom(self, e: Expr, v: Symbol) -> Optional[Expr]:
-        for rule in self.rules:
-            out = rule.match(e, v)
-            if out is not None:
-                return out
-        return None
+def antiderivative(e: Expr, v: Symbol) -> Optional[Expr]:
+    """Antiderivative of e in v without the integration constant, or None."""
+    if type(e) is Add:
+        parts = [_term(t, v) for t in e.terms]
+        if any(p is None for p in parts):
+            return None
+        return add(*parts)  # type: ignore[arg-type]
+    return _term(e, v)
 
 
-DEFAULT_TABLE = IntegralTable()
+def _term(e: Expr, v: Symbol) -> Optional[Expr]:
+    direct = _atom(e, v)
+    if direct is not None:
+        return direct
+    if type(e) is Mul:
+        # split a coefficient free of v from the rest; the table's closure
+        # only covers coefficients built from numbers and plain symbols
+        const_parts = [f for f in e.factors if not _depends_on(f, v)]
+        var_parts = [f for f in e.factors if _depends_on(f, v)]
+        if not all(_is_plain_coefficient(f) for f in const_parts):
+            return None
+        if const_parts and len(var_parts) <= 1:
+            rest = var_parts[0] if var_parts else ONE
+            inner = _atom(rest, v)
+            if inner is None and rest == ONE:
+                inner = v
+            if inner is not None:
+                return mul(*const_parts, inner)
+    return None
+
+
+def _atom(e: Expr, v: Symbol) -> Optional[Expr]:
+    for rule in _RULES:
+        out = rule(e, v)
+        if out is not None:
+            return out
+    return None
 
 
 def _is_concrete_integrand(e: Expr) -> bool:
@@ -250,14 +228,13 @@ def integrate(
     v: Symbol,
     used_symbols: Iterable[str],
     constant_pool: Iterable[str],
-    table: IntegralTable = DEFAULT_TABLE,
 ) -> Optional[tuple[Expr, Symbol]]:
     """Table-driven antiderivative of e in v plus a fresh constant.
 
     Returns (antiderivative + constant, constant) or None when no rule
     applies. The constant is the first pool symbol not in used_symbols.
     """
-    anti = table.antiderivative(e, v)
+    anti = antiderivative(e, v)
     if anti is None:
         return None
     used = set(used_symbols)
@@ -273,28 +250,13 @@ def integrate(
 # equation-level evaluation operators
 
 def _map_derivative_nodes(e: Expr) -> Expr:
-    t = type(e)
-    if t is Derivative:
-        body = _map_derivative_nodes(e.body)
-        out: Expr = body
-        for _ in range(e.order):
-            out = differentiate(out, e.var)
-        return out
-    if t in (Integer, Rational, Symbol):
-        return e
-    if t is Add:
-        return add(*(_map_derivative_nodes(x) for x in e.terms))
-    if t is Mul:
-        return mul(*(_map_derivative_nodes(x) for x in e.factors))
-    if t is Pow:
-        return pow_(_map_derivative_nodes(e.base), _map_derivative_nodes(e.exp))
-    if t is Func:
-        return func(e.kind, _map_derivative_nodes(e.arg))
-    if t is AppliedFunction:
-        return applied(e.name, (_map_derivative_nodes(a) for a in e.args))
-    if t is Integral:
-        return integral(_map_derivative_nodes(e.body), e.var)
-    raise CalculusError(f"unexpected node {t!r}")
+    kids = [_map_derivative_nodes(x) for x in e.children()]
+    if type(e) is not Derivative:
+        return rebuild(e, kids)
+    out = kids[1]
+    for _ in range(e.order):
+        out = differentiate(out, e.var)
+    return out
 
 
 def evaluate_derivatives(eq: Equation) -> Equation:
@@ -310,10 +272,9 @@ def evaluate_derivatives(eq: Equation) -> Equation:
 
 
 class _IntegralEvaluator:
-    def __init__(self, used: set[str], constant_pool: tuple[str, ...], table: IntegralTable):
+    def __init__(self, used: set[str], constant_pool: tuple[str, ...]):
         self.used = used
         self.pool = constant_pool
-        self.table = table
         self.constants: list[Symbol] = []
         self.miss = False
         self.saw_integral = False
@@ -328,41 +289,25 @@ class _IntegralEvaluator:
         return const
 
     def visit(self, e: Expr) -> Expr:
-        t = type(e)
-        if t in (Integer, Rational, Symbol):
+        if type(e) is not Integral:
+            return rebuild(e, [self.visit(x) for x in e.children()])
+        self.saw_integral = True
+        body = self.visit(e.body)
+        if self.miss:
             return e
-        if t is Integral:
-            self.saw_integral = True
-            body = self.visit(e.body)
-            if self.miss:
-                return e
-            if not _is_concrete_integrand(body):
-                return integral(body, e.var)
-            anti = self.table.antiderivative(body, e.var)
-            if anti is None:
-                self.miss = True
-                return e
-            return add(anti, self.fresh_constant())
-        if t is Add:
-            return add(*(self.visit(x) for x in e.terms))
-        if t is Mul:
-            return mul(*(self.visit(x) for x in e.factors))
-        if t is Pow:
-            return pow_(self.visit(e.base), self.visit(e.exp))
-        if t is Func:
-            return func(e.kind, self.visit(e.arg))
-        if t is AppliedFunction:
-            return applied(e.name, (self.visit(a) for a in e.args))
-        if t is Derivative:
-            return derivative(self.visit(e.body), e.var, e.order)
-        raise CalculusError(f"unexpected node {t!r}")
+        if not _is_concrete_integrand(body):
+            return integral(body, e.var)
+        anti = antiderivative(body, e.var)
+        if anti is None:
+            self.miss = True
+            return e
+        return add(anti, self.fresh_constant())
 
 
 def evaluate_integrals(
     eq: Equation,
     used_symbols: Iterable[str],
     constant_pool: Iterable[str],
-    table: IntegralTable = DEFAULT_TABLE,
 ) -> Optional[tuple[Equation, tuple[Symbol, ...]]]:
     """Evaluate every concrete Integral node, one fresh constant per node.
 
@@ -370,7 +315,7 @@ def evaluate_integrals(
     when some concrete integrand has no table rule; raises NoIntegralPresent
     when there is no concrete integral to evaluate at all.
     """
-    ev = _IntegralEvaluator(set(used_symbols), tuple(constant_pool), table)
+    ev = _IntegralEvaluator(set(used_symbols), tuple(constant_pool))
     lhs = ev.visit(eq.lhs)
     rhs = ev.visit(eq.rhs)
     if ev.miss:

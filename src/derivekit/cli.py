@@ -2,16 +2,16 @@
 collect.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
-3 I/O error. Commands are deterministic given identical seeds and inputs;
+3 I/O error (a missing, unreadable or malformed input file, or an unwritable
+output). Commands raise their errors and ``main`` maps them to exit codes;
 per-record failures are collected into machine-readable reports rather than
-aborting the run.
+aborting the run. Commands are deterministic given identical seeds and inputs.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import random
 import sys
@@ -23,15 +23,22 @@ from . import metrics as metrics_mod
 from . import perturb as perturb_mod
 from . import prompts as prompts_mod
 from . import stats as stats_mod
-from .genalg import GenConfig, GenerationError, generate_dataset
+from .genalg import (
+    GenConfig,
+    GenerationError,
+    derive_seed,
+    generate_dataset,
+    passes_token_filter,
+)
 from .ops import dag_coherent, duplicate_free, replay
 from .records import (
     DerivationRecord,
+    RecordError,
     derivation_record_to_json,
     load_derivation_records,
     load_prompt_records,
+    load_rows,
     prompt_record_to_json,
-    read_jsonl,
     write_jsonl,
 )
 from .vocab import GreekPool, VocabularyError
@@ -42,16 +49,13 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _stream_seed(seed: int, tag: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def load_config(path: Optional[str], overrides: dict) -> GenConfig:
     payload = {}
     if path is not None:
-        text = Path(path).read_text("utf-8")
-        payload = json.loads(text)
+        try:
+            payload = json.loads(Path(path).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise GenerationError(f"{path}: bad JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise GenerationError("config file must hold a JSON object")
     payload.pop("schema_version", None)
@@ -60,27 +64,19 @@ def load_config(path: Optional[str], overrides: dict) -> GenConfig:
     if unknown:
         raise GenerationError(f"unknown config keys: {', '.join(unknown)}")
     payload.update({k: v for k, v in overrides.items() if v is not None})
-    return GenConfig(**payload)
+    try:
+        return GenConfig(**payload)
+    except TypeError as exc:  # a value of the wrong type, e.g. a string weight
+        raise GenerationError(f"bad config value: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each raises its errors, and main maps them to exit codes
 
 def cmd_generate(args) -> int:
-    try:
-        cfg = load_config(args.config, {"seed": args.seed, "vocabulary": args.vocabulary})
-    except (GenerationError, VocabularyError, json.JSONDecodeError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.count < 1:
-        print("config error: --count must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_config(args.config, {"seed": args.seed, "vocabulary": args.vocabulary})
     records, summary = generate_dataset(cfg, args.count)
-    try:
-        write_jsonl(args.out, (derivation_record_to_json(r) for r in records))
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_jsonl(args.out, (derivation_record_to_json(r) for r in records))
     print(json.dumps(summary.as_dict()))
     if summary.produced < summary.requested:
         print(
@@ -95,187 +91,132 @@ def cmd_generate(args) -> int:
 
 def cmd_perturb(args) -> int:
     kind = args.kind.upper()
-    try:
-        cfg = load_config(args.config, {"seed": args.seed})
-        pool = GreekPool()
-        records = load_derivation_records(args.infile)
-    except (GenerationError, VocabularyError, json.JSONDecodeError, TypeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfg = load_config(args.config, {"seed": args.seed})
+    vocab = cfg.load_vocabulary() if kind == perturb_mod.AG else None
+    pool = GreekPool()
+    records = load_derivation_records(args.infile)
 
     out_rows = []
     prompt_rows = []
     report = {"kind": kind, "input": len(records), "written": 0, "skipped": [], "schema_version": 1}
     for record in records:
-        rng = random.Random(_stream_seed(cfg.seed, f"{kind}:{record.id}"))
+        rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}"))
         static_id = record.static_id or record.id
+        tag, family = kind, static_id
         try:
-            if kind == perturb_mod.EE and record.perturbation == perturb_mod.EE:
-                # second application untags: EE is a file-level involution
+            if kind == perturb_mod.EE:
                 derivation = perturb_mod.exchange_expressions(record.derivation)
-                new = DerivationRecord(record.id, record.seed, derivation)
+                if record.perturbation == perturb_mod.EE:
+                    # second application untags: EE is a file-level involution
+                    tag = family = None
             elif kind == perturb_mod.VR:
                 derivation, _ = perturb_mod.rename_variables(record.derivation, pool, rng)
-                new = DerivationRecord(record.id, record.seed, derivation, kind, static_id)
-            elif kind == perturb_mod.EE:
-                derivation = perturb_mod.exchange_expressions(record.derivation)
-                new = DerivationRecord(record.id, record.seed, derivation, kind, static_id)
             elif kind == perturb_mod.AG:
-                derivation = perturb_mod.alternative_goal(record.derivation, cfg, rng)
-                new = DerivationRecord(record.id, record.seed, derivation, kind, static_id)
-            elif kind == perturb_mod.SR:
-                prompt = prompts_mod.build_prompt(record.derivation, record.id, static_id, kind)
-                stripped = perturb_mod.remove_steps(prompt)
-                if stripped is None:
-                    report["skipped"].append({"id": record.id, "reason": "no intermediates"})
-                    continue
-                new = DerivationRecord(record.id, record.seed, record.derivation, kind, static_id)
-                out_rows.append(derivation_record_to_json(new))
-                prompt_rows.append(prompt_record_to_json(stripped))
-                report["written"] += 1
-                continue
+                derivation = perturb_mod.alternative_goal(record.derivation, cfg, rng, vocab)
             else:
-                print(f"config error: unknown kind {args.kind!r}", file=sys.stderr)
-                return EXIT_CONFIG
+                derivation = record.derivation
         except perturb_mod.TooManySymbols:
             report["skipped"].append({"id": record.id, "reason": "too many symbols"})
             continue
         except perturb_mod.GoalExhausted:
             report["skipped"].append({"id": record.id, "reason": "goal resampling exhausted"})
             continue
-
-        prompt = prompts_mod.build_prompt(new.derivation, new.id, static_id, new.perturbation)
-        if kind == perturb_mod.VR and not _within_token_budget(prompt, cfg):
+        new = DerivationRecord(record.id, record.seed, derivation, tag, family)
+        prompt = prompts_mod.build_prompt(derivation, record.id, static_id, tag)
+        if kind == perturb_mod.SR:
+            prompt = perturb_mod.remove_steps(prompt)
+            if prompt is None:
+                report["skipped"].append({"id": record.id, "reason": "no intermediates"})
+                continue
+        elif kind == perturb_mod.VR and not passes_token_filter(prompt.prompt, prompt.target, cfg):
             report["skipped"].append({"id": record.id, "reason": "token limit"})
             continue
         out_rows.append(derivation_record_to_json(new))
         prompt_rows.append(prompt_record_to_json(prompt))
         report["written"] += 1
 
-    try:
-        write_jsonl(args.out, out_rows)
-        if args.prompts_out:
-            write_jsonl(args.prompts_out, prompt_rows)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_jsonl(args.out, out_rows)
+    if args.prompts_out:
+        write_jsonl(args.prompts_out, prompt_rows)
     print(json.dumps(report))
     return EXIT_OK
 
 
-def _within_token_budget(prompt_record, cfg: GenConfig) -> bool:
-    from .genalg import passes_token_filter
-
-    return passes_token_filter(prompt_record.prompt, prompt_record.target, cfg)
-
-
 def cmd_prompt(args) -> int:
-    try:
-        if args.mode == "finetune":
-            records = load_derivation_records(args.infile)
-            rows = []
-            for record in records:
-                prompt = prompts_mod.build_prompt(
-                    record.derivation, record.id, record.static_id or record.id,
-                    record.perturbation,
-                )
-                rows.append(prompt_record_to_json(prompt))
-        else:
-            evals = load_prompt_records(args.infile)
-            train = load_prompt_records(args.train)
-            rows = []
-            for record in evals:
-                rng = random.Random(_stream_seed(args.seed, f"fewshot:{record.static_id}"))
-                text = prompts_mod.build_fewshot(record, train, rng)
-                payload = prompt_record_to_json(record)
-                payload["prompt"] = text
-                rows.append(payload)
-        write_jsonl(args.out, rows)
-    except prompts_mod.PromptError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.mode == "finetune":
+        rows = []
+        for record in load_derivation_records(args.infile):
+            prompt = prompts_mod.build_prompt(
+                record.derivation, record.id, record.static_id or record.id,
+                record.perturbation,
+            )
+            rows.append(prompt_record_to_json(prompt))
+    else:
+        if args.train is None:
+            raise prompts_mod.PromptError("--mode fewshot needs --train")
+        evals = load_prompt_records(args.infile)
+        train = load_prompt_records(args.train)
+        rows = []
+        for record in evals:
+            rng = random.Random(derive_seed(args.seed, f"fewshot:{record.static_id}"))
+            payload = prompt_record_to_json(record)
+            payload["prompt"] = prompts_mod.build_fewshot(record, train, rng)
+            rows.append(payload)
+    write_jsonl(args.out, rows)
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    try:
-        alias = {}
-        if args.pairs:
-            # explicit pair list: perturbed row id -> its static family id
-            for row in read_jsonl(args.pairs):
-                alias[(row["id"], row.get("perturbation"))] = row["static_id"]
+    alias = {}
+    if args.pairs:
+        # explicit pair list: perturbed row id -> its static family id
+        alias = dict(load_rows(args.pairs, lambda row: (
+            (row["id"], row.get("perturbation")), row["static_id"])))
 
-        def key_of(row_id, perturbation):
-            sid = alias.get((row_id, perturbation), row_id)
-            return (sid, perturbation)
+    def key_of(row_id, perturbation):
+        sid = alias.get((row_id, perturbation), row_id)
+        return (sid, perturbation)
 
-        refs = {}
-        for record in load_prompt_records(args.ref):
-            refs[key_of(record.id if alias else record.static_id,
-                        record.perturbation)] = record.target
-        preds = {}
-        for row in read_jsonl(args.pred):
-            rid = row.get("static_id") or row["id"]
-            if alias:
-                rid = row["id"]
-            preds[key_of(rid, row.get("perturbation"))] = row["completion"]
-        bleurt = {}
-        if args.bleurt:
-            for row in read_jsonl(args.bleurt):
-                key = (row.get("static_id") or row["id"], row.get("perturbation"))
-                bleurt[key] = float(row["score"])
-    except (KeyError, OSError, ValueError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    refs = {}
+    for record in load_prompt_records(args.ref):
+        refs[key_of(record.id if alias else record.static_id,
+                    record.perturbation)] = record.target
+    preds = dict(load_rows(args.pred, lambda row: (
+        key_of(row["id"] if alias else row.get("static_id") or row["id"],
+               row.get("perturbation")),
+        row["completion"])))
+    bleurt = {}
+    if args.bleurt:
+        bleurt = dict(load_rows(args.bleurt, lambda row: (
+            (row.get("static_id") or row["id"], row.get("perturbation")),
+            float(row["score"]))))
     report, rows = metrics_mod.build_score_report(
         preds, refs, rouge_order=args.rouge_order, bleurt_scores=bleurt
     )
-    try:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n", "utf-8")
-        if args.features_out:
-            with open(args.features_out, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(metrics_mod.FEATURE_HEADER)
-                for row in metrics_mod.feature_rows(rows):
-                    writer.writerow(["" if v is None else v for v in row])
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", "utf-8")
+    if args.features_out:
+        with open(args.features_out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(metrics_mod.FEATURE_HEADER)
+            for row in metrics_mod.feature_rows(rows):
+                writer.writerow(["" if v is None else v for v in row])
     print(json.dumps(report["aggregates"]))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    try:
-        records = load_derivation_records(args.infile)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = load_derivation_records(args.infile)
     summary = stats_mod.build_stats(records, top_per_length=args.top)
     text = json.dumps(summary, indent=1)
     if args.out:
-        try:
-            Path(args.out).write_text(text + "\n", "utf-8")
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.out).write_text(text + "\n", "utf-8")
     else:
         print(text)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        records = load_derivation_records(args.infile)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = load_derivation_records(args.infile)
     failures = []
     for record in records:
         d = record.derivation
@@ -294,11 +235,7 @@ def cmd_verify(args) -> int:
         "schema_version": 1,
     }
     if args.report:
-        try:
-            Path(args.report).write_text(json.dumps(result, indent=1) + "\n", "utf-8")
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        Path(args.report).write_text(json.dumps(result, indent=1) + "\n", "utf-8")
     print(json.dumps({k: result[k] for k in ("records", "invalid")}))
     return EXIT_VERIFY if failures else EXIT_OK
 
@@ -312,11 +249,7 @@ def cmd_collect(args) -> int:
         timeout_s=args.timeout,
         max_retries=args.max_retries,
     )
-    try:
-        records = load_prompt_records(args.infile)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = load_prompt_records(args.infile)
     rows = []
     errors = []
     for record in records:
@@ -334,13 +267,9 @@ def cmd_collect(args) -> int:
                 "schema_version": 1,
             }
         )
-    try:
-        write_jsonl(args.out, rows)
-        if args.errors_out:
-            write_jsonl(args.errors_out, errors)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    write_jsonl(args.out, rows)
+    if args.errors_out:
+        write_jsonl(args.errors_out, errors)
     print(json.dumps({"completed": len(rows), "failed": len(errors)}))
     return EXIT_OK
 
@@ -418,7 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, RecordError) as exc:
+        print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (GenerationError, VocabularyError, prompts_mod.PromptError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

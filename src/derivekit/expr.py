@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 FUNCTION_KINDS = ("sin", "cos", "exp", "log")
 
@@ -599,28 +599,47 @@ def neg(a: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # tree operations
 
+def _bound_var(e: Expr, kids) -> Expr:
+    # a derivative or integral takes a new variable only if it is a symbol
+    return kids[0] if type(kids[0]) is Symbol else e.var
+
+
+_CANONICAL_BUILDERS = {
+    Add: lambda e, kids: add(*kids),
+    Mul: lambda e, kids: mul(*kids),
+    Pow: lambda e, kids: pow_(kids[0], kids[1]),
+    Func: lambda e, kids: func(e.kind, kids[0]),
+    AppliedFunction: lambda e, kids: applied(e.name, kids),
+    Derivative: lambda e, kids: derivative(kids[1], _bound_var(e, kids), e.order),
+    Integral: lambda e, kids: integral(kids[1], _bound_var(e, kids)),
+}
+
+_RAW_BUILDERS = {
+    Add: lambda e, kids: Add(tuple(kids)),
+    Mul: lambda e, kids: Mul(tuple(kids)),
+    Pow: lambda e, kids: Pow(kids[0], kids[1]),
+    Func: lambda e, kids: Func(e.kind, kids[0]),
+    AppliedFunction: lambda e, kids: AppliedFunction(e.name, tuple(kids)),
+    Derivative: lambda e, kids: Derivative(kids[1], _bound_var(e, kids), e.order),
+    Integral: lambda e, kids: Integral(kids[1], _bound_var(e, kids)),
+}
+
+
+def rebuild(e: Expr, kids: Sequence[Expr], raw: bool = False) -> Expr:
+    """A node of e's class over new children, given in ``children()`` order.
+
+    Builds through the canonical constructors, or through the node classes
+    when ``raw`` (keeping the tree shape as given). Leaves come back as-is.
+    """
+    build = (_RAW_BUILDERS if raw else _CANONICAL_BUILDERS).get(type(e))
+    return e if build is None else build(e, kids)
+
+
 def canonicalize(e: Expr) -> Expr:
     """Rebuild a tree bottom-up through the canonical constructors."""
-    t = type(e)
-    if t in (Integer, Symbol):
-        return e
-    if t is Rational:
+    if type(e) is Rational:
         return rational(e.num, e.den)
-    if t is Add:
-        return add(*(canonicalize(x) for x in e.terms))
-    if t is Mul:
-        return mul(*(canonicalize(x) for x in e.factors))
-    if t is Pow:
-        return pow_(canonicalize(e.base), canonicalize(e.exp))
-    if t is Func:
-        return func(e.kind, canonicalize(e.arg))
-    if t is AppliedFunction:
-        return applied(e.name, (canonicalize(a) for a in e.args))
-    if t is Derivative:
-        return derivative(canonicalize(e.body), e.var, e.order)
-    if t is Integral:
-        return integral(canonicalize(e.body), e.var)
-    raise ExprError(f"unknown node type {t!r}")
+    return rebuild(e, [canonicalize(x) for x in e.children()])
 
 
 def canonicalize_equation(eq: Equation) -> Equation:
@@ -644,52 +663,13 @@ def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Optional[Expr]
     if e == target:
         return replacement
     t = type(e)
-    if t in (Integer, Rational, Symbol):
+    if t is Symbol or t is Integer or t is Rational:
         return None
-    if t is Add:
-        parts = [_subst_canonical(x, target, replacement) for x in e.terms]
-        if all(p is None for p in parts):
-            return None
-        return add(*(p if p is not None else x for p, x in zip(parts, e.terms)))
-    if t is Mul:
-        parts = [_subst_canonical(x, target, replacement) for x in e.factors]
-        if all(p is None for p in parts):
-            return None
-        return mul(*(p if p is not None else x for p, x in zip(parts, e.factors)))
-    if t is Pow:
-        b = _subst_canonical(e.base, target, replacement)
-        p = _subst_canonical(e.exp, target, replacement)
-        if b is None and p is None:
-            return None
-        return pow_(b if b is not None else e.base, p if p is not None else e.exp)
-    if t is Func:
-        a = _subst_canonical(e.arg, target, replacement)
-        return None if a is None else func(e.kind, a)
-    if t is AppliedFunction:
-        parts = [_subst_canonical(a, target, replacement) for a in e.args]
-        if all(p is None for p in parts):
-            return None
-        return applied(e.name, (p if p is not None else a for p, a in zip(parts, e.args)))
-    if t is Derivative:
-        body = _subst_canonical(e.body, target, replacement)
-        new_var = replacement if e.var == target and type(replacement) is Symbol else None
-        if body is None and new_var is None:
-            return None
-        return derivative(
-            body if body is not None else e.body,
-            new_var if new_var is not None else e.var,
-            e.order,
-        )
-    if t is Integral:
-        body = _subst_canonical(e.body, target, replacement)
-        new_var = replacement if e.var == target and type(replacement) is Symbol else None
-        if body is None and new_var is None:
-            return None
-        return integral(
-            body if body is not None else e.body,
-            new_var if new_var is not None else e.var,
-        )
-    raise ExprError(f"unknown node type {t!r}")
+    kids = e.children()
+    parts = [_subst_canonical(x, target, replacement) for x in kids]
+    if all(p is None for p in parts):
+        return None
+    return rebuild(e, [x if p is None else p for p, x in zip(parts, kids)])
 
 
 def contains(e: Expr, target: Expr) -> bool:

@@ -81,14 +81,33 @@ class GenConfig:
             raise GenerationError("length_min must be >= 4 (lengths are kept above 3)")
         if self.retry_cap < 1:
             raise GenerationError("retry_cap must be >= 1")
+        if self.length_sigma < 0:
+            raise GenerationError("length_sigma must be >= 0")
+        if self.length_mean + 4 * self.length_sigma <= self.length_min - 0.5:
+            # sample_length redraws until round(gauss) >= length_min
+            raise GenerationError(
+                "length_mean + 4 * length_sigma must exceed length_min - 0.5"
+            )
+        # a gate drawn with positive weight needs a member with positive weight
+        gates = (
+            ("p_arity_*", 1, (self.p_arity_0, self.p_arity_1, self.p_arity_2)),
+            ("the arity-1 groups", self.p_arity_1,
+             (self.p_evaluate, self.p_int_or_diff, self.p_renaming + self.p_define,
+              self.p_arith, self.p_extension)),
+            ("p_subs + p_add_eq", self.p_arity_2, (self.p_subs, self.p_add_eq)),
+        )
+        for name, gate, members in gates:
+            if gate > 0 and not any(w > 0 for w in members):
+                raise GenerationError(f"{name} weights are all zero")
 
     def load_vocabulary(self) -> SymbolTable:
         return load_symbol_table(self.vocabulary)
 
 
-def derive_seed(seed: int, index: int) -> int:
-    """Deterministic per-record stream seed, stable across platforms."""
-    digest = hashlib.sha256(f"{seed}:{index}".encode("ascii")).digest()
+def derive_seed(seed: int, tag: int | str) -> int:
+    """Deterministic stream seed for a (seed, tag) pair, stable across
+    platforms: per generation attempt, per perturbed record, per few-shot row."""
+    digest = hashlib.sha256(f"{seed}:{tag}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
@@ -304,10 +323,6 @@ def _weighted_order(indices: list[int], weights, rng: random.Random) -> list[int
     return [i for _, i in keyed]
 
 
-def _occurs_in(side: Expr, operand: Expr) -> bool:
-    return any(node == operand for node in side.subtrees())
-
-
 def try_step(state: _GenState) -> Optional[Step]:
     """One stochastic step draw; None counts as a failed attempt."""
     cfg, rng, steps = state.cfg, state.rng, state.steps
@@ -431,21 +446,13 @@ def extract_derivation(steps: list[Step] | tuple[Step, ...]) -> Derivation:
 
 
 def generate_derivation(
-    cfg: GenConfig,
-    rng: random.Random,
-    prior: Optional[Derivation] = None,
-    vocab: Optional[SymbolTable] = None,
+    cfg: GenConfig, rng: random.Random, vocab: Optional[SymbolTable] = None
 ) -> Optional[Derivation]:
     """Run the stepping loop until a coherent derivation of the sampled
     length exists; None after retry_cap consecutive failed draws."""
     vocab = vocab if vocab is not None else cfg.load_vocabulary()
     state = _GenState(cfg, vocab, rng)
-    if prior is not None:
-        for s in prior.steps:
-            state.note(s)
-    else:
-        premise = Step(generate_premise(vocab, rng, state.used_names), None, role=ROLE_PREMISE)
-        state.note(premise)
+    state.note(Step(generate_premise(vocab, rng, state.used_names), None, role=ROLE_PREMISE))
     target_length = sample_length(cfg, rng)
     failures = 0
     while True:
@@ -491,9 +498,7 @@ def passes_token_filter(prompt: str, target: str, cfg: GenConfig) -> bool:
     return count_lexemes(prompt + " " + target) <= cfg.max_prompt_tokens
 
 
-def generate_dataset(
-    cfg: GenConfig, n: int, on_record: Optional[Callable[[DerivationRecord], None]] = None
-) -> tuple[list[DerivationRecord], GenerationSummary]:
+def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], GenerationSummary]:
     """Generate n records passing both dataset filters. Records carry the
     per-attempt stream seed, so output is deterministic regardless of how
     attempts are scheduled."""
@@ -525,6 +530,4 @@ def generate_dataset(
             continue
         records.append(record)
         summary.produced += 1
-        if on_record is not None:
-            on_record(record)
     return records, summary

@@ -26,7 +26,6 @@ from .expr import (
     derivative,
     div,
     equation_free_symbols,
-    free_symbols,
     func,
     integral,
     is_zero,
@@ -116,8 +115,6 @@ REGISTRY: dict[str, OpInfo] = {
     )
 }
 
-INVERSE_PAIRS = ((ADD, SUB), (MUL, DIV), (EXP_BOTH, LOG_BOTH))
-
 RENAME_FAMILY = (RENAME, DEFINE)
 EVAL_FAMILY = (EVAL_DIFF, EVAL_INT)
 
@@ -170,14 +167,6 @@ class Derivation:
             if s.op in EVAL_FAMILY and i < len(self.steps) - 1
         )
 
-    def used_names(self) -> set[str]:
-        names: set[str] = set()
-        for s in self.steps:
-            names.update(equation_free_symbols(s.equation))
-            if s.operand is not None:
-                names.update(free_symbols(s.operand))
-        return names
-
 
 @dataclass(frozen=True)
 class ValidityReport:
@@ -188,12 +177,6 @@ class ValidityReport:
         return self.failures[0] if self.failures else None
 
 
-def fresh_function_args(body: Expr) -> tuple[Symbol, ...]:
-    """Argument list for a freshly named function: the body's distinct
-    symbols in first-occurrence order (derivative/integral vars first)."""
-    return symbol_nodes(body)
-
-
 def apply(
     op: str,
     derivation: Sequence[Step] | Derivation,
@@ -202,7 +185,6 @@ def apply(
     fresh_name: Optional[str] = None,
     constants: Optional[Sequence[Symbol]] = None,
     constant_pool: Iterable[str] = (),
-    table: calculus.IntegralTable = calculus.DEFAULT_TABLE,
 ) -> Step:
     """Execute one operation and return the resulting step.
 
@@ -227,7 +209,7 @@ def apply(
 
     try:
         return _apply_dispatch(op, steps, parents, eqs, operand, fresh_name, constants,
-                               constant_pool, table)
+                               constant_pool)
     except ExprError as exc:
         raise InapplicableOp(str(exc)) from exc
 
@@ -241,7 +223,6 @@ def _apply_dispatch(
     fresh_name: Optional[str],
     constants: Optional[Sequence[Symbol]],
     constant_pool: Iterable[str],
-    table: calculus.IntegralTable,
 ) -> Step:
 
     if op in (ADD, SUB, MUL, DIV, POW):
@@ -289,7 +270,7 @@ def _apply_dispatch(
         else:
             pool = constant_pool
         try:
-            out = calculus.evaluate_integrals(eqs[0], used, pool, table)
+            out = calculus.evaluate_integrals(eqs[0], used, pool)
         except calculus.NoIntegralPresent as exc:
             raise InapplicableOp(str(exc)) from exc
         except calculus.CalculusError as exc:
@@ -324,7 +305,9 @@ def _apply_dispatch(
         source = eqs[0]
         if not (contains(source.lhs, operand) or contains(source.rhs, operand)):
             raise InapplicableOp("named expression must occur in its source equation")
-        args = fresh_function_args(operand)
+        # the named expression's distinct symbols, in first-occurrence
+        # order (derivative/integral variables first)
+        args = symbol_nodes(operand)
         if not args:
             raise InapplicableOp("cannot name an expression with no variables")
         eq = Equation(applied(fresh_name, args), operand)
@@ -406,7 +389,7 @@ def _check_rename(steps: Sequence[Step], i: int) -> Optional[str]:
     source = steps[step.parents[0]].equation
     if not (contains(source.lhs, step.operand) or contains(source.rhs, step.operand)):
         return "named expression does not occur in its source equation"
-    if lhs.args != fresh_function_args(step.operand):
+    if lhs.args != symbol_nodes(step.operand):
         return "rename argument list does not match the named expression"
     for prior in steps[:i]:
         if lhs.name in equation_free_symbols(prior.equation):

@@ -13,24 +13,11 @@ from dataclasses import replace
 from typing import Optional
 
 from . import ops
-from .expr import (
-    Add,
-    AppliedFunction,
-    Derivative,
-    Equation,
-    Expr,
-    Func,
-    Integer,
-    Integral,
-    Mul,
-    Pow,
-    Rational,
-    Symbol,
-)
+from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
 from .genalg import GenConfig, _GenState
 from .ops import Derivation, ROLE_GOAL, Step
 from .records import PromptRecord
-from .vocab import GreekPool
+from .vocab import GreekPool, SymbolTable
 
 VR, EE, AG, SR = "VR", "EE", "AG", "SR"
 KINDS = (VR, EE, AG, SR)
@@ -53,32 +40,12 @@ class GoalExhausted(PerturbationError):
 
 def rename_leaves(e: Expr, mapping: dict[str, str]) -> Expr:
     """Rename symbol and function names without touching tree structure."""
-    t = type(e)
-    if t in (Integer, Rational):
-        return e
-    if t is Symbol:
+    if type(e) is Symbol:
         return Symbol(mapping.get(e.name, e.name))
-    if t is Add:
-        return Add(tuple(rename_leaves(x, mapping) for x in e.terms))
-    if t is Mul:
-        return Mul(tuple(rename_leaves(x, mapping) for x in e.factors))
-    if t is Pow:
-        return Pow(rename_leaves(e.base, mapping), rename_leaves(e.exp, mapping))
-    if t is Func:
-        return Func(e.kind, rename_leaves(e.arg, mapping))
-    if t is AppliedFunction:
-        return AppliedFunction(
-            mapping.get(e.name, e.name), tuple(rename_leaves(a, mapping) for a in e.args)
-        )
-    if t is Derivative:
-        return Derivative(
-            rename_leaves(e.body, mapping), Symbol(mapping.get(e.var.name, e.var.name)), e.order
-        )
-    if t is Integral:
-        return Integral(
-            rename_leaves(e.body, mapping), Symbol(mapping.get(e.var.name, e.var.name))
-        )
-    raise PerturbationError(f"unexpected node {t!r}")
+    kids = [rename_leaves(x, mapping) for x in e.children()]
+    if type(e) is AppliedFunction:
+        return AppliedFunction(mapping.get(e.name, e.name), tuple(kids))
+    return rebuild(e, kids, raw=True)
 
 
 def collect_names(d: Derivation) -> list[str]:
@@ -138,15 +105,18 @@ def exchange_expressions(d: Derivation) -> Derivation:
 # ---------------------------------------------------------------------------
 # alternative goal
 
-def alternative_goal(d: Derivation, cfg: GenConfig, rng: random.Random) -> Derivation:
+def alternative_goal(
+    d: Derivation, cfg: GenConfig, rng: random.Random, vocab: Optional[SymbolTable] = None
+) -> Derivation:
     """Replace the final step with a freshly sampled applicable operation on
-    the penultimate equation whose result is a new equation."""
+    the penultimate equation whose result is a new equation. Pass the
+    vocabulary to avoid loading it from ``cfg`` on every call."""
     if len(d) < 2:
         raise PerturbationError("alternative goal needs at least two steps")
     prefix = d.steps[:-1]
     old_goal = d.steps[-1].equation
     existing = {s.equation for s in d.steps}
-    vocab = cfg.load_vocabulary()
+    vocab = vocab if vocab is not None else cfg.load_vocabulary()
     state = _GenState(cfg, vocab, rng)
     for s in prefix:
         state.note(s)

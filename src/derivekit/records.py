@@ -11,13 +11,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from .expr import Symbol
-from .latex import equation_to_latex, parse_equation, parse_latex, to_latex
+from .expr import ExprError, Symbol
+from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
 from .ops import EVAL_INT, PREMISE, Derivation, Step
 
 SCHEMA_VERSION = 1
+
+T = TypeVar("T")
 
 
 class RecordError(Exception):
@@ -71,10 +73,13 @@ def step_from_json(payload: dict) -> Step:
             constants = tuple(Symbol(name) for name in raw_operand.split(","))
     elif raw_operand is not None:
         operand = parse_latex(raw_operand)
+    parents = tuple(payload.get("parents", ()))
+    if not all(type(p) is int for p in parents):
+        raise RecordError(f"parents must be integers: {parents!r}")
     return Step(
         equation=parse_equation(payload["latex"]),
         op=None if op == PREMISE else op,
-        parents=tuple(payload.get("parents", ())),
+        parents=parents,
         operand=operand,
         role=payload["role"],
         constants=constants,
@@ -135,21 +140,46 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return count
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
+def _numbered_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise RecordError(f"{path}:{lineno}: row is not a JSON object")
+            yield lineno, row
+
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    for _, row in _numbered_rows(path):
+        yield row
+
+
+# what a row that does not fit its format raises while it is converted
+_MALFORMED = (RecordError, KeyError, TypeError, ValueError, LatexParseError, ExprError)
+
+
+def load_rows(path: str | Path, convert: Callable[[dict], T]) -> list[T]:
+    """Convert every row of a JSONL file. A row with a missing field, a
+    wrongly typed value or LaTeX that does not parse raises RecordError
+    naming the file and line."""
+    out = []
+    for lineno, row in _numbered_rows(path):
+        try:
+            out.append(convert(row))
+        except _MALFORMED as exc:
+            raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
+    return out
 
 
 def load_derivation_records(path: str | Path) -> list[DerivationRecord]:
-    return [derivation_record_from_json(row) for row in read_jsonl(path)]
+    return load_rows(path, derivation_record_from_json)
 
 
 def load_prompt_records(path: str | Path) -> list[PromptRecord]:
-    return [prompt_record_from_json(row) for row in read_jsonl(path)]
+    return load_rows(path, prompt_record_from_json)

@@ -1,4 +1,4 @@
-"""Symbol vocabulary: names, LaTeX forms, and role kinds.
+"""Symbol vocabulary: names and role kinds.
 
 The training vocabulary is a configurable JSON file; the packaged default
 carries 155 physics-flavoured symbols. A symbol's ``name`` doubles as its
@@ -10,7 +10,7 @@ from the vocabulary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -32,17 +32,15 @@ class VocabularyError(Exception):
 @dataclass(frozen=True)
 class SymbolEntry:
     name: str
-    latex: str
     kind: str
 
 
 @dataclass(frozen=True)
 class SymbolTable:
     entries: tuple[SymbolEntry, ...]
-    by_name: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        seen = {}
+        seen = set()
         for entry in self.entries:
             if entry.kind not in KINDS:
                 raise VocabularyError(f"unknown kind {entry.kind!r} for {entry.name!r}")
@@ -56,25 +54,12 @@ class SymbolTable:
                 raise VocabularyError(
                     f"{entry.name!r} belongs to the out-of-distribution Greek pool"
                 )
-            seen[entry.name] = entry
-        self.by_name.update(seen)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.by_name
+            seen.add(entry.name)
 
     def names(self, kind: Optional[str] = None) -> tuple[str, ...]:
         if kind is None:
             return tuple(e.name for e in self.entries)
         return tuple(e.name for e in self.entries if e.kind == kind)
-
-    def resolve(self, name: str) -> SymbolEntry:
-        try:
-            return self.by_name[name]
-        except KeyError:
-            raise VocabularyError(f"unresolvable symbol name {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -89,11 +74,6 @@ class GreekPool:
         if len(set(self.letters)) != 11:
             raise VocabularyError("Greek pool letters must be distinct")
 
-    def check_disjoint(self, table: SymbolTable) -> None:
-        clash = [x for x in self.letters if x in table]
-        if clash:
-            raise VocabularyError(f"Greek pool overlaps vocabulary: {clash}")
-
 
 def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
     """Load a vocabulary JSON file; None loads the packaged default."""
@@ -103,10 +83,7 @@ def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
         text = Path(path).read_text("utf-8")
     try:
         payload = json.loads(text)
-        entries = tuple(
-            SymbolEntry(item["name"], item.get("latex", item["name"]), item["kind"])
-            for item in payload["symbols"]
-        )
+        entries = tuple(SymbolEntry(item["name"], item["kind"]) for item in payload["symbols"])
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise VocabularyError(f"malformed vocabulary file: {exc}") from exc
     return SymbolTable(entries)

@@ -208,3 +208,72 @@ def test_score_with_explicit_pairs(workdir, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["pairwise"]["VR"]["pairs"] == 1
     assert payload["aggregates"]["n"] == 2
+
+
+BAD_JSONL = '{"id": "d0", "steps": [\n'
+PROMPT_ROW = {"id": "d0", "static_id": "d0", "perturbation": None,
+              "prompt": "Given $x = y$, then obtain $y = x$", "target": "x = y and y = x"}
+
+
+def _file(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _stored(path, latex):
+    step = {"latex": latex, "op": "premise", "parents": [], "operand_latex": None,
+            "role": "premise"}
+    return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
+
+
+def _generate_with(path, **fields):
+    return ["generate", "--count", 1, "--config", _file(path, json.dumps(fields)),
+            "--out", path.parent / "out.jsonl"]
+
+
+ZERO_ARITY = {"p_arity_0": 0, "p_arity_1": 0, "p_arity_2": 0}
+ZERO_ARITY1 = {"p_evaluate": 0, "p_int_or_diff": 0, "p_renaming": 0, "p_define": 0,
+               "p_arith": 0, "p_extension": 0}
+ZERO_ARITY2 = {"p_subs": 0, "p_add_eq": 0}
+
+BAD_INPUT_CASES = {
+    "verify-bad-json": (lambda d: ["verify", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
+    "stats-bad-json": (lambda d: ["stats", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
+    "prompt-bad-json": (lambda d: ["prompt", "--mode", "finetune", "--in",
+                                   _file(d / "in.jsonl", BAD_JSONL), "--out", d / "o.jsonl"], 3),
+    "perturb-bad-json": (lambda d: ["perturb", "--kind", "vr", "--in",
+                                    _file(d / "in.jsonl", BAD_JSONL), "--out", d / "o.jsonl"], 3),
+    "verify-missing-field": (lambda d: ["verify", "--in",
+                                        _file(d / "in.jsonl", '{"id": "d0"}\n')], 3),
+    "verify-zero-denominator": (lambda d: ["verify", "--in",
+                                           _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
+    "verify-unparsable-latex": (lambda d: ["verify", "--in",
+                                           _stored(d / "in.jsonl", "x = y +")], 3),
+    "score-pred-missing-completion": (lambda d: [
+        "score", "--pred", _file(d / "p.jsonl", '{"id": "d0"}\n'),
+        "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW) + "\n"),
+        "--out", d / "o.json"], 3),
+    "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
+                                               d / "missing.json", "--out", d / "o.jsonl"], 3),
+    "fewshot-without-train": (lambda d: ["prompt", "--mode", "fewshot", "--in",
+                                         _file(d / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
+                                         "--out", d / "o.jsonl"], 2),
+    "zero-arity-gate": (lambda d: _generate_with(d / "cfg.json", **ZERO_ARITY), 2),
+    "zero-arity1-groups": (lambda d: _generate_with(d / "cfg.json", **ZERO_ARITY1), 2),
+    "zero-arity2-groups": (lambda d: _generate_with(d / "cfg.json", **ZERO_ARITY2), 2),
+    "length-mean-below-min": (lambda d: _generate_with(d / "cfg.json", length_mean=3.4,
+                                                       length_sigma=0), 2),
+    "config-bad-json": (lambda d: ["generate", "--count", 1, "--config",
+                                   _file(d / "cfg.json", "{"), "--out", d / "o.jsonl"], 2),
+    "config-wrong-type": (lambda d: _generate_with(d / "cfg.json", p_subs="x"), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
+    argv, code = BAD_INPUT_CASES[case]
+    assert run(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+    assert err.startswith("io error: " if code == 3 else "config error: ")

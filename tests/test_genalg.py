@@ -40,6 +40,21 @@ def test_config_validation():
         GenConfig(p_subs=-1)
 
 
+def test_config_rejects_what_would_hang_or_fail_a_draw():
+    for bad in ({"length_sigma": -1}, {"length_mean": 3.4, "length_sigma": 0},
+                {"length_mean": 4.5, "length_sigma": 0, "length_min": 5},
+                {"p_arity_0": 0, "p_arity_1": 0, "p_arity_2": 0},
+                {"p_evaluate": 0, "p_int_or_diff": 0, "p_renaming": 0, "p_define": 0,
+                 "p_arith": 0, "p_extension": 0},
+                {"p_subs": 0, "p_add_eq": 0}):
+        with pytest.raises(GenerationError):
+            GenConfig(**bad)
+    # a group whose gate can never be drawn may be empty
+    GenConfig(p_arity_2=0, p_subs=0, p_add_eq=0)
+    cfg = GenConfig(length_mean=3.6, length_sigma=0)
+    assert sample_length(cfg, random.Random(0)) == 4
+
+
 def test_reference_defaults():
     cfg = GenConfig()
     assert (cfg.p_history, cfg.p_arity_0, cfg.p_renaming, cfg.p_arity_1) == (10, 5, 1, 50)
