@@ -84,6 +84,6 @@ def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
     try:
         payload = json.loads(text)
         entries = tuple(SymbolEntry(item["name"], item["kind"]) for item in payload["symbols"])
+        return SymbolTable(entries)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise VocabularyError(f"malformed vocabulary file: {exc}") from exc
-    return SymbolTable(entries)

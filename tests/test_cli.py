@@ -255,6 +255,9 @@ BAD_INPUT_CASES = {
         "--out", d / "o.json"], 3),
     "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
                                                d / "missing.json", "--out", d / "o.jsonl"], 3),
+    "vocabulary-non-string-name": (lambda d: [
+        "generate", "--count", 1, "--out", d / "o.jsonl", "--vocabulary",
+        _file(d / "v.json", '{"symbols": [{"name": 5, "kind": "variable"}]}')], 2),
     "fewshot-without-train": (lambda d: ["prompt", "--mode", "fewshot", "--in",
                                          _file(d / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
                                          "--out", d / "o.jsonl"], 2),
