@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from derivekit.calculus import (
     NoDerivativePresent,
-    antiderivative,
     NoIntegralPresent,
+    antiderivative,
     differentiate,
     evaluate_derivatives,
     evaluate_integrals,

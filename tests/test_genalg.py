@@ -38,9 +38,7 @@ def test_config_validation():
         GenConfig(retry_cap=0)
     with pytest.raises(GenerationError):
         GenConfig(p_subs=-1)
-
-
-def test_config_rejects_what_would_hang_or_fail_a_draw():
+    # settings that would hang sample_length or fail a weighted draw
     for bad in ({"length_sigma": -1}, {"length_mean": 3.4, "length_sigma": 0},
                 {"length_mean": 4.5, "length_sigma": 0, "length_min": 5},
                 {"p_arity_0": 0, "p_arity_1": 0, "p_arity_2": 0},
