@@ -296,14 +296,19 @@ class Integral(Expr):
 
 
 class Equation:
-    """Ordered pair of canonical expressions: lhs = rhs."""
+    """Ordered pair of canonical expressions: lhs = rhs.
 
-    __slots__ = ("lhs", "rhs", "_hash")
+    ``_latex`` holds the equation's LaTeX once ``latex.equation_to_latex``
+    has rendered it, so each equation is rendered at most once.
+    """
+
+    __slots__ = ("lhs", "rhs", "_hash", "_latex")
 
     def __init__(self, lhs: Expr, rhs: Expr):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "_hash", hash(("eq", hash(lhs), hash(rhs))))
+        object.__setattr__(self, "_latex", None)
 
     def __hash__(self) -> int:
         return self._hash
@@ -520,6 +525,13 @@ def mul(*factors: Expr) -> Expr:
     return Mul(tuple(rebuilt))
 
 
+# A numeric power folds to a number only up to about this many bits, so the
+# number still prints within Python's default 4,300-digit int-to-str limit; a
+# larger one (say 9^{99999999} in parsed input) stays a Pow instead of taking
+# minutes and gigabytes to compute.
+MAX_FOLD_BITS = 14_000
+
+
 def pow_(base: Expr, exp: Expr) -> Expr:
     qb, qe = as_fraction(base), as_fraction(exp)
     if qe is not None:
@@ -530,7 +542,9 @@ def pow_(base: Expr, exp: Expr) -> Expr:
         if qb is not None and qe.denominator == 1:
             if qb == 0 and qe < 0:
                 raise ExprError("zero to a negative power")
-            return num_from_fraction(qb ** qe.numerator)
+            size = max(qb.numerator.bit_length(), qb.denominator.bit_length()) - 1
+            if size * abs(qe.numerator) <= MAX_FOLD_BITS:
+                return num_from_fraction(qb ** qe.numerator)
         if qb is not None and qb == 0 and qe > 0:
             return ZERO
         if qb is not None and qb == 1:

@@ -1,12 +1,12 @@
 """The derivation generation algorithm: premises, stochastic steps, coherent
 extraction, retry control, and dataset-scale generation with filters.
 
-A derivation grows by weighted-random operation draws; after every accepted
-step the coherent sub-derivation ending at the newest equation is extracted,
-and generation stops once it reaches the sampled target length. Draws that
-are inapplicable, duplicate an existing equation, re-evaluate an integral,
-or produce a trivial lhs = rhs equation count as failures; retry_cap
-consecutive failures abandon the attempt.
+A derivation grows by weighted-random operation draws; generation stops
+once the coherent sub-derivation ending at the newest equation (its
+ancestors) reaches the sampled target length, and only then is it extracted.
+Draws that are inapplicable, duplicate an existing equation, re-evaluate an
+integral, or produce a trivial lhs = rhs equation count as failures;
+retry_cap consecutive failures abandon the attempt.
 """
 from __future__ import annotations
 
@@ -17,9 +17,11 @@ from typing import Callable, Iterable, Optional
 
 from . import ops
 from .expr import (
+    Derivative,
     Equation,
     Expr,
     Integer,
+    Integral,
     Symbol,
     add,
     applied,
@@ -235,6 +237,10 @@ def _recency_pick(indices: list[int], n_total: int, cfg: GenConfig, rng: random.
 
 
 class _GenState:
+    """One attempt's steps and what is derived from them. The steps list only
+    grows, so a step index names the same equation for the whole attempt and
+    everything cached here stays valid until the attempt ends."""
+
     def __init__(self, cfg: GenConfig, vocab: SymbolTable, rng: random.Random):
         self.cfg = cfg
         self.vocab = vocab
@@ -247,11 +253,14 @@ class _GenState:
         self.derivative_indices: list[int] = []
         self.integral_indices: list[int] = []
         self.derived_indices: list[int] = []
-        self.subtree_sets: list[set] = []
+        # subexpression -> ascending indices of the steps containing it
+        self.containing: dict[Expr, list[int]] = {}
+        # ancestors[i]: step i and every step it descends from
+        self.ancestors: list[set[int]] = []
+        # (op, parents) -> the step ops.apply made, or None if it failed
+        self.applied: dict[tuple[str, tuple[int, ...]], Optional[Step]] = {}
 
     def note(self, step: Step) -> None:
-        from .expr import Derivative, Integral
-
         index = len(self.steps)
         self.steps.append(step)
         self.seen_equations.add(step.equation)
@@ -263,8 +272,13 @@ class _GenState:
             self.eval_int_parents.add(step.parents)
         elif step.op == ops.EVAL_DIFF:
             self.eval_diff_parents.add(step.parents)
-        nodes = set(ops.subexpression_pool(step.equation))
-        self.subtree_sets.append(nodes)
+        ancestors = {index}
+        for p in step.parents:
+            ancestors |= self.ancestors[p]
+        self.ancestors.append(ancestors)
+        nodes = ops.subexpression_pool(step.equation)
+        for node in nodes:
+            self.containing.setdefault(node, []).append(index)
         if any(type(n) is Derivative for n in nodes):
             self.derivative_indices.append(index)
         if any(type(n) is Integral for n in nodes):
@@ -280,6 +294,26 @@ class _GenState:
         ]
         self.rng.shuffle(pool)
         return pool
+
+    def apply_once(self, op: str, parents: tuple[int, ...], **kwargs) -> Optional[Step]:
+        """ops.apply on this attempt's steps, None when it fails.
+
+        The result depends only on op and the parents' equations, so each
+        (op, parents) pair is computed once per attempt. eval_int draws its
+        constants from a pool that shrinks as names get used, so only its
+        failures are kept: a table miss or a missing integral does not depend
+        on the pool, and an exhausted pool stays exhausted.
+        """
+        key = (op, parents)
+        if key in self.applied:
+            return self.applied[key]
+        try:
+            step = ops.apply(op, self.steps, parents, **kwargs)
+        except ops.OpError:
+            step = None
+        if step is None or op != ops.EVAL_INT:
+            self.applied[key] = step
+        return step
 
     def fresh_function_name(self) -> Optional[str]:
         names = [n for n in self.vocab.names("function-name") if n not in self.used_names]
@@ -300,18 +334,13 @@ def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
     for definition in def_order:
         def_eq = steps[definition].equation
         pattern = def_eq.lhs if op == ops.SUB_LHS else def_eq.rhs
-        targets = [
-            j
-            for j in range(n)
-            if j != definition and pattern in state.subtree_sets[j]
-        ]
+        targets = [j for j in state.containing.get(pattern, ()) if j != definition]
         if not targets:
             continue
         target = _recency_pick(targets, n, cfg, rng)
-        try:
-            return ops.apply(op, steps, (definition, target))
-        except ops.OpError:
-            continue
+        candidate = state.apply_once(op, (definition, target))
+        if candidate is not None:
+            return candidate
     return None
 
 
@@ -376,11 +405,14 @@ def try_step(state: _GenState) -> Optional[Step]:
                 return None
             parent = _recency_pick(indices, len(steps), cfg, rng)
             if action == ops.EVAL_INT:
-                candidate = ops.apply(
-                    action, steps, (parent,), constant_pool=state.constant_pool()
+                # the pool is shuffled (drawing from rng) even on a memo hit
+                candidate = state.apply_once(
+                    action, (parent,), constant_pool=state.constant_pool()
                 )
             else:
-                candidate = ops.apply(action, steps, (parent,))
+                candidate = state.apply_once(action, (parent,))
+            if candidate is None:
+                return None
         elif action in (ops.DIFF, ops.INT):
             parent = _recency_pick(list(range(len(steps))), len(steps), cfg, rng)
             var = ops.sample_variable(steps[parent].equation, rng)
@@ -464,9 +496,8 @@ def generate_derivation(
             continue
         failures = 0
         state.note(candidate)
-        extracted = extract_derivation(state.steps)
-        if len(extracted) >= target_length:
-            return extracted
+        if len(state.ancestors[-1]) >= target_length:
+            return extract_derivation(state.steps)
 
 
 @dataclass

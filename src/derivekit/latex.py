@@ -19,6 +19,7 @@ from .expr import (
     Derivative,
     Equation,
     Expr,
+    ExprError,
     Func,
     Integer,
     Integral,
@@ -248,7 +249,11 @@ def to_latex(e: Expr) -> str:
 
 
 def equation_to_latex(eq: Equation) -> str:
-    return f"{to_latex(eq.lhs)} = {to_latex(eq.rhs)}"
+    text = eq._latex
+    if text is None:
+        text = f"{to_latex(eq.lhs)} = {to_latex(eq.rhs)}"
+        object.__setattr__(eq, "_latex", text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +317,7 @@ def _tokenize(s: str) -> list[tuple[str, str, int]]:
             tokens.append((_CMD, m.group(0), i))
             i += m.end()
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             m = re.match(r"[0-9]+", s[i:])
             tokens.append((_DIGITS, m.group(0), i))
             i += m.end()
@@ -330,10 +335,18 @@ def _tokenize(s: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting the parser accepts, counted in expr() calls (groups,
+# exponents, fraction parts, arguments) and derivative heads. Generated
+# equations stay far below it; past it the recursion would exhaust Python's
+# stack.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # token helpers -----------------------------------------------------
     def peek(self, offset: int = 0) -> tuple[str, str, int]:
@@ -356,6 +369,15 @@ class _Parser:
         tok = self.peek()
         raise LatexParseError(message, tok[2])
 
+    def too_deep(self):
+        self.fail(f"nesting deeper than {MAX_DEPTH} levels")
+
+    def integer(self, text: str, pos: int) -> Integer:
+        try:
+            return Integer(int(text))
+        except ValueError:  # more digits than int() converts
+            raise LatexParseError("number too long", pos) from None
+
     # grammar -----------------------------------------------------------
     def parse_expression(self) -> Expr:
         e = self.expr()
@@ -374,6 +396,9 @@ class _Parser:
         return Equation(lhs, rhs)
 
     def expr(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.too_deep()
         terms = []
         sign = 1
         if self.peek()[0] == "MINUS":
@@ -393,9 +418,8 @@ class _Parser:
                 terms.append(neg(self.term()))
             else:
                 break
-        if len(terms) == 1:
-            return terms[0]
-        return add(*terms)
+        self.depth -= 1
+        return terms[0] if len(terms) == 1 else add(*terms)
 
     _TERM_STOP = {"PLUS", "MINUS", "EQUALS", "RPAREN", "RBRACE", "COMMA", _EOF}
 
@@ -430,14 +454,14 @@ class _Parser:
             return e
         if kind == _DIGITS:
             self.next()
-            return Integer(int(text))
+            return self.integer(text, pos)
         raise LatexParseError("expected '{' or digits after '^'", pos)
 
     def primary(self) -> Expr:
         kind, text, pos = self.peek()
         if kind == _DIGITS:
             self.next()
-            return Integer(int(text))
+            return self.integer(text, pos)
         if kind == "LPAREN":
             self.next()
             e = self.expr()
@@ -593,6 +617,10 @@ class _Parser:
         return div(num, den)
 
     def derivative_rest(self, marker: str) -> Expr:
+        # a derivative's body recurses through factor(), not expr()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.too_deep()
         self.next()  # the marker inside the numerator
         order = 1
         if self.peek()[0] == "CARET":
@@ -617,6 +645,7 @@ class _Parser:
         while not self.at_term_stop():
             factors.append(self.factor())
         body = factors[0] if len(factors) == 1 else mul(*factors)
+        self.depth -= 1
         return derivative(body, var, order)
 
     def integral_rest(self) -> Expr:
@@ -628,10 +657,19 @@ class _Parser:
         return integral(body, var)
 
 
+def _parse(s: str, whole):
+    parser = _Parser(s)
+    try:
+        return whole(parser)
+    except ExprError as exc:
+        # a constructor rejected the construct the last consumed token closed
+        raise LatexParseError(str(exc), parser.tokens[max(parser.i - 1, 0)][2]) from exc
+
+
 def parse_latex(s: str) -> Expr:
     """Parse a single expression in the emitted grammar (whitespace tolerant)."""
-    return _Parser(s).parse_expression()
+    return _parse(s, _Parser.parse_expression)
 
 
 def parse_equation(s: str) -> Equation:
-    return _Parser(s).parse_equation()
+    return _parse(s, _Parser.parse_equation)

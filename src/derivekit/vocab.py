@@ -10,7 +10,7 @@ from the vocabulary.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -38,6 +38,7 @@ class SymbolEntry:
 @dataclass(frozen=True)
 class SymbolTable:
     entries: tuple[SymbolEntry, ...]
+    _by_kind: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -55,11 +56,13 @@ class SymbolTable:
                     f"{entry.name!r} belongs to the out-of-distribution Greek pool"
                 )
             seen.add(entry.name)
+        by_kind = {None: tuple(e.name for e in self.entries)}
+        for kind in KINDS:
+            by_kind[kind] = tuple(e.name for e in self.entries if e.kind == kind)
+        object.__setattr__(self, "_by_kind", by_kind)
 
     def names(self, kind: Optional[str] = None) -> tuple[str, ...]:
-        if kind is None:
-            return tuple(e.name for e in self.entries)
-        return tuple(e.name for e in self.entries if e.kind == kind)
+        return self._by_kind.get(kind, ())
 
 
 @dataclass(frozen=True)

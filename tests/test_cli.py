@@ -249,6 +249,8 @@ BAD_INPUT_CASES = {
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", "x = y +")], 3),
+    "verify-deep-tower": (lambda d: ["verify", "--in", _stored(
+        d / "in.jsonl", "x = " + "x^{" * 700 + "x" + "}" * 700)], 3),
     "score-pred-missing-completion": (lambda d: [
         "score", "--pred", _file(d / "p.jsonl", '{"id": "d0"}\n'),
         "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW) + "\n"),

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from derivekit import ops
-from derivekit.expr import Equation, Symbol, applied, func, equation_free_symbols
+from derivekit.expr import Equation, Integer, Symbol, applied, func, equation_free_symbols
 from derivekit.genalg import (
     Applicability,
     GenConfig,
@@ -23,8 +23,9 @@ from derivekit.genalg import (
     passes_token_filter,
     sample_action,
     sample_length,
+    _GenState,
 )
-from derivekit.latex import equation_to_latex, count_lexemes
+from derivekit.latex import count_lexemes, equation_to_latex, to_latex
 from derivekit.ops import ROLE_PREMISE, Step, dag_coherent, duplicate_free, replay
 from derivekit.prompts import build_prompt
 from derivekit.records import derivation_record_to_json
@@ -230,3 +231,97 @@ def test_generated_records_valid_and_filtered(small_dataset):
 def test_generate_dataset_rejects_zero_count():
     with pytest.raises(GenerationError):
         generate_dataset(GenConfig(), 0)
+
+
+# ---------------------------------------------------------------------------
+# per-attempt caches
+
+def _fresh_pool(state: _GenState, rng: random.Random) -> list[str]:
+    """A constant pool as constant_pool() builds it, shuffled by another rng
+    so that the attempt's own draws are left alone."""
+    names = state.vocab.names("constant") + state.vocab.names("variable")
+    pool = [n for n in names if n not in state.used_names]
+    rng.shuffle(pool)
+    return pool
+
+
+def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
+    """After every step an attempt accepts: the inverted index yields the
+    substitution targets of a full scan in the same order, the ancestor set
+    has the size of the extracted derivation, every memoized ops.apply result
+    is what ops.apply computes now, and an eval_int failure still fails with
+    a freshly drawn pool."""
+    note = _GenState.note
+    pool_rng = random.Random(5)
+    counts = Counter()
+
+    def checked_note(state, step):
+        note(state, step)
+        steps = state.steps
+        n = len(steps)
+        assert len(state.ancestors[-1]) == len(extract_derivation(steps))
+        subtrees = [set(ops.subexpression_pool(s.equation)) for s in steps]
+        for definition, s in enumerate(steps):
+            for pattern in (s.equation.lhs, s.equation.rhs):
+                scanned = [j for j in range(n) if j != definition and pattern in subtrees[j]]
+                indexed = [j for j in state.containing.get(pattern, ()) if j != definition]
+                assert indexed == scanned
+        for (op, parents), memo in state.applied.items():
+            if op == ops.EVAL_INT:
+                assert memo is None
+                with pytest.raises(ops.OpError):
+                    ops.apply(op, steps, parents, constant_pool=_fresh_pool(state, pool_rng))
+                counts["eval_int failures"] += 1
+            else:
+                try:
+                    again = ops.apply(op, steps, parents)
+                except ops.OpError:
+                    again = None
+                assert again == memo
+                counts[op] += 1
+        counts["notes"] += 1
+
+    monkeypatch.setattr(_GenState, "note", checked_note)
+    for seed in (0, 1, 2, 3):
+        generate_dataset(GenConfig(seed=seed), 4)
+    assert counts["notes"] > 200
+    assert all(counts[key] > 0 for key in (
+        "eval_int failures", ops.EVAL_DIFF, ops.SUB_LHS, ops.SUB_RHS))
+
+
+def _one_step_per_op() -> list[Step]:
+    x, y = Symbol("x"), Symbol("y")
+    steps = [
+        Step(Equation(applied("f", [x]), func("sin", x)), None, role=ROLE_PREMISE),
+        Step(Equation(applied("g", [y]), func("log", y)), None, role=ROLE_PREMISE),
+    ]
+
+    def apply(op, parents, operand=None, **kwargs):
+        steps.append(ops.apply(op, steps, parents, operand, **kwargs))
+        return len(steps) - 1
+
+    for op in (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW):
+        apply(op, (0,), Integer(3))
+    diff = apply(ops.DIFF, (0,), x)
+    apply(ops.EVAL_DIFF, (diff,))
+    integral = apply(ops.INT, (1,), y)
+    apply(ops.EVAL_INT, (integral,), constant_pool=["C"])
+    apply(ops.SUB_LHS, (0, 2))
+    apply(ops.SUB_RHS, (0, 2))
+    apply(ops.RENAME, (2,), steps[2].equation.rhs, fresh_name="h")
+    for op in (ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH):
+        apply(op, (1,))
+    apply(ops.ADD_EQ, (0, 1))
+    apply(ops.DEFINE, (1,), func("log", y), fresh_name="k")
+    return steps
+
+
+def test_cached_latex_matches_a_fresh_rendering_for_every_op():
+    steps = _one_step_per_op()
+    assert {s.op for s in steps[2:]} == set(ops.REGISTRY)
+    for s in steps:
+        eq = s.equation
+        fresh = f"{to_latex(eq.lhs)} = {to_latex(eq.rhs)}"
+        assert equation_to_latex(eq) == fresh
+        assert equation_to_latex(eq) is equation_to_latex(eq)  # rendered once
+        assert equation_to_latex(Equation(eq.lhs, eq.rhs)) == fresh

@@ -5,8 +5,12 @@ would: two generated splits, the four perturbations with their prompts, the
 fine-tuning and few-shot prompts, stats, verification and scoring. Any
 refactor or speedup that claims byte identity must leave every digest as
 pinned here; a deliberate change of output must re-pin them and say so.
+The summary line ``generate`` prints is pinned too, so that a speedup also
+keeps every attempt and every filter decision the same.
 """
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -33,6 +37,14 @@ GOLDEN = {
     "vr_prompts.jsonl": "0465fe702061ab944d947754981d035a8ec32d4b0ab9fdadf7644ba79b0750d4",
 }
 
+# the JSON line ``generate --count 60 --seed <seed>`` prints
+GENERATE_SUMMARIES = {
+    0: {"requested": 60, "produced": 60, "attempts": 143, "retry_exhausted": 5,
+        "char_filtered": 4, "token_filtered": 74, "schema_version": 1},
+    1: {"requested": 60, "produced": 60, "attempts": 135, "retry_exhausted": 10,
+        "char_filtered": 6, "token_filtered": 59, "schema_version": 1},
+}
+
 KINDS = ("vr", "ee", "ag", "sr")
 
 
@@ -42,15 +54,21 @@ def _completion(target: str) -> str:
     return " ".join(t for i, t in enumerate(tokens) if i % 3 != 2)
 
 
-def _run(*args) -> None:
-    assert main([str(a) for a in args]) == 0
+def _run(*args) -> str:
+    """Run one command; return what it printed to stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([str(a) for a in args]) == 0
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
-    _run("generate", "--count", 60, "--seed", 0, "--out", d / "train.jsonl")
-    _run("generate", "--count", 60, "--seed", 1, "--out", d / "static.jsonl")
+    summaries = {
+        seed: json.loads(_run("generate", "--count", 60, "--seed", seed, "--out", d / name))
+        for seed, name in ((0, "train.jsonl"), (1, "static.jsonl"))
+    }
     for kind in KINDS:
         _run("perturb", "--kind", kind, "--seed", 1, "--in", d / "static.jsonl",
              "--out", d / f"{kind}.jsonl", "--prompts-out", d / f"{kind}_prompts.jsonl")
@@ -75,7 +93,7 @@ def outputs(tmp_path_factory):
             fh.write(json.dumps(pred) + "\n")
     _run("score", "--pred", d / "preds.jsonl", "--ref", d / "refs.jsonl",
          "--out", d / "report.json", "--features-out", d / "features.csv")
-    return d
+    return d, summaries
 
 
 def _digests(d) -> dict:
@@ -87,4 +105,10 @@ def _digests(d) -> dict:
 
 
 def test_every_output_matches_its_pinned_digest(outputs):
-    assert _digests(outputs) == GOLDEN
+    d, _ = outputs
+    assert _digests(d) == GOLDEN
+
+
+def test_generate_summaries_match_their_pins(outputs):
+    _, summaries = outputs
+    assert summaries == GENERATE_SUMMARIES

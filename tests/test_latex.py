@@ -21,6 +21,7 @@ from derivekit.expr import (
     rational,
 )
 from derivekit.latex import (
+    MAX_DEPTH,
     LatexParseError,
     UnknownLatexCommand,
     count_lexemes,
@@ -129,6 +130,65 @@ def test_syntax_error_carries_position():
     assert err.value.pos == 4
     with pytest.raises(LatexParseError):
         parse_latex(r"\frac{1}{2")
+
+
+def test_constructor_errors_become_parse_errors():
+    # the position is that of the token closing the rejected construct
+    for text, pos in ((r"x = \frac{1}{0}", 14), ("x = 0^{-1}", 9)):
+        with pytest.raises(LatexParseError) as err:
+            parse_equation(text)
+        assert err.value.pos == pos
+
+
+def _nested(n: int, opening: str, closing: str) -> str:
+    return "x = " + opening * n + "x" + closing * n
+
+
+@pytest.mark.parametrize("opening,closing", [
+    ("x^{", "}"),
+    ("(", ")"),
+    ("f{(", ")}"),
+    (r"\frac{1}{", "}"),
+    (r"\sin{(", ")}"),
+    (r"\int ", " dx"),
+    (r"\frac{d}{d x} ", ""),
+])
+def test_nesting_depth_limit(opening, closing):
+    # one level below the limit parses and prints back; at the limit (and
+    # far past it, where recursion would exhaust the stack) it is a parse error
+    eq = parse_equation(_nested(MAX_DEPTH - 1, opening, closing))
+    assert parse_equation(equation_to_latex(eq)) == eq
+    for n in (MAX_DEPTH, 700):
+        with pytest.raises(LatexParseError, match="nesting deeper"):
+            parse_equation(_nested(n, opening, closing))
+
+
+def test_huge_numbers_are_parse_errors_or_stay_symbolic():
+    with pytest.raises(LatexParseError, match="number too long"):
+        parse_latex("1" * 5000)
+    # folding this power would take minutes; it stays a power instead
+    assert to_latex(parse_latex("9^{99999999}")) == "9^{99999999}"
+    assert parse_latex("2^{16}") == Integer(65536)
+
+
+# grammar fragments (and a few from outside it), so that generated strings
+# get past the first token and reach every parser rule
+_FRAGMENTS = (
+    "x", "y", "f", "e", "d", "0", "1", "9", " ", "=", "+", "-", "^", "_", ",",
+    "{", "}", "(", ")", "{(", ")}", "^{", r"\frac", r"\frac{d}{d x}", r"\int",
+    r"\partial", r"\sin", r"\log", r"\operatorname", r"\prime", r"\mathbf",
+    r"\alpha", r"\sqrt", "\\", "\u00e9", "\u00b2",
+)
+
+
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS)).map("".join)))
+@settings(max_examples=400, deadline=None)
+def test_parse_returns_a_tree_or_raises_a_parse_error(text):
+    try:
+        eq = parse_equation(text)
+    except LatexParseError:
+        return
+    assert isinstance(eq, Equation)
 
 
 def test_unknown_command_error():
