@@ -36,8 +36,9 @@ from .records import (
     RecordError,
     derivation_record_to_json,
     load_derivation_records,
+    load_keyed,
     load_prompt_records,
-    load_rows,
+    prompt_record_from_json,
     prompt_record_to_json,
     write_jsonl,
 )
@@ -170,26 +171,28 @@ def cmd_score(args) -> int:
     alias = {}
     if args.pairs:
         # explicit pair list: perturbed row id -> its static family id
-        alias = dict(load_rows(args.pairs, lambda row: (
-            (row["id"], row.get("perturbation")), row["static_id"])))
+        alias = load_keyed(args.pairs, lambda row: (
+            (row["id"], row.get("perturbation")), row["static_id"]))
 
     def key_of(row_id, perturbation):
         sid = alias.get((row_id, perturbation), row_id)
         return (sid, perturbation)
 
-    refs = {}
-    for record in load_prompt_records(args.ref):
-        refs[key_of(record.id if alias else record.static_id,
-                    record.perturbation)] = record.target
-    preds = dict(load_rows(args.pred, lambda row: (
+    def ref_entry(row):
+        record = prompt_record_from_json(row)
+        return (key_of(record.id if alias else record.static_id, record.perturbation),
+                record.target)
+
+    refs = load_keyed(args.ref, ref_entry)
+    preds = load_keyed(args.pred, lambda row: (
         key_of(row["id"] if alias else row.get("static_id") or row["id"],
                row.get("perturbation")),
-        row["completion"])))
+        row["completion"]))
     bleurt = {}
     if args.bleurt:
-        bleurt = dict(load_rows(args.bleurt, lambda row: (
+        bleurt = load_keyed(args.bleurt, lambda row: (
             (row.get("static_id") or row["id"], row.get("perturbation")),
-            float(row["score"]))))
+            float(row["score"])))
     report, rows = metrics_mod.build_score_report(
         preds, refs, rouge_order=args.rouge_order, bleurt_scores=bleurt
     )

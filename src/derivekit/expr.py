@@ -337,10 +337,21 @@ MINUS_ONE = Integer(-1)
 # ---------------------------------------------------------------------------
 # numeric helpers
 
+# A folded number has at most this many bits, so it still prints within
+# Python's default 4,300-digit int-to-str limit. A numeric power that would
+# fold past it (say 9^{99999999} in parsed input) stays a Pow instead of taking
+# minutes and gigabytes to compute; any other fold past it (a product or sum
+# of huge numbers) raises ExprError.
+MAX_FOLD_BITS = 14_000
+
+
 def num_from_fraction(q: Fraction) -> Number:
-    if q.denominator == 1:
-        return Integer(q.numerator)
-    return Rational(q.numerator, q.denominator)
+    num, den = q.numerator, q.denominator
+    if num.bit_length() > MAX_FOLD_BITS or den.bit_length() > MAX_FOLD_BITS:
+        raise ExprError(f"number larger than {MAX_FOLD_BITS} bits")
+    if den == 1:
+        return Integer(num)
+    return Rational(num, den)
 
 
 def rational(num: int, den: int) -> Number:
@@ -525,13 +536,6 @@ def mul(*factors: Expr) -> Expr:
     return Mul(tuple(rebuilt))
 
 
-# A numeric power folds to a number only up to about this many bits, so the
-# number still prints within Python's default 4,300-digit int-to-str limit; a
-# larger one (say 9^{99999999} in parsed input) stays a Pow instead of taking
-# minutes and gigabytes to compute.
-MAX_FOLD_BITS = 14_000
-
-
 def pow_(base: Expr, exp: Expr) -> Expr:
     qb, qe = as_fraction(base), as_fraction(exp)
     if qe is not None:
@@ -542,8 +546,8 @@ def pow_(base: Expr, exp: Expr) -> Expr:
         if qb is not None and qe.denominator == 1:
             if qb == 0 and qe < 0:
                 raise ExprError("zero to a negative power")
-            size = max(qb.numerator.bit_length(), qb.denominator.bit_length()) - 1
-            if size * abs(qe.numerator) <= MAX_FOLD_BITS:
+            size = max(qb.numerator.bit_length(), qb.denominator.bit_length())
+            if size <= 1 or size * abs(qe.numerator) <= MAX_FOLD_BITS:
                 return num_from_fraction(qb ** qe.numerator)
         if qb is not None and qb == 0 and qe > 0:
             return ZERO

@@ -4,13 +4,24 @@ scoring function, and the 8-feature export row.
 All metrics tokenize by whitespace and return values in [0, 1]. Candidate
 and reference roles are fixed (no symmetry assumed). BLEU uses add-one
 smoothing on n-gram orders with zero matches, stated in report metadata.
+
+ROUGE-n, BLEU and GLEU share one counting path. `_profile` counts a string
+once: its token count and one Counter of its n-grams of every order up to
+max_n, keyed by n-tuples (orders cannot collide, their tuples differ in
+length). `_hits` walks the candidate's grams once and returns the clipped
+matches per order. The n-gram totals follow from the token count
+(`len - n + 1`), so `score_all` gets all three metrics from two profiles and
+one hits vector; `rouge`, `bleu` and `gleu` are thin wrappers over the same
+helpers. Every count is an integer, so each value is exactly the one that
+counting every order on its own gives (the tests compare them with `==`
+against a brute-force oracle). No profile outlives the call that made it.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 DEFAULT_WEIGHTS = (0.2, 0.05, 0.15, 0.25, 0.25, 0.1)
 DEFAULT_ALPHA = 0.001
@@ -19,6 +30,7 @@ ERROR_CATEGORIES = ("overall", "skip", "repeat", "incorrect", "irrelevant", "red
 
 METRIC_NAMES = ("rouge", "bleu", "gleu")
 BLEU_SMOOTHING = "add-one on n-gram orders with zero matches"
+BLEU_MAX_N = 4
 
 
 class MetricError(Exception):
@@ -33,27 +45,83 @@ def _tokens(text: str) -> list[str]:
     return text.split()
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _profile(text: str, max_n: int) -> tuple[int, Counter]:
+    """The token count of `text` and one Counter of its n-grams of every
+    order 1..max_n, keyed by n-tuples."""
+    tokens = _tokens(text)
+    grams: Counter = Counter()
+    for n in range(1, min(max_n, len(tokens)) + 1):
+        grams.update(zip(*[tokens[i:] for i in range(n)]))
+    return len(tokens), grams
 
 
-def _overlap(cand: Counter, ref: Counter) -> int:
-    return sum(min(count, ref[gram]) for gram, count in cand.items())
+def _hits(cand: Counter, ref: Counter, max_n: int) -> list[int]:
+    """Clipped n-gram matches of a candidate profile in a reference profile;
+    index n holds order n."""
+    hits = [0] * (max_n + 1)
+    for gram, count in cand.items():
+        limit = ref.get(gram)
+        if limit:
+            hits[len(gram)] += count if count < limit else limit
+    return hits
+
+
+def _pair(candidate: str, reference: str, max_n: int) -> tuple[int, int, list[int]]:
+    """Token counts of both strings and their hits over orders 1..max_n."""
+    c, cand = _profile(candidate, max_n)
+    r, ref = (c, cand) if reference == candidate else _profile(reference, max_n)
+    return c, r, _hits(cand, ref, max_n)
+
+
+def _total(length: int, n: int) -> int:
+    """Number of n-grams in `length` tokens."""
+    return max(0, length - n + 1)
+
+
+def _rouge_n(c: int, r: int, hits: list[int], n: int) -> float:
+    total_c, total_r = _total(c, n), _total(r, n)
+    if total_c == 0 or total_r == 0 or hits[n] == 0:
+        return 0.0
+    precision = hits[n] / total_c
+    recall = hits[n] / total_r
+    return 2 * precision * recall / (precision + recall)
+
+
+def _bleu(c: int, r: int, hits: list[int], max_n: int) -> float:
+    if not c or not r:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        total = _total(c, n)
+        if hits[n] == 0:
+            precision = (hits[n] + 1) / (total + 1)
+        else:
+            precision = hits[n] / total
+        log_sum += math.log(precision)
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    return bp * math.exp(log_sum / max_n)
+
+
+def _gleu(c: int, r: int, hits: list[int], max_n: int) -> float:
+    if not c or not r:
+        return 0.0
+    matched = sum(hits[1 : max_n + 1])
+    total_c = sum(_total(c, n) for n in range(1, max_n + 1))
+    total_r = sum(_total(r, n) for n in range(1, max_n + 1))
+    if total_c == 0 or total_r == 0:
+        return 0.0
+    return min(matched / total_c, matched / total_r)
+
+
+def _check_order(order: int) -> int:
+    if order < 1:
+        raise MetricError(f"ROUGE order must be >= 1, got {order}")
+    return order
 
 
 def rouge(candidate: str, reference: str, order: int = 2) -> float:
     """ROUGE-n F1 on whitespace tokens (default n=2)."""
-    cand = _ngram_counts(_tokens(candidate), order)
-    ref = _ngram_counts(_tokens(reference), order)
-    total_c, total_r = sum(cand.values()), sum(ref.values())
-    if total_c == 0 or total_r == 0:
-        return 0.0
-    hits = _overlap(cand, ref)
-    if hits == 0:
-        return 0.0
-    precision = hits / total_c
-    recall = hits / total_r
-    return 2 * precision * recall / (precision + recall)
+    return _rouge_n(*_pair(candidate, reference, _check_order(order)), order)
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -75,54 +143,28 @@ def rouge_l(candidate: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def bleu(candidate: str, reference: str, max_n: int = 4) -> float:
+def bleu(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> float:
     """BLEU with uniform weights over 1..max_n and the brevity penalty;
     orders with zero matches take add-one smoothing."""
-    cand_tokens, ref_tokens = _tokens(candidate), _tokens(reference)
-    if not cand_tokens or not ref_tokens:
-        return 0.0
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        cand = _ngram_counts(cand_tokens, n)
-        total = sum(cand.values())
-        hits = _overlap(cand, _ngram_counts(ref_tokens, n))
-        if hits == 0:
-            precision = (hits + 1) / (total + 1)
-        else:
-            precision = hits / total
-        log_sum += math.log(precision)
-    c, r = len(cand_tokens), len(ref_tokens)
-    bp = 1.0 if c > r else math.exp(1 - r / c)
-    return bp * math.exp(log_sum / max_n)
+    return _bleu(*_pair(candidate, reference, max_n), max_n)
 
 
-def gleu(candidate: str, reference: str, max_n: int = 4) -> float:
+def gleu(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> float:
     """GLEU: min(precision, recall) over n-grams pooled across 1..max_n."""
-    cand_tokens, ref_tokens = _tokens(candidate), _tokens(reference)
-    if not cand_tokens or not ref_tokens:
-        return 0.0
-    hits = total_c = total_r = 0
-    for n in range(1, max_n + 1):
-        cand = _ngram_counts(cand_tokens, n)
-        ref = _ngram_counts(ref_tokens, n)
-        hits += _overlap(cand, ref)
-        total_c += sum(cand.values())
-        total_r += sum(ref.values())
-    if total_c == 0 or total_r == 0:
-        return 0.0
-    return min(hits / total_c, hits / total_r)
+    return _gleu(*_pair(candidate, reference, max_n), max_n)
 
 
 def score_all(candidate: str, reference: str, rouge_order="2") -> dict[str, float]:
-    """rouge_order: n-gram order ("1"/"2"/int) or "L" for LCS-based ROUGE."""
-    if str(rouge_order).upper() == "L":
-        r = rouge_l(candidate, reference)
-    else:
-        r = rouge(candidate, reference, int(rouge_order))
+    """rouge_order: n-gram order ("1"/"2"/int) or "L" for LCS-based ROUGE.
+    Both strings are profiled once and their hits counted once for all three
+    metrics."""
+    lcs = str(rouge_order).upper() == "L"
+    order = 0 if lcs else _check_order(int(rouge_order))
+    c, r, hits = _pair(candidate, reference, max(BLEU_MAX_N, order))
     return {
-        "rouge": r,
-        "bleu": bleu(candidate, reference),
-        "gleu": gleu(candidate, reference),
+        "rouge": rouge_l(candidate, reference) if lcs else _rouge_n(c, r, hits, order),
+        "bleu": _bleu(c, r, hits, BLEU_MAX_N),
+        "gleu": _gleu(c, r, hits, BLEU_MAX_N),
     }
 
 
@@ -304,7 +346,7 @@ def build_score_report(
     report = {
         "config": {
             "rouge_order": str(rouge_order),
-            "bleu_max_n": 4,
+            "bleu_max_n": BLEU_MAX_N,
             "bleu_smoothing": BLEU_SMOOTHING,
             "tokenization": "whitespace",
         },

@@ -20,6 +20,8 @@ from .ops import EVAL_INT, PREMISE, Derivation, Step
 SCHEMA_VERSION = 1
 
 T = TypeVar("T")
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 class RecordError(Exception):
@@ -164,16 +166,34 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
 _MALFORMED = (RecordError, KeyError, TypeError, ValueError, LatexParseError, ExprError)
 
 
+def _converted(path: str | Path, convert: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    for lineno, row in _numbered_rows(path):
+        try:
+            item = convert(row)
+        except _MALFORMED as exc:
+            raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
+        yield lineno, item
+
+
 def load_rows(path: str | Path, convert: Callable[[dict], T]) -> list[T]:
     """Convert every row of a JSONL file. A row with a missing field, a
     wrongly typed value or LaTeX that does not parse raises RecordError
     naming the file and line."""
-    out = []
-    for lineno, row in _numbered_rows(path):
-        try:
-            out.append(convert(row))
-        except _MALFORMED as exc:
-            raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
+    return [item for _, item in _converted(path, convert)]
+
+
+def load_keyed(path: str | Path, convert: Callable[[dict], tuple[K, V]]) -> dict[K, V]:
+    """Like load_rows for rows that convert to (key, value) pairs. A key that
+    an earlier line already gave raises RecordError naming the file and both
+    lines."""
+    out: dict[K, V] = {}
+    first: dict[K, int] = {}
+    for lineno, (key, value) in _converted(path, convert):
+        if key in first:
+            raise RecordError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first on line {first[key]})")
+        first[key] = lineno
+        out[key] = value
     return out
 
 

@@ -255,6 +255,16 @@ BAD_INPUT_CASES = {
         "score", "--pred", _file(d / "p.jsonl", '{"id": "d0"}\n'),
         "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW) + "\n"),
         "--out", d / "o.json"], 3),
+    "score-duplicate-pred": (lambda d: [
+        "score", "--pred", _file(d / "p.jsonl", '{"id": "d0", "completion": "x"}\n' * 2),
+        "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW) + "\n"),
+        "--out", d / "o.json"], 3),
+    "score-duplicate-ref": (lambda d: [
+        "score", "--pred", _file(d / "p.jsonl", '{"id": "d0", "completion": "x"}\n'),
+        "--ref", _file(d / "r.jsonl", (json.dumps(PROMPT_ROW) + "\n") * 2),
+        "--out", d / "o.json"], 3),
+    "prompt-huge-integer": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
+        d / "in.jsonl", "x = 7^{4000} 5^{4000}"), "--out", d / "o.jsonl"], 3),
     "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
                                                d / "missing.json", "--out", d / "o.jsonl"], 3),
     "vocabulary-non-string-name": (lambda d: [

@@ -171,6 +171,16 @@ def test_huge_numbers_are_parse_errors_or_stay_symbolic():
     assert parse_latex("2^{16}") == Integer(65536)
 
 
+def test_folded_numbers_stay_printable():
+    # a power whose value could pass the int-to-str limit stays a power, and
+    # merging two of them merges exponents
+    assert to_latex(parse_latex("3^{14000}")) == "3^{14000}"
+    assert to_latex(parse_latex("9^{4000} 9^{4000}")) == "9^{8000}"
+    # two powers that fold on their own multiply past it: a parse error
+    with pytest.raises(LatexParseError, match="number larger than"):
+        parse_equation("x = 7^{4000} 5^{4000}")
+
+
 # grammar fragments (and a few from outside it), so that generated strings
 # get past the first token and reach every parser rule
 _FRAGMENTS = (

@@ -23,6 +23,7 @@ from derivekit.metrics import (
     perturbation_ratio,
     rouge,
     rouge_l,
+    score_all,
 )
 
 
@@ -170,6 +171,24 @@ def test_metrics_match_oracle_on_longer_samples(seed):
     assert rouge(cand, ref) == pytest.approx(oracle_rouge(cand, ref), abs=1e-12)
     assert bleu(cand, ref) == pytest.approx(oracle_bleu(cand, ref), abs=1e-12)
     assert gleu(cand, ref) == pytest.approx(oracle_gleu(cand, ref), abs=1e-12)
+
+
+_tokens3 = st.lists(st.sampled_from("abc"), max_size=12).map(" ".join)
+
+
+@given(_tokens3, _tokens3)
+@settings(max_examples=300, deadline=None)
+def test_score_all_equals_separate_metrics_and_oracle(cand, ref):
+    for order in ("1", "2", "L"):
+        got = score_all(cand, ref, order)
+        alone = rouge_l(cand, ref) if order == "L" else rouge(cand, ref, int(order))
+        assert got["rouge"] == alone
+        assert got["bleu"] == bleu(cand, ref)
+        assert got["gleu"] == gleu(cand, ref)
+    for n in range(1, 6):
+        assert rouge(cand, ref, n) == oracle_rouge(cand, ref, n)
+        assert bleu(cand, ref, n) == oracle_bleu(cand, ref, n)
+        assert gleu(cand, ref, n) == oracle_gleu(cand, ref, n)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
