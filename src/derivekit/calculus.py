@@ -223,29 +223,6 @@ def _is_concrete_integrand(e: Expr) -> bool:
     return not any(type(n) is AppliedFunction for n in e.subtrees())
 
 
-def integrate(
-    e: Expr,
-    v: Symbol,
-    used_symbols: Iterable[str],
-    constant_pool: Iterable[str],
-) -> Optional[tuple[Expr, Symbol]]:
-    """Table-driven antiderivative of e in v plus a fresh constant.
-
-    Returns (antiderivative + constant, constant) or None when no rule
-    applies. The constant is the first pool symbol not in used_symbols.
-    """
-    anti = antiderivative(e, v)
-    if anti is None:
-        return None
-    used = set(used_symbols)
-    used.update(free_symbols(anti))
-    const_name = next((name for name in constant_pool if name not in used), None)
-    if const_name is None:
-        raise CalculusError("constant pool exhausted")
-    const = Symbol(const_name)
-    return add(anti, const), const
-
-
 # ---------------------------------------------------------------------------
 # equation-level evaluation operators
 

@@ -42,7 +42,7 @@ from .records import (
     prompt_record_to_json,
     write_jsonl,
 )
-from .vocab import GreekPool, VocabularyError
+from .vocab import VocabularyError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -94,7 +94,6 @@ def cmd_perturb(args) -> int:
     kind = args.kind.upper()
     cfg = load_config(args.config, {"seed": args.seed})
     vocab = cfg.load_vocabulary() if kind == perturb_mod.AG else None
-    pool = GreekPool()
     records = load_derivation_records(args.infile)
 
     out_rows = []
@@ -111,7 +110,7 @@ def cmd_perturb(args) -> int:
                     # second application untags: EE is a file-level involution
                     tag = family = None
             elif kind == perturb_mod.VR:
-                derivation, _ = perturb_mod.rename_variables(record.derivation, pool, rng)
+                derivation, _ = perturb_mod.rename_variables(record.derivation, rng)
             elif kind == perturb_mod.AG:
                 derivation = perturb_mod.alternative_goal(record.derivation, cfg, rng, vocab)
             else:

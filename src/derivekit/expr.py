@@ -310,9 +310,6 @@ class Equation:
         object.__setattr__(self, "_hash", hash(("eq", hash(lhs), hash(rhs))))
         object.__setattr__(self, "_latex", None)
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __eq__(self, other) -> bool:
         return type(other) is Equation and other.lhs == self.lhs and other.rhs == self.rhs
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Optional
 
 from . import ops
@@ -338,7 +338,7 @@ def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
         if not targets:
             continue
         target = _recency_pick(targets, n, cfg, rng)
-        candidate = state.apply_once(op, (definition, target))
+        candidate = apply_action(state, op, (definition, target))
         if candidate is not None:
             return candidate
     return None
@@ -352,11 +352,50 @@ def _weighted_order(indices: list[int], weights, rng: random.Random) -> list[int
     return [i for _, i in keyed]
 
 
+def apply_action(
+    state: _GenState,
+    action: str,
+    parents: tuple[int, ...],
+    fresh_name: Optional[str] = None,
+) -> Optional[Step]:
+    """Execute an action (an op id or NEW_PREMISE) on picked parents, drawing
+    what the op needs: a premise, an operand, a variable or the shuffled
+    constant pool. A rename takes its fresh name, drawn before its parent.
+    None when the op does not apply."""
+    rng, steps = state.rng, state.steps
+    try:
+        if action == NEW_PREMISE:
+            eq = generate_premise(state.vocab, rng, state.used_names)
+            return Step(eq, None, role=ROLE_PREMISE)
+        if action in (ops.SUB_LHS, ops.SUB_RHS, ops.EVAL_DIFF):
+            return state.apply_once(action, parents)
+        if action == ops.EVAL_INT:
+            # the pool is shuffled (drawing from rng) even on a memo hit
+            return state.apply_once(action, parents, constant_pool=state.constant_pool())
+        eq = steps[parents[0]].equation
+        if action in ops.RENAME_FAMILY:
+            if action == ops.RENAME:
+                operand = eq.lhs if rng.random() < 0.5 else eq.rhs
+            else:
+                pool = ops.subexpression_pool(eq)
+                operand = pool[rng.randrange(len(pool))]
+            return ops.apply(action, steps, parents, operand, fresh_name=fresh_name)
+        if action in (ops.DIFF, ops.INT):
+            var = ops.sample_variable(eq, rng)
+            return None if var is None else ops.apply(action, steps, parents, var)
+        if action in _ARITH_OPS:
+            operand = ops.sample_operand(steps, rng, state.cfg.p_history)
+            return ops.apply(action, steps, parents, operand)
+        return ops.apply(action, steps, parents)
+    except (ops.OpError, VocabularyExhausted):
+        return None
+
+
 def try_step(state: _GenState) -> Optional[Step]:
     """One stochastic step draw; None counts as a failed attempt."""
-    cfg, rng, steps = state.cfg, state.rng, state.steps
+    cfg, rng, n = state.cfg, state.rng, len(state.steps)
     flags = Applicability(
-        len(steps),
+        n,
         bool(state.derivative_indices),
         bool(state.integral_indices),
         bool(state.derived_indices),
@@ -364,69 +403,33 @@ def try_step(state: _GenState) -> Optional[Step]:
     action = sample_action(flags, cfg, rng)
     if action is None:
         return None
-    try:
-        if action == NEW_PREMISE:
-            eq = generate_premise(state.vocab, rng, state.used_names)
-            candidate = Step(eq, None, role=ROLE_PREMISE)
-        elif action in ops.RENAME_FAMILY:
+    if action in (ops.SUB_LHS, ops.SUB_RHS):
+        candidate = _substitution_draw(state, action)
+    else:
+        parents: tuple[int, ...] = ()
+        name = None
+        if action in ops.RENAME_FAMILY:
             name = state.fresh_function_name()
-            if name is None or not state.derived_indices:
+            if name is None:
                 return None
-            src = _recency_pick(state.derived_indices, len(steps), cfg, rng)
-            eq = steps[src].equation
-            if action == ops.RENAME:
-                operand = eq.lhs if rng.random() < 0.5 else eq.rhs
-            else:
-                pool = ops.subexpression_pool(eq)
-                operand = pool[rng.randrange(len(pool))]
-            candidate = ops.apply(action, steps, (src,), operand, fresh_name=name)
-        elif action in (ops.SUB_LHS, ops.SUB_RHS):
-            candidate = _substitution_draw(state, action)
-            if candidate is None:
-                return None
+            parents = (_recency_pick(state.derived_indices, n, cfg, rng),)
         elif action == ops.ADD_EQ:
-            first = _recency_pick(list(range(len(steps))), len(steps), cfg, rng)
-            others = [i for i in range(len(steps)) if i != first]
-            second = _recency_pick(others, len(steps), cfg, rng)
-            candidate = ops.apply(action, steps, (first, second))
-        elif action in (ops.EVAL_DIFF, ops.EVAL_INT):
-            indices = (
-                state.derivative_indices
-                if action == ops.EVAL_DIFF
-                else state.integral_indices
-            )
-            done = (
-                state.eval_int_parents
-                if action == ops.EVAL_INT
-                else state.eval_diff_parents
-            )
+            first = _recency_pick(list(range(n)), n, cfg, rng)
+            second = _recency_pick([i for i in range(n) if i != first], n, cfg, rng)
+            parents = (first, second)
+        elif action in ops.EVAL_FAMILY:
+            if action == ops.EVAL_DIFF:
+                indices, done = state.derivative_indices, state.eval_diff_parents
+            else:
+                indices, done = state.integral_indices, state.eval_int_parents
             indices = [i for i in indices if (i,) not in done]
             if not indices:
                 return None
-            parent = _recency_pick(indices, len(steps), cfg, rng)
-            if action == ops.EVAL_INT:
-                # the pool is shuffled (drawing from rng) even on a memo hit
-                candidate = state.apply_once(
-                    action, (parent,), constant_pool=state.constant_pool()
-                )
-            else:
-                candidate = state.apply_once(action, (parent,))
-            if candidate is None:
-                return None
-        elif action in (ops.DIFF, ops.INT):
-            parent = _recency_pick(list(range(len(steps))), len(steps), cfg, rng)
-            var = ops.sample_variable(steps[parent].equation, rng)
-            if var is None:
-                return None
-            candidate = ops.apply(action, steps, (parent,), var)
-        elif action in _EXT1_OPS:
-            parent = _recency_pick(list(range(len(steps))), len(steps), cfg, rng)
-            candidate = ops.apply(action, steps, (parent,))
-        else:  # arithmetic with a sampled operand
-            parent = _recency_pick(list(range(len(steps))), len(steps), cfg, rng)
-            operand = ops.sample_operand(steps, rng, cfg.p_history)
-            candidate = ops.apply(action, steps, (parent,), operand)
-    except (ops.OpError, VocabularyExhausted):
+            parents = (_recency_pick(indices, n, cfg, rng),)
+        elif action != NEW_PREMISE:
+            parents = (_recency_pick(list(range(n)), n, cfg, rng),)
+        candidate = apply_action(state, action, parents, name)
+    if candidate is None:
         return None
 
     eq = candidate.equation
@@ -447,19 +450,7 @@ def try_step(state: _GenState) -> Optional[Step]:
 def extract_derivation(steps: list[Step] | tuple[Step, ...]) -> Derivation:
     """Keep exactly the ancestors of the final step, preserving order,
     remapping parent indices, and assigning prompt roles."""
-    steps = tuple(steps)
-    if not steps:
-        return Derivation(())
-    n = len(steps)
-    keep = {n - 1}
-    frontier = [n - 1]
-    while frontier:
-        j = frontier.pop()
-        for p in steps[j].parents:
-            if p not in keep:
-                keep.add(p)
-                frontier.append(p)
-    kept = sorted(keep)
+    kept = sorted(ops.ancestors(steps))
     remap = {old: new for new, old in enumerate(kept)}
     out = []
     last = len(kept) - 1
@@ -510,15 +501,7 @@ class GenerationSummary:
     token_filtered: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "produced": self.produced,
-            "attempts": self.attempts,
-            "retry_exhausted": self.retry_exhausted,
-            "char_filtered": self.char_filtered,
-            "token_filtered": self.token_filtered,
-            "schema_version": 1,
-        }
+        return {**asdict(self), "schema_version": 1}
 
 
 def passes_char_filter(d: Derivation, cfg: GenConfig) -> bool:

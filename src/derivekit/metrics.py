@@ -12,9 +12,10 @@ length). `_hits` walks the candidate's grams once and returns the clipped
 matches per order. The n-gram totals follow from the token count
 (`len - n + 1`), so `score_all` gets all three metrics from two profiles and
 one hits vector; `rouge`, `bleu` and `gleu` are thin wrappers over the same
-helpers. Every count is an integer, so each value is exactly the one that
-counting every order on its own gives (the tests compare them with `==`
-against a brute-force oracle). No profile outlives the call that made it.
+helpers, and `rouge` profiles only its own order. Every count is an integer,
+so each value is exactly the one that counting every order on its own gives
+(the tests compare them with `==` against a brute-force oracle). No profile
+outlives the call that made it.
 """
 from __future__ import annotations
 
@@ -45,12 +46,12 @@ def _tokens(text: str) -> list[str]:
     return text.split()
 
 
-def _profile(text: str, max_n: int) -> tuple[int, Counter]:
+def _profile(text: str, max_n: int, min_n: int = 1) -> tuple[int, Counter]:
     """The token count of `text` and one Counter of its n-grams of every
-    order 1..max_n, keyed by n-tuples."""
+    order min_n..max_n, keyed by n-tuples."""
     tokens = _tokens(text)
     grams: Counter = Counter()
-    for n in range(1, min(max_n, len(tokens)) + 1):
+    for n in range(min_n, min(max_n, len(tokens)) + 1):
         grams.update(zip(*[tokens[i:] for i in range(n)]))
     return len(tokens), grams
 
@@ -66,10 +67,12 @@ def _hits(cand: Counter, ref: Counter, max_n: int) -> list[int]:
     return hits
 
 
-def _pair(candidate: str, reference: str, max_n: int) -> tuple[int, int, list[int]]:
-    """Token counts of both strings and their hits over orders 1..max_n."""
-    c, cand = _profile(candidate, max_n)
-    r, ref = (c, cand) if reference == candidate else _profile(reference, max_n)
+def _pair(
+    candidate: str, reference: str, max_n: int, min_n: int = 1
+) -> tuple[int, int, list[int]]:
+    """Token counts of both strings and their hits over orders min_n..max_n."""
+    c, cand = _profile(candidate, max_n, min_n)
+    r, ref = (c, cand) if reference == candidate else _profile(reference, max_n, min_n)
     return c, r, _hits(cand, ref, max_n)
 
 
@@ -121,7 +124,7 @@ def _check_order(order: int) -> int:
 
 def rouge(candidate: str, reference: str, order: int = 2) -> float:
     """ROUGE-n F1 on whitespace tokens (default n=2)."""
-    return _rouge_n(*_pair(candidate, reference, _check_order(order)), order)
+    return _rouge_n(*_pair(candidate, reference, _check_order(order), order), order)
 
 
 def rouge_l(candidate: str, reference: str) -> float:
@@ -246,7 +249,6 @@ class ScoredRow:
     scores: dict[str, float]
     bleurt: Optional[float] = None
     ratios: dict[str, Optional[float]] = field(default_factory=dict)
-    ratio_bleurt: Optional[float] = None
 
 
 def feature_vector(row: ScoredRow) -> tuple:
@@ -257,7 +259,7 @@ def feature_vector(row: ScoredRow) -> tuple:
         ratio_bleurt: Optional[float] = 1.0 if row.bleurt is not None else None
     else:
         ratios = {m: row.ratios.get(m) for m in METRIC_NAMES}
-        ratio_bleurt = row.ratio_bleurt
+        ratio_bleurt = None  # no pairwise BLEURT table is built
     return (
         row.scores["rouge"],
         row.scores["bleu"],

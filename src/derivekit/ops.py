@@ -2,10 +2,10 @@
 
 A derivation step records the operation id, the indices of the parent
 equations it consumed, and the sampled operand (if any), which together make
-every step mechanically re-executable. ``replay`` re-runs each step from its
-record and reports the first mismatch. Introduction steps (premises and the
-renaming family) have no parents; every other step links backwards, and a
-coherent derivation keeps only ancestors of its final equation.
+every step mechanically re-executable. ``replay`` re-runs each step, renames
+included, through ``apply`` and reports each one that fails. Premises have no
+parents; every other step links backwards, and a coherent derivation keeps
+only ancestors of its final equation (see ``ancestors``).
 """
 from __future__ import annotations
 
@@ -172,9 +172,6 @@ class Derivation:
 class ValidityReport:
     valid: bool
     failures: tuple[tuple[int, str], ...] = ()
-
-    def first_failure(self) -> Optional[tuple[int, str]]:
-        return self.failures[0] if self.failures else None
 
 
 def apply(
@@ -377,32 +374,13 @@ def sample_variable(eq: Equation, rng) -> Optional[Symbol]:
 # ---------------------------------------------------------------------------
 # replay
 
-def _check_rename(steps: Sequence[Step], i: int) -> Optional[str]:
-    step = steps[i]
-    lhs = step.equation.lhs
-    if len(step.parents) != 1:
-        return "rename step must record exactly one source equation"
-    if not isinstance(lhs, AppliedFunction):
-        return "rename result LHS is not a function application"
-    if step.operand is None or step.equation.rhs != step.operand:
-        return "rename result RHS does not match the recorded operand"
-    source = steps[step.parents[0]].equation
-    if not (contains(source.lhs, step.operand) or contains(source.rhs, step.operand)):
-        return "named expression does not occur in its source equation"
-    if lhs.args != symbol_nodes(step.operand):
-        return "rename argument list does not match the named expression"
-    for prior in steps[:i]:
-        if lhs.name in equation_free_symbols(prior.equation):
-            return f"renamed function {lhs.name!r} is not fresh"
-    return None
-
-
 def replay(derivation: Derivation) -> ValidityReport:
     """Re-execute every step from its annotation; report mismatches.
 
-    Replay checks step reproduction only; DAG coherence and duplicate
-    freedom are separate derivation invariants (see dag_coherent and
-    duplicate_free).
+    A rename-family step replays with the function name its lhs records,
+    which must not occur in any earlier equation. Replay checks step
+    reproduction only; DAG coherence and duplicate freedom are separate
+    derivation invariants (see dag_coherent and duplicate_free).
     """
     failures: list[tuple[int, str]] = []
     steps = derivation.steps
@@ -415,42 +393,49 @@ def replay(derivation: Derivation) -> ValidityReport:
                 failures.append((i, "premise with parents"))
             if step.role != ROLE_PREMISE:
                 failures.append((i, "unannotated step without premise role"))
-        elif step.op in RENAME_FAMILY:
-            problem = _check_rename(steps, i)
-            if problem is not None:
-                failures.append((i, problem))
-        else:
-            try:
-                redone = apply(
-                    step.op,
-                    steps[:i],
-                    step.parents,
-                    step.operand,
-                    constants=step.constants if step.op == EVAL_INT else None,
-                )
-            except OpError as exc:
-                failures.append((i, f"replay error: {exc}"))
+            continue
+        name = None
+        if step.op in RENAME_FAMILY and isinstance(step.equation.lhs, AppliedFunction):
+            name = step.equation.lhs.name
+            if any(name in equation_free_symbols(prior.equation) for prior in steps[:i]):
+                failures.append((i, f"renamed function {name!r} is not fresh"))
                 continue
-            if redone.equation != step.equation:
-                failures.append((i, "replayed equation differs from record"))
+        try:
+            redone = apply(
+                step.op,
+                steps[:i],
+                step.parents,
+                step.operand,
+                fresh_name=name,
+                constants=step.constants if step.op == EVAL_INT else None,
+            )
+        except OpError as exc:
+            failures.append((i, f"replay error: {exc}"))
+            continue
+        if redone.equation != step.equation:
+            failures.append((i, "replayed equation differs from record"))
     return ValidityReport(not failures, tuple(failures))
+
+
+def ancestors(steps: Sequence[Step]) -> set[int]:
+    """Indices of the final step and of every step it descends from. A parent
+    index that does not precede its step is not followed (replay reports it)."""
+    if not steps:
+        return set()
+    keep = {len(steps) - 1}
+    frontier = [len(steps) - 1]
+    while frontier:
+        j = frontier.pop()
+        for p in steps[j].parents:
+            if 0 <= p < j and p not in keep:
+                keep.add(p)
+                frontier.append(p)
+    return keep
 
 
 def dag_coherent(derivation: Derivation) -> bool:
     """Every non-final step has a parent path leading to the final step."""
-    steps = derivation.steps
-    n = len(steps)
-    if not n:
-        return True
-    reachable = {n - 1}
-    frontier = [n - 1]
-    while frontier:
-        j = frontier.pop()
-        for p in steps[j].parents:
-            if p not in reachable:
-                reachable.add(p)
-                frontier.append(p)
-    return len(reachable) == n
+    return len(ancestors(derivation.steps)) == len(derivation.steps)
 
 
 def duplicate_free(derivation: Derivation) -> bool:

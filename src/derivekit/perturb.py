@@ -14,10 +14,10 @@ from typing import Optional
 
 from . import ops
 from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
-from .genalg import GenConfig, _GenState
+from .genalg import GenConfig, _GenState, apply_action
 from .ops import Derivation, ROLE_GOAL, Step
 from .records import PromptRecord
-from .vocab import GreekPool, SymbolTable
+from .vocab import GREEK_POOL_DEFAULT, SymbolTable
 
 VR, EE, AG, SR = "VR", "EE", "AG", "SR"
 KINDS = (VR, EE, AG, SR)
@@ -67,16 +67,15 @@ def collect_names(d: Derivation) -> list[str]:
     return list(seen)
 
 
-def rename_variables(
-    d: Derivation, pool: GreekPool, rng: random.Random
-) -> tuple[Derivation, dict[str, str]]:
-    """Bijectively map every distinct name to an out-of-distribution letter."""
+def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dict[str, str]]:
+    """Bijectively map every distinct name to a letter of the
+    out-of-distribution Greek pool."""
     names = collect_names(d)
-    if len(names) > len(pool.letters):
+    if len(names) > len(GREEK_POOL_DEFAULT):
         raise TooManySymbols(
-            f"{len(names)} distinct symbols exceed the {len(pool.letters)}-letter pool"
+            f"{len(names)} distinct symbols exceed the {len(GREEK_POOL_DEFAULT)}-letter pool"
         )
-    letters = rng.sample(pool.letters, len(names))
+    letters = rng.sample(GREEK_POOL_DEFAULT, len(names))
     mapping = dict(zip(names, letters))
     steps = []
     for s in d.steps:
@@ -122,7 +121,7 @@ def alternative_goal(
         state.note(s)
     penultimate = len(prefix) - 1
     for _ in range(cfg.retry_cap):
-        candidate = _sample_goal_step(state, penultimate, rng)
+        candidate = _sample_goal_step(state, penultimate)
         if candidate is None:
             continue
         eq = candidate.equation
@@ -132,33 +131,21 @@ def alternative_goal(
     raise GoalExhausted("no differing applicable operation found within retry_cap")
 
 
-def _sample_goal_step(state: _GenState, target: int, rng: random.Random) -> Optional[Step]:
-    cfg, steps = state.cfg, state.steps
-    arity1 = (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW, ops.DIFF, ops.INT,
-              ops.EVAL_DIFF, ops.EVAL_INT, ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH)
-    choices: list[str] = list(arity1)
-    if target >= 1:
-        choices += [ops.SUB_LHS, ops.SUB_RHS]
+_GOAL_OPS = (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW, ops.DIFF, ops.INT,
+             ops.EVAL_DIFF, ops.EVAL_INT, ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH)
+
+
+def _sample_goal_step(state: _GenState, target: int) -> Optional[Step]:
+    """Draw an op uniformly and run it on the target equation the way
+    generation runs it; a substitution takes a uniform earlier definition."""
+    rng = state.rng
+    choices = _GOAL_OPS + ((ops.SUB_LHS, ops.SUB_RHS) if target >= 1 else ())
     action = choices[rng.randrange(len(choices))]
-    try:
-        if action in (ops.SUB_LHS, ops.SUB_RHS):
-            definition = rng.randrange(target)
-            return ops.apply(action, steps, (definition, target))
-        if action in (ops.DIFF, ops.INT):
-            var = ops.sample_variable(steps[target].equation, rng)
-            if var is None:
-                return None
-            return ops.apply(action, steps, (target,), var)
-        if action == ops.EVAL_INT:
-            if (target,) in state.eval_int_parents:
-                return None
-            return ops.apply(action, steps, (target,), constant_pool=state.constant_pool())
-        if action in (ops.EVAL_DIFF, ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH):
-            return ops.apply(action, steps, (target,))
-        operand = ops.sample_operand(steps, rng, cfg.p_history)
-        return ops.apply(action, steps, (target,), operand)
-    except ops.OpError:
+    if action in (ops.SUB_LHS, ops.SUB_RHS):
+        return apply_action(state, action, (rng.randrange(target), target))
+    if action == ops.EVAL_INT and (target,) in state.eval_int_parents:
         return None
+    return apply_action(state, action, (target,))
 
 
 # ---------------------------------------------------------------------------

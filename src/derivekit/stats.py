@@ -57,7 +57,7 @@ def build_stats(records: Iterable[DerivationRecord], top_per_length: int = 2) ->
                     "ops": list(chain),
                     "count": count,
                     "p_chain": p_chain,
-                    "relative_frequency": p_chain * permutations,
+                    "relative_frequency": relative_frequency(p_chain, permutations),
                 }
             )
         chain_table.append(

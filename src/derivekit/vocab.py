@@ -65,19 +65,6 @@ class SymbolTable:
         return self._by_kind.get(kind, ())
 
 
-@dataclass(frozen=True)
-class GreekPool:
-    """The 11 out-of-distribution letters used by variable renaming."""
-
-    letters: tuple[str, ...] = GREEK_POOL_DEFAULT
-
-    def __post_init__(self):
-        if len(self.letters) != 11:
-            raise VocabularyError(f"Greek pool must have exactly 11 letters, got {len(self.letters)}")
-        if len(set(self.letters)) != 11:
-            raise VocabularyError("Greek pool letters must be distinct")
-
-
 def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
     """Load a vocabulary JSON file; None loads the packaged default."""
     if path is None:

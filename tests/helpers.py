@@ -1,13 +1,23 @@
 """Shared test support: the prompt-example derivation, ground-truth
-derivation transcripts, and replay-by-search annotation."""
+derivation transcripts, replay-by-search annotation, and a complex-valued
+expression evaluator for the complex-step derivative oracle."""
 from __future__ import annotations
 
+import cmath
 from itertools import permutations
 
 from derivekit import ops
 from derivekit.expr import (
+    Add,
+    AppliedFunction,
     Equation,
+    EvalError,
+    Expr,
+    Func,
     Integer,
+    Mul,
+    Pow,
+    Rational,
     Symbol,
     add,
     applied,
@@ -108,6 +118,8 @@ def infer_derivation(equations: list[Equation]) -> Derivation:
     fresh function with no derivable source fall back to premises."""
     steps: list[Step] = [Step(equations[0], None, role=ROLE_PREMISE)]
     for equation in equations[1:]:
+        # a rename candidate names its function after the equation's lhs
+        name = equation.lhs.name if type(equation.lhs) is AppliedFunction else None
         found = None
         for candidate in _candidate_steps(steps, equation):
             try:
@@ -116,6 +128,7 @@ def infer_derivation(equations: list[Equation]) -> Derivation:
                     steps,
                     candidate.parents,
                     candidate.operand,
+                    fresh_name=name,
                     constants=candidate.constants if candidate.op == ops.EVAL_INT else None,
                 )
             except ops.OpError:
@@ -138,3 +151,53 @@ def infer_derivation(equations: list[Equation]) -> Derivation:
 
 def parse_derivation(lines: list[str]) -> list[Equation]:
     return [parse_equation(line) for line in lines]
+
+
+# ---------------------------------------------------------------------------
+# complex-valued evaluation
+
+
+def eval_complex(e: Expr, bindings: dict[str, complex]) -> complex:
+    """Evaluate like expr.eval_numeric, but over complex numbers.
+
+    Raises EvalError where eval_numeric does at the real parts (an unbound
+    name, a zero base to a negative power, a non-positive base to a
+    non-integer power, the log of a non-positive value) and on any overflow,
+    which a large imaginary part can cause in sin and cos as well as in exp.
+    """
+    t = type(e)
+    if t is Integer:
+        return complex(e.value)
+    if t is Rational:
+        return complex(e.num / e.den)
+    if t is Symbol or t is AppliedFunction:
+        if e.name not in bindings:
+            raise EvalError(f"unbound name: {e.name}")
+        return complex(bindings[e.name])
+    if t is Add:
+        return sum((eval_complex(x, bindings) for x in e.terms), 0j)
+    if t is Mul:
+        out = 1 + 0j
+        for x in e.factors:
+            out *= eval_complex(x, bindings)
+        return out
+    if t is Pow:
+        b = eval_complex(e.base, bindings)
+        p = eval_complex(e.exp, bindings)
+        if p.imag == 0 and p.real.is_integer():
+            p = int(p.real)
+        elif b.real <= 0:
+            raise EvalError(f"power domain error: {b} ** {p}")
+        try:
+            return b ** p
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power domain error: {b} ** {p}") from exc
+    if t is Func:
+        z = eval_complex(e.arg, bindings)
+        if e.kind == "log" and z.real <= 0:
+            raise EvalError(f"log of non-positive value {z}")
+        try:
+            return getattr(cmath, e.kind)(z)  # kinds: sin, cos, exp, log
+        except OverflowError as exc:
+            raise EvalError(f"{e.kind} overflow") from exc
+    raise EvalError(f"cannot evaluate {t.__name__} node numerically")

@@ -19,7 +19,7 @@ import pytest
 from derivekit import ops
 from derivekit.client import AuthError, EndpointConfig, ModelTimeout, query_model
 from derivekit.expr import Integer, Symbol, add, func, mul, pow_, eval_numeric
-from derivekit.calculus import differentiate, integrate
+from derivekit.calculus import differentiate
 from derivekit.genalg import GenConfig, derive_seed, generate_dataset, generate_derivation
 from derivekit.latex import to_latex
 from derivekit.metrics import (
@@ -41,7 +41,7 @@ from derivekit.perturb import (
 from derivekit.prompts import build_fewshot, build_prompt, qualifies_for_fewshot
 from derivekit.records import step_to_json
 from derivekit.stats import build_stats, relative_frequency
-from derivekit.vocab import GREEK_POOL_DEFAULT, GreekPool
+from derivekit.vocab import GREEK_POOL_DEFAULT
 
 from helpers import prompt_example_derivation
 from test_client import MockChatHandler
@@ -138,11 +138,11 @@ def test_criterion_2_calculus_oracle():
             points += 1
         checked_expressions += 1
 
-    # every table rule: differentiate(integrate(instance)) == instance exactly
-    from test_calculus import TABLE_INSTANCES, POOL
+    # every table rule: differentiate(integral_rhs(instance)) == instance exactly
+    from test_calculus import TABLE_INSTANCES, POOL, integral_rhs
 
     for integrand in TABLE_INSTANCES:
-        out = integrate(integrand, Symbol("x"), {"x", "c", "b"}, POOL)
+        out = integral_rhs(integrand, Symbol("x"), {"x", "c", "b"}, POOL)
         assert out is not None
         anti, _ = out
         assert differentiate(anti, Symbol("x")) == integrand
@@ -208,7 +208,6 @@ def test_criterion_4_table2_arithmetic(thousand_records):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_perturbation_contracts(thousand_records):
-    pool = GreekPool()
     cfg = GenConfig(seed=1001)
     ee_checked = vr_checked = sr_checked = ag_checked = 0
     for idx, record in enumerate(thousand_records):
@@ -222,7 +221,7 @@ def test_criterion_5_perturbation_contracts(thousand_records):
         # VR: isomorphism modulo leaf names, pool only
         rng = random.Random(derive_seed(7001, idx))
         try:
-            renamed, mapping = rename_variables(d, pool, rng)
+            renamed, mapping = rename_variables(d, rng)
         except TooManySymbols:
             renamed = None
         if renamed is not None:

@@ -2,16 +2,19 @@
 sampling statistics, replay, and ground-truth derivation replay-by-search."""
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from reference_derivations import DERIVATIONS
 from derivekit import ops
 from derivekit.expr import (
+    Equation,
     Integer,
     Symbol,
     add,
     applied,
+    func,
 )
 from derivekit.latex import equation_to_latex, parse_equation
 from derivekit.ops import (
@@ -228,7 +231,7 @@ def test_replay_flags_corrupted_equation():
     corrupted = Derivation(d.steps[:-1] + (bad,))
     report = replay(corrupted)
     assert not report.valid
-    assert report.first_failure()[0] == 3
+    assert report.failures[0][0] == 3
 
 
 def test_replay_flags_bad_parent_order():
@@ -236,6 +239,47 @@ def test_replay_flags_bad_parent_order():
     bad = Step(d.steps[1].equation, ops.DIFF, (3,), d.steps[1].operand)
     corrupted = Derivation((d.steps[0], bad) + d.steps[2:])
     assert not replay(corrupted).valid
+
+
+A = Symbol("a")
+
+# each fault of a rename-family step, applied to a valid step G(a) = rhs of
+# step 1; the last two were accepted while renames had their own checker
+MALFORMED_RENAMES = {
+    "two-parents": lambda s: replace(s, parents=(0, 1)),
+    "lhs-not-applied": lambda s: replace(s, equation=Equation(Symbol("G"), s.operand)),
+    "rhs-not-operand": lambda s: replace(s, equation=Equation(s.equation.lhs, A)),
+    "operand-not-in-source": lambda s: replace(
+        s, operand=func("sin", A), equation=Equation(applied("G", [A]), func("sin", A))
+    ),
+    "args-not-operand-symbols": lambda s: replace(
+        s, equation=Equation(applied("G", [A, Symbol("b")]), s.operand)
+    ),
+    "name-not-fresh": lambda s: replace(s, equation=Equation(applied("q", [A]), s.operand)),
+    "parent-minus-one": lambda s: replace(s, parents=(-1,)),
+    "operand-without-symbols": lambda s: replace(
+        s, operand=Integer(2), equation=Equation(applied("G", []), Integer(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MALFORMED_RENAMES))
+@pytest.mark.parametrize("op", ops.RENAME_FAMILY)
+def test_replay_rejects_malformed_renames(op, fault):
+    steps = [premise(r"q{(a)} = a^{2}")]
+    steps.append(ops.apply(ops.DIFF, steps, (0,), A))
+    good = ops.apply(op, steps, (1,), steps[1].equation.rhs, fresh_name="G")
+    assert replay(Derivation((*steps, good))).valid
+    bad = MALFORMED_RENAMES[fault](good)
+    assert not replay(Derivation((*steps, bad))).valid
+
+
+@pytest.mark.parametrize("parent", [-1, 3, 9])
+def test_bad_parent_index_is_reported_not_raised(parent):
+    d = build_small_chain()
+    bad = Derivation(d.steps[:-1] + (replace(d.steps[-1], parents=(parent,)),))
+    assert not replay(bad).valid
+    assert not dag_coherent(bad)
 
 
 def test_dag_coherence_detects_orphans():

@@ -24,10 +24,8 @@ from derivekit.perturb import (
     rename_variables,
 )
 from derivekit.prompts import build_prompt
-from derivekit.vocab import GREEK_POOL_DEFAULT, GreekPool
+from derivekit.vocab import GREEK_POOL_DEFAULT
 from helpers import prompt_example_derivation
-
-POOL = GreekPool()
 
 
 def isomorphic(a, b) -> bool:
@@ -53,7 +51,7 @@ def isomorphic(a, b) -> bool:
 def test_rename_variables_spec_example():
     en, n, xx = Symbol("E_{n}"), Symbol("n"), Symbol("x")
     d = Derivation((Step(Equation(en, add(n, xx)), None, role=ROLE_PREMISE),))
-    renamed, mapping = rename_variables(d, POOL, random.Random(0))
+    renamed, mapping = rename_variables(d, random.Random(0))
     eq = renamed.steps[0].equation
     assert set(mapping) == {"E_{n}", "n", "x"}
     assert len(set(mapping.values())) == 3
@@ -65,7 +63,7 @@ def test_rename_variables_no_symbols_unchanged():
     d = Derivation((Step(Equation(Symbol("x"), Symbol("x")).swapped(), None,
                          role=ROLE_PREMISE),))
     # a derivation with zero *distinct* names beyond one symbol still maps it
-    renamed, mapping = rename_variables(d, POOL, random.Random(1))
+    renamed, mapping = rename_variables(d, random.Random(1))
     assert len(mapping) == 1
 
 
@@ -74,7 +72,7 @@ def test_rename_variables_too_many_symbols():
     eq = Equation(syms[0], add(*syms[1:]))
     d = Derivation((Step(eq, None, role=ROLE_PREMISE),))
     with pytest.raises(TooManySymbols):
-        rename_variables(d, POOL, random.Random(0))
+        rename_variables(d, random.Random(0))
 
 
 def test_rename_variables_isomorphism_on_generated(small_dataset):
@@ -82,7 +80,7 @@ def test_rename_variables_isomorphism_on_generated(small_dataset):
     for idx, record in enumerate(records[:60]):
         rng = random.Random(idx)
         try:
-            renamed, mapping = rename_variables(record.derivation, POOL, rng)
+            renamed, mapping = rename_variables(record.derivation, rng)
         except TooManySymbols:
             continue
         assert len(set(mapping.values())) == len(mapping)  # injective
@@ -97,7 +95,7 @@ def test_rename_mapping_injective_across_records(small_dataset):
     _, records, _ = small_dataset
     for idx, record in enumerate(records):
         try:
-            _, mapping = rename_variables(record.derivation, POOL, random.Random(idx))
+            _, mapping = rename_variables(record.derivation, random.Random(idx))
         except TooManySymbols:
             continue
         assert len(set(mapping.values())) == len(mapping)
