@@ -38,8 +38,11 @@ from .records import (
     load_derivation_records,
     load_keyed,
     load_prompt_records,
+    load_rows,
+    op_tags_from_json,
     prompt_record_from_json,
     prompt_record_to_json,
+    write_atomic,
     write_jsonl,
 )
 from .vocab import VocabularyError
@@ -195,23 +198,21 @@ def cmd_score(args) -> int:
     report, rows = metrics_mod.build_score_report(
         preds, refs, rouge_order=args.rouge_order, bleurt_scores=bleurt
     )
-    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", "utf-8")
+    write_atomic(args.out, lambda fh: fh.write(json.dumps(report, indent=1) + "\n"))
     if args.features_out:
-        with open(args.features_out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(metrics_mod.FEATURE_HEADER)
-            for row in metrics_mod.feature_rows(rows):
-                writer.writerow(["" if v is None else v for v in row])
+        table = [metrics_mod.FEATURE_HEADER] + [
+            ["" if v is None else v for v in row] for row in metrics_mod.feature_rows(rows)]
+        write_atomic(args.features_out, lambda fh: csv.writer(fh).writerows(table))
     print(json.dumps(report["aggregates"]))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    records = load_derivation_records(args.infile)
-    summary = stats_mod.build_stats(records, top_per_length=args.top)
+    op_tags = load_rows(args.infile, op_tags_from_json)
+    summary = stats_mod.build_stats(op_tags, top_per_length=args.top)
     text = json.dumps(summary, indent=1)
     if args.out:
-        Path(args.out).write_text(text + "\n", "utf-8")
+        write_atomic(args.out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
     return EXIT_OK
@@ -237,7 +238,7 @@ def cmd_verify(args) -> int:
         "schema_version": 1,
     }
     if args.report:
-        Path(args.report).write_text(json.dumps(result, indent=1) + "\n", "utf-8")
+        write_atomic(args.report, lambda fh: fh.write(json.dumps(result, indent=1) + "\n"))
     print(json.dumps({k: result[k] for k in ("records", "invalid")}))
     return EXIT_VERIFY if failures else EXIT_OK
 

@@ -10,6 +10,7 @@ a general LaTeX math parser. See docs/latex-grammar.md.
 from __future__ import annotations
 
 import re
+import string
 from fractions import Fraction
 from typing import Optional
 
@@ -269,7 +270,7 @@ def count_lexemes(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lexer
+# scanner
 
 _CMD = "CMD"
 _LETTER = "LETTER"
@@ -301,38 +302,29 @@ _GREEK = {
     "ell", "hbar", "nabla", "imath", "jmath",
 }
 
+# One match per token: a command, a digit run, or any other single
+# non-space character. A lone backslash and a character that is neither
+# punctuation nor a letter also match, and are rejected by their kind.
+_TOKEN = re.compile(r"\\[A-Za-z]+|[0-9]+|\S")
 
-def _tokenize(s: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i, n = 0, len(s)
-    while i < n:
-        c = s[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "\\":
-            m = re.match(r"\\[A-Za-z]+", s[i:])
-            if not m:
-                raise LatexParseError("stray backslash", i)
-            tokens.append((_CMD, m.group(0), i))
-            i += m.end()
-            continue
-        if "0" <= c <= "9":
-            m = re.match(r"[0-9]+", s[i:])
-            tokens.append((_DIGITS, m.group(0), i))
-            i += m.end()
-            continue
-        if c in _PUNCT:
-            tokens.append((_PUNCT[c], c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            tokens.append((_LETTER, c, i))
-            i += 1
-            continue
-        raise LatexParseError(f"unexpected character {c!r}", i)
-    tokens.append((_EOF, "", n))
-    return tokens
+# the markers of a derivative head, \frac{d}{d x} or \frac{\partial}{\partial x}
+_MARKERS = ("d", "\\partial")
+
+# the kinds of single-character tokens; the rest come from _kind
+_KINDS = {
+    **_PUNCT,
+    **dict.fromkeys(string.ascii_letters, _LETTER),
+    **dict.fromkeys(string.digits, _DIGITS),
+}
+
+
+def _kind(text: str) -> Optional[str]:
+    c = text[0]
+    if c == "\\":
+        return _CMD if len(text) > 1 else None
+    if "0" <= c <= "9":
+        return _DIGITS
+    return _LETTER if c.isalpha() else None
 
 
 # Deepest nesting the parser accepts, counted in expr() calls (groups,
@@ -343,143 +335,143 @@ MAX_DEPTH = 100
 
 
 class _Parser:
+    """Recursive descent over one string's tokens, held as parallel `kinds`/
+    `texts` lists padded with EOF; positions are computed only for errors."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        texts = _TOKEN.findall(text)
+        kinds = [_KINDS.get(t) or _kind(t) for t in texts]
+        if None in kinds:
+            j = kinds.index(None)
+            bad = "stray backslash" if texts[j] == "\\" else f"unexpected character {texts[j]!r}"
+            raise LatexParseError(bad, self.pos(j))
+        # EOF, then room for the longest look-ahead past it (^{\prime})
+        self.kinds = kinds + [_EOF] * 4
+        self.texts = texts + [""] * 4
         self.i = 0
         self.depth = 0
 
     # token helpers -----------------------------------------------------
-    def peek(self, offset: int = 0) -> tuple[str, str, int]:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+    def pos(self, j: int) -> int:
+        """Character position of token j (the string's length for EOF)."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        return starts[j] if j < len(starts) else len(self.text)
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        if tok[0] != _EOF:
-            self.i += 1
-        return tok
+    def next(self) -> int:
+        """Consume the current token, unless it is EOF, and return its index."""
+        j = self.i
+        if self.kinds[j] != _EOF:
+            self.i = j + 1
+        return j
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind:
-            raise LatexParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        return tok
+    def expect(self, kind: str) -> None:
+        j = self.i
+        if self.kinds[j] != kind:
+            raise LatexParseError(f"expected {kind}, found {self.texts[j]!r}", self.pos(j))
+        self.i = j + 1
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise LatexParseError(message, tok[2])
+        raise LatexParseError(message, self.pos(self.i))
 
     def too_deep(self):
         self.fail(f"nesting deeper than {MAX_DEPTH} levels")
 
-    def integer(self, text: str, pos: int) -> Integer:
+    def integer(self, j: int) -> Integer:
         try:
-            return Integer(int(text))
+            return Integer(int(self.texts[j]))
         except ValueError:  # more digits than int() converts
-            raise LatexParseError("number too long", pos) from None
+            raise LatexParseError("number too long", self.pos(j)) from None
 
     # grammar -----------------------------------------------------------
+    def end(self) -> None:
+        if self.kinds[self.i] != _EOF:
+            self.fail(f"trailing input {self.texts[self.i]!r}")
+
     def parse_expression(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
-        if tok[0] != _EOF:
-            self.fail(f"trailing input {tok[1]!r}")
+        self.end()
         return e
 
     def parse_equation(self) -> Equation:
         lhs = self.expr()
         self.expect("EQUALS")
         rhs = self.expr()
-        tok = self.peek()
-        if tok[0] != _EOF:
-            self.fail(f"trailing input {tok[1]!r}")
+        self.end()
         return Equation(lhs, rhs)
 
     def expr(self) -> Expr:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.too_deep()
+        kinds = self.kinds
+        kind = kinds[self.i]  # the first term's sign is optional
         terms = []
-        sign = 1
-        if self.peek()[0] == "MINUS":
-            self.next()
-            sign = -1
-        elif self.peek()[0] == "PLUS":
-            self.next()
-        t = self.term()
-        terms.append(t if sign > 0 else neg(t))
         while True:
-            kind = self.peek()[0]
-            if kind == "PLUS":
-                self.next()
-                terms.append(self.term())
-            elif kind == "MINUS":
-                self.next()
-                terms.append(neg(self.term()))
-            else:
+            if kind == "PLUS" or kind == "MINUS":
+                self.i += 1
+            t = self.term()
+            terms.append(neg(t) if kind == "MINUS" else t)
+            kind = kinds[self.i]
+            if kind != "PLUS" and kind != "MINUS":
                 break
         self.depth -= 1
         return terms[0] if len(terms) == 1 else add(*terms)
 
     _TERM_STOP = {"PLUS", "MINUS", "EQUALS", "RPAREN", "RBRACE", "COMMA", _EOF}
 
-    def at_term_stop(self) -> bool:
-        kind, text, _ = self.peek()
-        if kind in self._TERM_STOP:
-            return True
-        # a bare 'd' marks the differential of an enclosing integral
-        return kind == _LETTER and text == "d"
-
     def term(self) -> Expr:
+        kinds, texts = self.kinds, self.texts
         factors = [self.factor()]
-        while not self.at_term_stop():
+        # a bare 'd' marks the differential of an enclosing integral
+        while not (kinds[self.i] in self._TERM_STOP or texts[self.i] == "d"):
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return mul(*factors)
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self) -> Expr:
         e = self.primary()
-        while self.peek()[0] == "CARET":
-            self.next()
+        while self.kinds[self.i] == "CARET":
+            self.i += 1
             e = pow_(e, self.exponent())
         return e
 
     def exponent(self) -> Expr:
-        kind, text, pos = self.peek()
+        j = self.i
+        kind = self.kinds[j]
         if kind == "LBRACE":
-            self.next()
+            self.i = j + 1
             e = self.expr()
             self.expect("RBRACE")
             return e
         if kind == _DIGITS:
-            self.next()
-            return self.integer(text, pos)
-        raise LatexParseError("expected '{' or digits after '^'", pos)
+            self.i = j + 1
+            return self.integer(j)
+        raise LatexParseError("expected '{' or digits after '^'", self.pos(j))
 
     def primary(self) -> Expr:
-        kind, text, pos = self.peek()
+        j = self.i
+        kind, text = self.kinds[j], self.texts[j]
         if kind == _DIGITS:
-            self.next()
-            return self.integer(text, pos)
+            self.i = j + 1
+            return self.integer(j)
         if kind == "LPAREN":
-            self.next()
+            self.i = j + 1
             e = self.expr()
             self.expect("RPAREN")
             return e
         if kind == _CMD:
             name = text[1:]
             if name == "frac":
-                self.next()
+                self.i = j + 1
                 return self.frac_rest()
             if name == "int":
-                self.next()
+                self.i = j + 1
                 return self.integral_rest()
             if name in ("sin", "cos", "log"):
-                self.next()
+                self.i = j + 1
                 return func(name, self.function_argument())
             if name == "operatorname":
-                self.next()
+                self.i = j + 1
                 self.expect("LBRACE")
                 fname = self.raw_braced_content()
                 args = self.application_args()
@@ -487,74 +479,70 @@ class _Parser:
                     self.fail("\\operatorname must be applied to arguments")
                 return applied(fname, args)
             if name == "partial":
-                raise LatexParseError("\\partial outside \\frac", pos)
+                raise LatexParseError("\\partial outside \\frac", self.pos(j))
             return self.symbol_or_application()
         if kind == _LETTER:
             if text == "e":
-                self.next()
+                self.i = j + 1
                 self.expect("CARET")
                 self.expect("LBRACE")
                 arg = self.expr()
                 self.expect("RBRACE")
                 return func("exp", arg)
             if text == "d":
-                raise LatexParseError("differential marker 'd' outside an integral", pos)
+                raise LatexParseError("differential marker 'd' outside an integral", self.pos(j))
             return self.symbol_or_application()
-        raise LatexParseError(f"unexpected token {text!r}", pos)
+        raise LatexParseError(f"unexpected token {text!r}", self.pos(j))
 
     def function_argument(self) -> Expr:
-        kind, _, _ = self.peek()
-        if kind == "LBRACE":
-            self.next()
-            self.expect("LPAREN")
-            e = self.expr()
-            self.expect("RPAREN")
-            self.expect("RBRACE")
-            return e
+        braced = self.kinds[self.i] == "LBRACE"
+        if braced:
+            self.i += 1
         self.expect("LPAREN")
         e = self.expr()
         self.expect("RPAREN")
+        if braced:
+            self.expect("RBRACE")
         return e
 
     def raw_braced_content(self) -> str:
         """Consume tokens up to the matching close brace, returning raw text."""
         depth = 1
-        parts: list[str] = []
+        start = self.i
+        kinds = self.kinds
         while True:
-            kind, text, pos = self.next()
+            j = self.next()
+            kind = kinds[j]
             if kind == _EOF:
-                raise LatexParseError("unterminated brace group", pos)
+                raise LatexParseError("unterminated brace group", self.pos(j))
             if kind == "LBRACE":
                 depth += 1
             elif kind == "RBRACE":
                 depth -= 1
                 if depth == 0:
-                    return "".join(parts)
-            parts.append(text)
+                    return "".join(self.texts[start:j])
 
     def symbol_or_application(self) -> Expr:
         name = self.atom_name()
-        if self.peek()[0] == "LBRACE" and self.peek(1)[0] == "LPAREN":
-            args = self.application_args()
-            assert args is not None
-            return applied(name, args)
-        return Symbol(name)
+        args = self.application_args()
+        return Symbol(name) if args is None else applied(name, args)
 
     def application_args(self) -> Optional[list[Expr]]:
-        if not (self.peek()[0] == "LBRACE" and self.peek(1)[0] == "LPAREN"):
+        i = self.i
+        if not (self.kinds[i] == "LBRACE" and self.kinds[i + 1] == "LPAREN"):
             return None
-        self.next()
-        self.next()
+        self.i = i + 2
         args = [self.expr()]
-        while self.peek()[0] == "COMMA":
-            self.next()
+        while self.kinds[self.i] == "COMMA":
+            self.i += 1
             args.append(self.expr())
         self.expect("RPAREN")
         self.expect("RBRACE")
         return args
 
     def atom_name(self) -> str:
-        kind, text, pos = self.next()
+        j = self.next()
+        kind, text = self.kinds[j], self.texts[j]
         if kind == _LETTER:
             base = text
         elif kind == _CMD:
@@ -566,49 +554,42 @@ class _Parser:
             elif cmd in _GREEK:
                 base = text
             elif cmd in _RESERVED_CMDS:
-                raise LatexParseError(f"reserved command \\{cmd} cannot name a symbol", pos)
+                raise LatexParseError(f"reserved command \\{cmd} cannot name a symbol", self.pos(j))
             else:
-                raise UnknownLatexCommand(f"unknown command {text!r}", pos)
+                raise UnknownLatexCommand(f"unknown command {text!r}", self.pos(j))
         else:
-            raise LatexParseError(f"expected a symbol, found {text!r}", pos)
+            raise LatexParseError(f"expected a symbol, found {text!r}", self.pos(j))
         return base + self.name_suffixes()
 
     def name_suffixes(self) -> str:
+        kinds, texts = self.kinds, self.texts
         out = []
         while True:
-            kind, text, _ = self.peek()
+            i = self.i
+            kind = kinds[i]
             if kind == "UNDERSCORE":
-                self.next()
-                k2, t2, p2 = self.next()
+                self.i = i + 1
+                j = self.next()
+                k2 = kinds[j]
                 if k2 == "LBRACE":
                     out.append("_{" + self.raw_braced_content() + "}")
                 elif k2 in (_LETTER, _DIGITS, _CMD):
-                    out.append("_" + t2)
+                    out.append("_" + texts[j])
                 else:
-                    raise LatexParseError("bad subscript", p2)
-            elif kind == "CARET" and self.peek(1)[1] == "\\prime":
-                self.next()
-                self.next()
+                    raise LatexParseError("bad subscript", self.pos(j))
+            elif texts[i:i + 2] == ["^", "\\prime"]:
+                self.i = i + 2
                 out.append("^\\prime")
-            elif (
-                kind == "CARET"
-                and self.peek(1)[0] == "LBRACE"
-                and self.peek(2)[1] == "\\prime"
-                and self.peek(3)[0] == "RBRACE"
-            ):
-                self.next()
-                self.next()
-                self.next()
-                self.next()
+            elif texts[i:i + 4] == ["^", "{", "\\prime", "}"]:
+                self.i = i + 4
                 out.append("^{\\prime}")
             else:
                 return "".join(out)
 
     def frac_rest(self) -> Expr:
         self.expect("LBRACE")
-        kind, text, _ = self.peek()
-        if (kind == _LETTER and text == "d") or (kind == _CMD and text == "\\partial"):
-            return self.derivative_rest(text)
+        if self.texts[self.i] in _MARKERS:
+            return self.derivative_rest()
         num = self.expr()
         self.expect("RBRACE")
         self.expect("LBRACE")
@@ -616,43 +597,41 @@ class _Parser:
         self.expect("RBRACE")
         return div(num, den)
 
-    def derivative_rest(self, marker: str) -> Expr:
+    def derivative_rest(self) -> Expr:
         # a derivative's body recurses through factor(), not expr()
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.too_deep()
-        self.next()  # the marker inside the numerator
+        self.i += 1  # the marker inside the numerator
         order = 1
-        if self.peek()[0] == "CARET":
-            self.next()
+        if self.kinds[self.i] == "CARET":
+            self.i += 1
             e = self.exponent()
             if type(e) is not Integer or e.value < 1:
                 self.fail("derivative order must be a positive integer")
             order = e.value
         self.expect("RBRACE")
         self.expect("LBRACE")
-        kind, text, pos = self.next()
-        if not ((kind == _LETTER and text == "d") or (kind == _CMD and text == "\\partial")):
-            raise LatexParseError("mismatched derivative denominator", pos)
+        j = self.next()
+        if self.texts[j] not in _MARKERS:
+            raise LatexParseError("mismatched derivative denominator", self.pos(j))
         var = Symbol(self.atom_name())
-        if self.peek()[0] == "CARET":
-            self.next()
+        if self.kinds[self.i] == "CARET":
+            self.i += 1
             e = self.exponent()
             if type(e) is not Integer or e.value != order:
                 self.fail("derivative orders disagree")
         self.expect("RBRACE")
-        factors = [self.factor()]
-        while not self.at_term_stop():
-            factors.append(self.factor())
-        body = factors[0] if len(factors) == 1 else mul(*factors)
+        body = self.term()
         self.depth -= 1
         return derivative(body, var, order)
 
     def integral_rest(self) -> Expr:
         body = self.expr()
-        kind, text, pos = self.next()
-        if not (kind == _LETTER and text == "d"):
-            raise LatexParseError("expected differential 'd<var>' closing the integral", pos)
+        j = self.next()
+        if self.texts[j] != "d":
+            raise LatexParseError("expected differential 'd<var>' closing the integral",
+                                  self.pos(j))
         var = Symbol(self.atom_name())
         return integral(body, var)
 
@@ -663,7 +642,7 @@ def _parse(s: str, whole):
         return whole(parser)
     except ExprError as exc:
         # a constructor rejected the construct the last consumed token closed
-        raise LatexParseError(str(exc), parser.tokens[max(parser.i - 1, 0)][2]) from exc
+        raise LatexParseError(str(exc), parser.pos(max(parser.i - 1, 0))) from exc
 
 
 def parse_latex(s: str) -> Expr:

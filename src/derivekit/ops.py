@@ -150,10 +150,6 @@ class Derivation:
     def equations(self) -> tuple[Equation, ...]:
         return tuple(s.equation for s in self.steps)
 
-    def chain(self) -> tuple[str, ...]:
-        """Operation ids of all non-premise-introduction steps, in order."""
-        return tuple(s.op for s in self.steps if s.op is not None)
-
     def goal(self) -> Step:
         return self.steps[-1]
 

@@ -9,9 +9,10 @@ ends with "schema_version".
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .expr import ExprError, Symbol
 from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
@@ -65,6 +66,20 @@ def step_to_json(step: Step) -> dict:
     }
 
 
+def _parents(payload: dict) -> tuple[int, ...]:
+    parents = tuple(payload.get("parents", ()))
+    if not all(type(p) is int for p in parents):
+        raise RecordError(f"parents must be integers: {parents!r}")
+    return parents
+
+
+def _steps(payload: dict) -> list:
+    steps = payload["steps"]
+    if type(steps) is not list:
+        raise RecordError(f"steps must be a list: {steps!r}")
+    return steps
+
+
 def step_from_json(payload: dict) -> Step:
     op = payload["op"]
     operand = None
@@ -75,9 +90,7 @@ def step_from_json(payload: dict) -> Step:
             constants = tuple(Symbol(name) for name in raw_operand.split(","))
     elif raw_operand is not None:
         operand = parse_latex(raw_operand)
-    parents = tuple(payload.get("parents", ()))
-    if not all(type(p) is int for p in parents):
-        raise RecordError(f"parents must be integers: {parents!r}")
+    parents = _parents(payload)
     return Step(
         equation=parse_equation(payload["latex"]),
         op=None if op == PREMISE else op,
@@ -105,10 +118,25 @@ def derivation_record_from_json(payload: dict) -> DerivationRecord:
     return DerivationRecord(
         id=payload["id"],
         seed=payload.get("seed", 0),
-        derivation=Derivation(tuple(step_from_json(s) for s in payload["steps"])),
+        derivation=Derivation(tuple(step_from_json(s) for s in _steps(payload))),
         perturbation=payload.get("perturbation"),
         static_id=payload.get("static_id"),
     )
+
+
+def op_tags_from_json(payload: dict) -> tuple[str, ...]:
+    """Each step's Step.op_tag(), from a row checked as
+    derivation_record_from_json checks it, except that no LaTeX is parsed."""
+    payload["id"]  # a missing field raises the KeyError the full conversion raises
+    tags = []
+    for step in _steps(payload):
+        op = step["op"]
+        _parents(step)
+        if type(step["latex"]) is not str:
+            raise RecordError(f"latex must be a string: {step['latex']!r}")
+        step["role"]
+        tags.append(PREMISE if op is None else op)
+    return tuple(tags)
 
 
 def prompt_record_to_json(record: PromptRecord) -> dict:
@@ -132,14 +160,27 @@ def prompt_record_from_json(payload: dict) -> PromptRecord:
     )
 
 
-def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False))
-            fh.write("\n")
-            count += 1
-    return count
+def write_atomic(path: str | Path, write: Callable[[TextIO], T]) -> T:
+    """Call write(fh) on a new file beside `path`, then move it onto `path`;
+    if write raises, `path` is left as it was. Lines end in "\n" everywhere."""
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            return write(fh)
+    path = Path(os.path.realpath(path))  # replace a symlink's target, not the link
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return result
+
+
+def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
+    write_atomic(path, lambda fh: fh.writelines(
+        json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def _numbered_rows(path: str | Path) -> Iterator[tuple[int, dict]]:

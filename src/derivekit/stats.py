@@ -11,27 +11,27 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
-from .ops import CHAIN_GLYPHS
-from .records import DerivationRecord
+from .ops import CHAIN_GLYPHS, PREMISE
 
 
 def chain_label(chain: Sequence[str]) -> str:
     return " -> ".join(CHAIN_GLYPHS.get(op, op) for op in chain)
 
 
-def build_stats(records: Iterable[DerivationRecord], top_per_length: int = 2) -> dict:
+def build_stats(op_tags: Iterable[Sequence[str]], top_per_length: int = 2) -> dict:
+    """Statistics over derivations given as their steps' op tags: the length
+    is the step count and the chain is every tag other than premise."""
     lengths: Counter = Counter()
     op_counts: Counter = Counter()
     chains_by_length: dict[int, Counter] = defaultdict(Counter)
     total = 0
-    for record in records:
-        d = record.derivation
+    for tags in op_tags:
         total += 1
-        lengths[len(d)] += 1
-        chain = d.chain()
+        lengths[len(tags)] += 1
+        chain = tuple(op for op in tags if op != PREMISE)
         for op in chain:
             op_counts[op] += 1
-        chains_by_length[len(d)][chain] += 1
+        chains_by_length[len(tags)][chain] += 1
 
     n_ops = sum(op_counts.values())
     length_hist = {

@@ -1,9 +1,12 @@
 """Shared test support: the prompt-example derivation, ground-truth
-derivation transcripts, replay-by-search annotation, and a complex-valued
-expression evaluator for the complex-step derivative oracle."""
+derivation transcripts, replay-by-search annotation, a complex-valued
+expression evaluator for the complex-step derivative oracle, a
+character-by-character LaTeX tokenizer that the parser's scanner is checked
+against, and the op tags that `stats` reads."""
 from __future__ import annotations
 
 import cmath
+import re
 from itertools import permutations
 
 from derivekit import ops
@@ -29,7 +32,7 @@ from derivekit.expr import (
     sub,
 )
 from derivekit.genalg import extract_derivation
-from derivekit.latex import parse_equation
+from derivekit.latex import _PUNCT, LatexParseError, parse_equation
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
 
 
@@ -201,3 +204,45 @@ def eval_complex(e: Expr, bindings: dict[str, complex]) -> complex:
         except OverflowError as exc:
             raise EvalError(f"{e.kind} overflow") from exc
     raise EvalError(f"cannot evaluate {t.__name__} node numerically")
+
+
+# ---------------------------------------------------------------------------
+# reference tokenizer: one character at a time, a regex match per command or
+# digit run; returns (kind, text, position) triples ending in EOF
+
+def tokenize(s: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(s)
+    while i < n:
+        c = s[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "\\":
+            m = re.match(r"\\[A-Za-z]+", s[i:])
+            if not m:
+                raise LatexParseError("stray backslash", i)
+            tokens.append(("CMD", m.group(0), i))
+            i += m.end()
+            continue
+        if "0" <= c <= "9":
+            m = re.match(r"[0-9]+", s[i:])
+            tokens.append(("DIGITS", m.group(0), i))
+            i += m.end()
+            continue
+        if c in _PUNCT:
+            tokens.append((_PUNCT[c], c, i))
+            i += 1
+            continue
+        if c.isalpha():
+            tokens.append(("LETTER", c, i))
+            i += 1
+            continue
+        raise LatexParseError(f"unexpected character {c!r}", i)
+    tokens.append(("EOF", "", n))
+    return tokens
+
+
+def op_tags(records) -> list[tuple[str, ...]]:
+    """Each record's step op tags, the input stats.build_stats takes."""
+    return [tuple(s.op_tag() for s in r.derivation) for r in records]

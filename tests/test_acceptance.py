@@ -43,7 +43,7 @@ from derivekit.records import step_to_json
 from derivekit.stats import build_stats, relative_frequency
 from derivekit.vocab import GREEK_POOL_DEFAULT
 
-from helpers import prompt_example_derivation
+from helpers import op_tags, prompt_example_derivation
 from test_client import MockChatHandler
 from test_metrics import oracle_bleu, oracle_gleu, oracle_rouge
 from test_perturb import isomorphic
@@ -159,7 +159,7 @@ def test_criterion_3_distribution_shape():
     for seed in (11, 12, 13):
         records, summary = generate_dataset(GenConfig(seed=seed), 5000)
         assert summary.produced == 5000
-        stats = build_stats(records, top_per_length=10_000)
+        stats = build_stats(op_tags(records), top_per_length=10_000)
         hist = {int(k): v["count"] for k, v in stats["length_hist"].items()}
         mode = max(hist, key=hist.get)
         assert mode in in_set, f"seed {seed}: mode {mode}"
@@ -195,7 +195,7 @@ def test_criterion_3_distribution_shape():
 
 def test_criterion_4_table2_arithmetic(thousand_records):
     assert relative_frequency(0.0369, 842) == pytest.approx(31, abs=0.5)
-    stats = build_stats(thousand_records, top_per_length=10_000)
+    stats = build_stats(op_tags(thousand_records), top_per_length=10_000)
     for entry in stats["chains"]:
         for row in entry["top_chains"]:
             assert row["relative_frequency"] == pytest.approx(

@@ -1,13 +1,23 @@
 """End-to-end CLI tests: every subcommand, exit codes, determinism, and
 file-level contracts."""
 import json
+import os
 import threading
 from http.server import HTTPServer
 
 import pytest
 
+from derivekit import cli, latex, records
 from derivekit.cli import main
-from derivekit.records import load_derivation_records, load_prompt_records, read_jsonl
+from derivekit.records import (
+    derivation_record_to_json,
+    load_derivation_records,
+    load_prompt_records,
+    read_jsonl,
+    write_jsonl,
+)
+from derivekit.stats import build_stats
+from helpers import op_tags
 from test_client import MockChatHandler
 
 
@@ -220,9 +230,9 @@ def _file(path, text):
     return path
 
 
-def _stored(path, latex):
-    step = {"latex": latex, "op": "premise", "parents": [], "operand_latex": None,
-            "role": "premise"}
+def _stored(path, latex, parents=()):
+    step = {"latex": latex, "op": "premise", "parents": list(parents),
+            "operand_latex": None, "role": "premise"}
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
 
 
@@ -245,6 +255,10 @@ BAD_INPUT_CASES = {
                                     _file(d / "in.jsonl", BAD_JSONL), "--out", d / "o.jsonl"], 3),
     "verify-missing-field": (lambda d: ["verify", "--in",
                                         _file(d / "in.jsonl", '{"id": "d0"}\n')], 3),
+    "stats-missing-field": (lambda d: ["stats", "--in",
+                                       _file(d / "in.jsonl", '{"id": "d0"}\n')], 3),
+    "stats-non-integer-parents": (lambda d: ["stats", "--in", _stored(
+        d / "in.jsonl", "x = y", parents=["0"])], 3),
     "verify-zero-denominator": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",
@@ -292,3 +306,57 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("io error: " if code == 3 else "config error: ")
+
+
+def test_stats_reads_no_latex(tmp_path, capsys):
+    # stored LaTeX that does not parse is exit 3 for verify, but stats reads
+    # only the op tags and counts the record
+    infile = _stored(tmp_path / "in.jsonl", "x = y +")
+    assert run(["stats", "--in", infile]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == 1
+
+
+def test_stats_matches_build_stats_over_parsed_records(small_dataset, tmp_path, monkeypatch):
+    _, dataset, _ = small_dataset
+    infile = tmp_path / "in.jsonl"
+    write_jsonl(infile, (derivation_record_to_json(r) for r in dataset))
+
+    def no_parse(text):
+        raise AssertionError("stats parsed LaTeX")
+
+    for module in (latex, records):
+        monkeypatch.setattr(module, "parse_equation", no_parse)
+        monkeypatch.setattr(module, "parse_latex", no_parse)
+    assert run(["stats", "--in", infile, "--top", 3, "--out", tmp_path / "s.json"]) == 0
+    expected = json.dumps(build_stats(op_tags(dataset), top_per_length=3), indent=1) + "\n"
+    assert (tmp_path / "s.json").read_text("utf-8") == expected
+
+
+def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch):
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier output\n")
+    calls = []
+
+    def serialize(record):
+        calls.append(record)
+        if len(calls) == 2:
+            raise RuntimeError("serializer failed")
+        return derivation_record_to_json(record)
+
+    monkeypatch.setattr(cli, "derivation_record_to_json", serialize)
+    with pytest.raises(RuntimeError, match="serializer failed"):
+        run(["generate", "--count", 3, "--seed", 0, "--out", out])
+    assert len(calls) == 2
+    assert out.read_bytes() == b"earlier output\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_output_through_a_symlink_or_to_a_device(tmp_path):
+    # a symlink's target is replaced, not the link; a device is written in place
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    infile = _stored(tmp_path / "in.jsonl", "x = y")
+    assert run(["stats", "--in", infile, "--out", link]) == 0
+    assert link.is_symlink() and json.loads(target.read_text("utf-8"))["records"] == 1
+    assert run(["stats", "--in", infile, "--out", os.devnull]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link.json", "target.json"]

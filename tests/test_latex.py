@@ -3,7 +3,7 @@ round-trip identities."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derivekit.expr import (
     Equation,
@@ -23,6 +23,7 @@ from derivekit.expr import (
 from derivekit.latex import (
     MAX_DEPTH,
     LatexParseError,
+    _Parser,
     UnknownLatexCommand,
     count_lexemes,
     equation_to_latex,
@@ -30,6 +31,7 @@ from derivekit.latex import (
     parse_latex,
     to_latex,
 )
+from helpers import tokenize
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -191,7 +193,10 @@ _FRAGMENTS = (
 )
 
 
-@given(st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS)).map("".join)))
+_TEXTS = st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS)).map("".join))
+
+
+@given(_TEXTS)
 @settings(max_examples=400, deadline=None)
 def test_parse_returns_a_tree_or_raises_a_parse_error(text):
     try:
@@ -199,6 +204,33 @@ def test_parse_returns_a_tree_or_raises_a_parse_error(text):
     except LatexParseError:
         return
     assert isinstance(eq, Equation)
+
+
+def _outcome(scan):
+    try:
+        return scan()
+    except LatexParseError as exc:
+        return type(exc), str(exc), exc.pos
+
+
+def _scanned(text):
+    """The parser's tokens as (kind, text, position) triples up to EOF."""
+    parser = _Parser(text)
+    end = parser.kinds.index("EOF")
+    # EOF, then room for the longest look-ahead (three tokens) past it
+    assert parser.kinds[end:] == ["EOF"] * 4 and parser.texts[end:] == [""] * 4
+    return [(parser.kinds[j], parser.texts[j], parser.pos(j)) for j in range(end + 1)]
+
+
+@given(_TEXTS)
+@settings(max_examples=400, deadline=None)
+@example("\u00e9")
+@example("\u00b2")
+@example("x = \\ y")
+@example("x\t=\ty")
+@example(r"\foo{")
+def test_scanner_matches_the_reference_tokenizer(text):
+    assert _outcome(lambda: _scanned(text)) == _outcome(lambda: tokenize(text))
 
 
 def test_unknown_command_error():

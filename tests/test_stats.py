@@ -3,6 +3,7 @@ relative-frequency arithmetic."""
 import pytest
 
 from derivekit.stats import build_stats, chain_label, mode_length, relative_frequency, top_chain
+from helpers import op_tags
 
 
 def test_relative_frequency_reference_arithmetic():
@@ -13,7 +14,7 @@ def test_relative_frequency_reference_arithmetic():
 
 def test_histograms_normalized(small_dataset):
     _, records, _ = small_dataset
-    stats = build_stats(records)
+    stats = build_stats(op_tags(records))
     assert stats["records"] == len(records)
     assert sum(v["p"] for v in stats["length_hist"].values()) == pytest.approx(1.0, abs=1e-9)
     assert sum(v["p"] for v in stats["op_hist"].values()) == pytest.approx(1.0, abs=1e-9)
@@ -21,7 +22,7 @@ def test_histograms_normalized(small_dataset):
 
 def test_relative_frequency_column_consistent(small_dataset):
     _, records, _ = small_dataset
-    stats = build_stats(records, top_per_length=3)
+    stats = build_stats(op_tags(records), top_per_length=3)
     for entry in stats["chains"]:
         for row in entry["top_chains"]:
             assert row["relative_frequency"] == pytest.approx(
@@ -31,7 +32,7 @@ def test_relative_frequency_column_consistent(small_dataset):
 
 def test_chain_counts_sum_within_length(small_dataset):
     _, records, _ = small_dataset
-    stats = build_stats(records, top_per_length=10_000)
+    stats = build_stats(op_tags(records), top_per_length=10_000)
     for entry in stats["chains"]:
         total = sum(row["count"] for row in entry["top_chains"])
         length_count = stats["length_hist"][str(entry["length"])]["count"]
@@ -46,7 +47,7 @@ def test_chain_label_glyphs():
 
 def test_mode_and_top_chain_helpers(small_dataset):
     _, records, _ = small_dataset
-    stats = build_stats(records)
+    stats = build_stats(op_tags(records))
     mode = mode_length(stats)
     assert str(mode) in stats["length_hist"]
     chain = top_chain(stats, 4)
