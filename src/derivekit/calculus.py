@@ -26,17 +26,17 @@ from .expr import (
     Rational,
     Symbol,
     add,
-    as_fraction,
     canonicalize,
     derivative,
     div,
+    exact_value,
     free_symbols,
     func,
     integral,
     is_number,
     mul,
     neg,
-    num_from_fraction,
+    num_from_exact,
     pow_,
     rebuild,
     sub,
@@ -154,12 +154,12 @@ def _rule_power(e: Expr, v: Symbol) -> Optional[Expr]:
     if e == v:
         return div(pow_(v, Integer(2)), Integer(2))
     if type(e) is Pow and e.base == v:
-        n = as_fraction(e.exp)
+        n = exact_value(e.exp)
         if n is None:
             return None
         if n == -1:
             return func("log", v)
-        return div(pow_(v, num_from_fraction(n + 1)), num_from_fraction(n + 1))
+        return div(pow_(v, num_from_exact(n + 1)), num_from_exact(n + 1))
     return None
 
 

@@ -5,6 +5,8 @@ canonical tree: sums and products are flattened, numeric parts folded into
 exact rationals, like terms and like factors merged, and operands stored in
 a fixed total structural order. ``canonicalize`` therefore just rebuilds a
 tree bottom-up through the constructors and is idempotent by construction.
+A folded number is an ``int``, or a ``Fraction`` only when it is not
+integral; the two mix exactly and compare and hash alike.
 
 Canonicalization is syntactic only: no trig identities, no factoring, no
 equation solving. Derivative and Integral nodes are opaque here and are only
@@ -85,7 +87,7 @@ class Integer(Expr):
         object.__setattr__(self, "_key", None)
 
     def _make_key(self) -> tuple:
-        return (_R_NUM, Fraction(self.value))
+        return (_R_NUM, self.value)
 
     def __eq__(self, other) -> bool:
         return type(other) is Integer and other.value == self.value
@@ -342,7 +344,7 @@ MINUS_ONE = Integer(-1)
 MAX_FOLD_BITS = 14_000
 
 
-def num_from_fraction(q: Fraction) -> Number:
+def num_from_exact(q: int | Fraction) -> Number:
     num, den = q.numerator, q.denominator
     if num.bit_length() > MAX_FOLD_BITS or den.bit_length() > MAX_FOLD_BITS:
         raise ExprError(f"number larger than {MAX_FOLD_BITS} bits")
@@ -354,12 +356,13 @@ def num_from_fraction(q: Fraction) -> Number:
 def rational(num: int, den: int) -> Number:
     if den == 0:
         raise ExprError("zero denominator")
-    return num_from_fraction(Fraction(num, den))
+    return num_from_exact(Fraction(num, den))
 
 
-def as_fraction(e: Expr) -> Optional[Fraction]:
+def exact_value(e: Expr) -> int | Fraction | None:
+    """An Integer's int, a Rational's Fraction, None for any other node."""
     if type(e) is Integer:
-        return Fraction(e.value)
+        return e.value
     if type(e) is Rational:
         return Fraction(e.num, e.den)
     return None
@@ -376,15 +379,15 @@ def is_zero(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # canonical constructors
 
-def _coeff_split(term: Expr) -> tuple[Fraction, Optional[Expr]]:
+def _coeff_split(term: Expr) -> tuple[int | Fraction, Optional[Expr]]:
     """Split a term into (numeric coefficient, residual non-numeric part)."""
     if is_number(term):
-        return as_fraction(term), None
+        return exact_value(term), None
     if type(term) is Mul:
-        coeff = Fraction(1)
+        coeff = 1
         rest = []
         for f in term.factors:
-            q = as_fraction(f)
+            q = exact_value(f)
             if q is not None:
                 coeff *= q
             else:
@@ -394,19 +397,19 @@ def _coeff_split(term: Expr) -> tuple[Fraction, Optional[Expr]]:
         if len(rest) == 1:
             return coeff, rest[0]
         return coeff, Mul(tuple(rest))
-    return Fraction(1), term
+    return 1, term
 
 
-def _base_exp(factor: Expr) -> tuple[Expr, Fraction]:
+def _base_exp(factor: Expr) -> tuple[Expr, int | Fraction]:
     """Decompose a factor into (base, numeric exponent); symbolic powers stay atomic."""
     if type(factor) is Pow:
-        q = as_fraction(factor.exp)
+        q = exact_value(factor.exp)
         if q is not None:
             return factor.base, q
-    return factor, Fraction(1)
+    return factor, 1
 
 
-def _term_order_key(parts: list[tuple[Fraction, Optional[Expr]]]):
+def _term_order_key(parts: list[tuple[int | Fraction, Optional[Expr]]]):
     """Build the descending order key for Add terms.
 
     Terms are ranked by their monomial exponent vector over the sorted set of
@@ -416,12 +419,12 @@ def _term_order_key(parts: list[tuple[Fraction, Optional[Expr]]]):
     gens: dict[tuple, int] = {}
     decomposed = []
     for coeff, rest in parts:
-        factors: dict[Expr, Fraction] = {}
+        factors: dict[Expr, int | Fraction] = {}
         if rest is not None:
             rest_factors = rest.factors if type(rest) is Mul else (rest,)
             for f in rest_factors:
                 base, q = _base_exp(f)
-                factors[base] = factors.get(base, Fraction(0)) + q
+                factors[base] = factors.get(base, 0) + q
         for base in factors:
             gens.setdefault(base.sort_key(), 0)
         decomposed.append((coeff, factors))
@@ -429,7 +432,7 @@ def _term_order_key(parts: list[tuple[Fraction, Optional[Expr]]]):
     n = len(gen_index)
     keys = []
     for coeff, factors in decomposed:
-        monom = [Fraction(0)] * n
+        monom = [0] * n
         for base, q in factors.items():
             monom[gen_index[base.sort_key()]] = q
         keys.append((tuple(monom), coeff))
@@ -444,8 +447,8 @@ def add(*terms: Expr) -> Expr:
         else:
             flat.append(t)
     # merge like terms: map residual part -> coefficient sum
-    const = Fraction(0)
-    by_rest: dict[Expr, Fraction] = {}
+    const = 0
+    by_rest: dict[Expr, int | Fraction] = {}
     order: list[Expr] = []
     for t in flat:
         coeff, rest = _coeff_split(t)
@@ -453,10 +456,10 @@ def add(*terms: Expr) -> Expr:
             const += coeff
         else:
             if rest not in by_rest:
-                by_rest[rest] = Fraction(0)
+                by_rest[rest] = 0
                 order.append(rest)
             by_rest[rest] += coeff
-    parts: list[tuple[Fraction, Optional[Expr]]] = []
+    parts: list[tuple[int | Fraction, Optional[Expr]]] = []
     for rest in order:
         if by_rest[rest] != 0:
             parts.append((by_rest[rest], rest))
@@ -469,11 +472,11 @@ def add(*terms: Expr) -> Expr:
     rebuilt = []
     for coeff, rest in ordered:
         if rest is None:
-            rebuilt.append(num_from_fraction(coeff))
+            rebuilt.append(num_from_exact(coeff))
         elif coeff == 1:
             rebuilt.append(rest)
         else:
-            rebuilt.append(mul(num_from_fraction(coeff), rest))
+            rebuilt.append(mul(num_from_exact(coeff), rest))
     if len(rebuilt) == 1:
         return rebuilt[0]
     return Add(tuple(rebuilt))
@@ -486,17 +489,17 @@ def mul(*factors: Expr) -> Expr:
             flat.extend(f.factors)
         else:
             flat.append(f)
-    coeff = Fraction(1)
+    coeff = 1
     by_base: dict[Expr, list] = {}
     order: list[Expr] = []
     for f in flat:
-        q = as_fraction(f)
+        q = exact_value(f)
         if q is not None:
             coeff *= q
             continue
         base, e = _base_exp(f)
         if base not in by_base:
-            by_base[base] = [Fraction(0)]
+            by_base[base] = [0]
             order.append(base)
         by_base[base][0] += e
     if coeff == 0:
@@ -509,32 +512,32 @@ def mul(*factors: Expr) -> Expr:
         if e == 1:
             rebuilt.append(base)
         else:
-            p = pow_(base, num_from_fraction(e))
-            q = as_fraction(p)
+            p = pow_(base, num_from_exact(e))
+            q = exact_value(p)
             if q is not None:
                 coeff *= q
                 continue
             rebuilt.append(p)
     if any(type(p) is Mul for p in rebuilt):
         # exponent merging can resurface a product (e.g. (x y)^2 * (x y)^-1)
-        return mul(num_from_fraction(coeff), *rebuilt)
+        return mul(num_from_exact(coeff), *rebuilt)
     rebuilt.sort(key=Expr.sort_key)
     if not rebuilt:
-        return num_from_fraction(coeff)
+        return num_from_exact(coeff)
     if len(rebuilt) == 1 and coeff != 1 and type(rebuilt[0]) is Add:
         # a bare number times a sum distributes (2(x+y) -> 2x+2y), matching
         # the corpus; coefficients alongside other factors stay factored
-        c = num_from_fraction(coeff)
+        c = num_from_exact(coeff)
         return add(*(mul(c, t) for t in rebuilt[0].terms))
     if coeff != 1:
-        rebuilt.insert(0, num_from_fraction(coeff))
+        rebuilt.insert(0, num_from_exact(coeff))
     if len(rebuilt) == 1:
         return rebuilt[0]
     return Mul(tuple(rebuilt))
 
 
 def pow_(base: Expr, exp: Expr) -> Expr:
-    qb, qe = as_fraction(base), as_fraction(exp)
+    qb, qe = exact_value(base), exact_value(exp)
     if qe is not None:
         if qe == 0:
             return ONE
@@ -545,15 +548,16 @@ def pow_(base: Expr, exp: Expr) -> Expr:
                 raise ExprError("zero to a negative power")
             size = max(qb.numerator.bit_length(), qb.denominator.bit_length())
             if size <= 1 or size * abs(qe.numerator) <= MAX_FOLD_BITS:
-                return num_from_fraction(qb ** qe.numerator)
+                # a Fraction base, since an int to a negative power is a float
+                return num_from_exact(Fraction(qb) ** qe.numerator)
         if qb is not None and qb == 0 and qe > 0:
             return ZERO
         if qb is not None and qb == 1:
             return ONE
         if type(base) is Pow:
-            inner = as_fraction(base.exp)
+            inner = exact_value(base.exp)
             if inner is not None and qe.denominator == 1:
-                return pow_(base.base, num_from_fraction(inner * qe))
+                return pow_(base.base, num_from_exact(inner * qe))
         if type(base) is Mul and qe.denominator == 1:
             # integer powers distribute over products, so that 1/(x y) and
             # (1/x)(1/y) share one canonical (and printable) form

@@ -30,12 +30,11 @@ from .expr import (
     Symbol,
     add,
     applied,
-    as_fraction,
     derivative,
     div,
+    exact_value,
     func,
     integral,
-    is_number,
     mul,
     neg,
     pow_,
@@ -81,36 +80,24 @@ _SIMPLE_HEAD = re.compile(r"^[A-Za-z]$")
 
 def _is_simple_head(name: str) -> bool:
     # single ASCII letters and \command-decorated glyphs print bare;
-    # plain multi-character ASCII names get \operatorname
+    # every other name, a single non-ASCII letter too, gets \operatorname
     return bool(_SIMPLE_HEAD.match(name)) or name.startswith("\\")
-
-
-def _coeff_of(e: Expr) -> Fraction:
-    if is_number(e):
-        q = as_fraction(e)
-        assert q is not None
-        return q
-    if type(e) is Mul:
-        q = as_fraction(e.factors[0])
-        if q is not None:
-            return q
-    return Fraction(1)
 
 
 def _signed(e: Expr) -> tuple[bool, str]:
     """Render e as (is_negative, latex of |e|)."""
-    q = as_fraction(e)
+    q = exact_value(e)
     if q is not None:
         return q < 0, _number_str(abs(q))
     if type(e) is Mul:
-        coeff = _coeff_of(e)
-        if coeff < 0:
+        coeff = exact_value(e.factors[0])  # a product's number comes first
+        if coeff is not None and coeff < 0:
             return True, _mul_str(e, flip_sign=True)
         return False, _mul_str(e)
     return False, to_latex(e)
 
 
-def _number_str(q: Fraction) -> str:
+def _number_str(q: int | Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
@@ -124,16 +111,16 @@ def _mul_operand(f: Expr) -> str:
 
 
 def _mul_str(e: Mul, flip_sign: bool = False) -> str:
-    coeff = Fraction(1)
+    coeff = 1
     num_factors: list[Expr] = []
-    den_factors: list[tuple[Expr, Fraction]] = []
+    den_factors: list[tuple[Expr, int | Fraction]] = []
     for f in e.factors:
-        q = as_fraction(f)
+        q = exact_value(f)
         if q is not None:
             coeff *= q
             continue
         if type(f) is Pow:
-            fq = as_fraction(f.exp)
+            fq = exact_value(f.exp)
             if fq is not None and fq < 0:
                 den_factors.append((f.base, -fq))
                 continue
@@ -186,7 +173,7 @@ def _pow_base_str(base: Expr) -> str:
     return f"({to_latex(base)})"
 
 
-def _pow_str(base: Expr, exp_q: Fraction) -> str:
+def _pow_str(base: Expr, exp_q: int | Fraction) -> str:
     if exp_q == 1:
         return to_latex(base)
     return f"{_pow_base_str(base)}^{{{_number_str(exp_q)}}}"
@@ -223,7 +210,7 @@ def to_latex(e: Expr) -> str:
         negative, body = _signed(e)
         return f"- {body}" if negative else body
     if t is Pow:
-        q = as_fraction(e.exp)
+        q = exact_value(e.exp)
         if q is not None and q < 0:
             return f"\\frac{{1}}{{{_pow_str(e.base, -q)}}}"
         return f"{_pow_base_str(e.base)}^{{{to_latex(e.exp)}}}"

@@ -73,6 +73,15 @@ def _parents(payload: dict) -> tuple[int, ...]:
     return parents
 
 
+def _op(payload: dict) -> Optional[str]:
+    """A step's op, checked with its operand_latex: each is a string or null."""
+    op, operand = payload["op"], payload.get("operand_latex")
+    for name, value in (("op", op), ("operand_latex", operand)):
+        if value is not None and type(value) is not str:
+            raise RecordError(f"{name} must be a string or null: {value!r}")
+    return op
+
+
 def _steps(payload: dict) -> list:
     steps = payload["steps"]
     if type(steps) is not list:
@@ -81,7 +90,7 @@ def _steps(payload: dict) -> list:
 
 
 def step_from_json(payload: dict) -> Step:
-    op = payload["op"]
+    op = _op(payload)
     operand = None
     constants: tuple[Symbol, ...] = ()
     raw_operand = payload.get("operand_latex")
@@ -130,7 +139,7 @@ def op_tags_from_json(payload: dict) -> tuple[str, ...]:
     payload["id"]  # a missing field raises the KeyError the full conversion raises
     tags = []
     for step in _steps(payload):
-        op = step["op"]
+        op = _op(step)
         _parents(step)
         if type(step["latex"]) is not str:
             raise RecordError(f"latex must be a string: {step['latex']!r}")

@@ -230,9 +230,9 @@ def _file(path, text):
     return path
 
 
-def _stored(path, latex, parents=()):
+def _stored(path, latex, parents=(), **fields):
     step = {"latex": latex, "op": "premise", "parents": list(parents),
-            "operand_latex": None, "role": "premise"}
+            "operand_latex": None, "role": "premise", **fields}
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
 
 
@@ -259,6 +259,11 @@ BAD_INPUT_CASES = {
                                        _file(d / "in.jsonl", '{"id": "d0"}\n')], 3),
     "stats-non-integer-parents": (lambda d: ["stats", "--in", _stored(
         d / "in.jsonl", "x = y", parents=["0"])], 3),
+    "verify-eval-int-numeric-operand": (lambda d: ["verify", "--in", _stored(
+        d / "in.jsonl", "x = y", op="eval_int", operand_latex=5)], 3),
+    "stats-numeric-op": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", "x = y", op=5)], 3),
+    "verify-list-op": (lambda d: ["verify", "--in",
+                                  _stored(d / "in.jsonl", "x = y", op=["x"])], 3),
     "verify-zero-denominator": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",

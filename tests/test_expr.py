@@ -2,6 +2,7 @@
 algebraic laws the tree must satisfy."""
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -12,7 +13,9 @@ from derivekit.expr import (
     Mul,
     Equation,
     EvalError,
+    ExprError,
     Integer,
+    MAX_FOLD_BITS,
     Mul,
     Rational,
     Symbol,
@@ -85,6 +88,24 @@ def test_numeric_folding():
     assert mul(Integer(2), rational(1, 2)) == Integer(1)
     assert pow_(Integer(2), Integer(-2)) == rational(1, 4)
     assert pow_(Integer(2), Integer(3)) == Integer(8)
+
+
+def test_numeric_powers_fold_exactly():
+    # an int to a negative power is a float in Python; the fold must stay exact
+    assert pow_(Integer(2), Integer(-1)) == Rational(1, 2)
+    assert pow_(Integer(-2), Integer(-3)) == Rational(-1, 8)
+    assert pow_(rational(-2, 3), Integer(-2)) == Rational(9, 4)
+    with pytest.raises(ExprError, match="zero to a negative power"):
+        pow_(Integer(0), Integer(-1))
+
+
+def test_int_folds_past_the_bit_limit_raise():
+    big = Integer(2 ** (MAX_FOLD_BITS - 1))
+    for fold in (add, mul):
+        with pytest.raises(ExprError, match="bits"):
+            fold(big, big)
+    with pytest.raises(ExprError, match="bits"):
+        mul(big, Integer(2), x)
 
 
 def test_pow_conventions():
@@ -262,3 +283,88 @@ def test_substitute_non_symbol_for_derivative_variable_keeps_it():
     out = substitute(i, x, repl)
     assert out.var == x
     assert out.body == mul(repl, z)
+
+
+# ---------------------------------------------------------------------------
+# exact numbers: integers fold as int, true rationals as Fraction
+
+# a recipe is ("num", Fraction) | ("sym", name) | ("neg", r) | ("pow", r, k)
+# | (op, r, r) for op in add/mul/div; it builds an Expr and evaluates in Fraction
+_LEAVES = st.one_of(
+    st.integers(-6, 6).map(lambda n: ("num", Fraction(n))),
+    st.builds(lambda n, d: ("num", Fraction(n, d)), st.integers(-6, 6), st.integers(1, 6)),
+    st.sampled_from("xyz").map(lambda name: ("sym", name)),
+)
+_RECIPES = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(st.sampled_from(("add", "mul", "div")), inner, inner),
+    st.tuples(st.just("neg"), inner),
+    st.tuples(st.just("pow"), inner, st.integers(-3, 3)),
+), max_leaves=8)
+_BINARY = {"add": add, "mul": mul, "div": div}
+
+
+def _build(r):
+    kind = r[0]
+    if kind == "num":
+        return rational(r[1].numerator, r[1].denominator)
+    if kind == "sym":
+        return Symbol(r[1])
+    if kind == "neg":
+        return neg(_build(r[1]))
+    if kind == "pow":
+        return pow_(_build(r[1]), Integer(r[2]))
+    return _BINARY[kind](_build(r[1]), _build(r[2]))
+
+
+def _in_fractions(r, env):
+    kind = r[0]
+    if kind == "num":
+        return r[1]
+    if kind == "sym":
+        return env[r[1]]
+    if kind == "neg":
+        return -_in_fractions(r[1], env)
+    if kind == "pow":
+        return _in_fractions(r[1], env) ** r[2]
+    a, b = _in_fractions(r[1], env), _in_fractions(r[2], env)
+    return a + b if kind == "add" else a * b if kind == "mul" else a / b
+
+
+def _key_atoms(key):
+    for part in key:
+        if type(part) is tuple:
+            yield from _key_atoms(part)
+        else:
+            yield part
+
+
+def _assert_exact(e):
+    for node in e.subtrees():
+        if type(node) is Integer:
+            assert type(node.value) is int
+        elif type(node) is Rational:
+            assert type(node.num) is int and type(node.den) is int and node.den > 1
+        assert not any(type(a) is float for a in _key_atoms(node.sort_key()))
+    assert canonicalize(e) == e
+
+
+@given(_RECIPES, st.fixed_dictionaries({name: st.builds(
+    Fraction, st.integers(-5, 5), st.integers(1, 4)) for name in "xyz"}))
+@settings(max_examples=300, deadline=None)
+def test_folds_are_exact_and_canonical(recipe, env):
+    try:
+        e = _build(recipe)
+    except ExprError:
+        # only a division by a value that is zero everywhere fails to build
+        with pytest.raises(ZeroDivisionError):
+            _in_fractions(recipe, env)
+        return
+    _assert_exact(e)
+    try:
+        expected = _in_fractions(recipe, env)
+    except ZeroDivisionError:
+        return
+    for name, value in env.items():
+        e = substitute(e, Symbol(name), rational(value.numerator, value.denominator))
+    _assert_exact(e)
+    assert e == rational(expected.numerator, expected.denominator)

@@ -134,6 +134,19 @@ def test_syntax_error_carries_position():
         parse_latex(r"\frac{1}{2")
 
 
+def test_letters_are_any_alphabetic_character():
+    # docs/latex-grammar.md: a letter is any one character str.isalpha()
+    # accepts; each is its own token; other characters are errors
+    assert parse_latex("é") == Symbol("é")
+    assert parse_latex("λ x") == mul(Symbol("λ"), x)
+    assert parse_latex("ab") == mul(Symbol("a"), Symbol("b"))
+    assert to_latex(applied("é", [x])) == r"\operatorname{é}{(x)}"
+    assert parse_latex(r"\operatorname{é}{(x)}") == applied("é", [x])
+    for text in ("²", "x €"):
+        with pytest.raises(LatexParseError, match="unexpected character"):
+            parse_latex(text)
+
+
 def test_constructor_errors_become_parse_errors():
     # the position is that of the token closing the rejected construct
     for text, pos in ((r"x = \frac{1}{0}", 14), ("x = 0^{-1}", 9)):
