@@ -26,7 +26,6 @@ from .expr import (
     Rational,
     Symbol,
     add,
-    canonicalize,
     derivative,
     div,
     exact_value,
@@ -65,7 +64,7 @@ def _depends_on(e: Expr, v: Symbol) -> bool:
 def differentiate(e: Expr, v: Symbol) -> Expr:
     """Symbolic derivative de/dv, canonical. Unknown function applications
     become Derivative nodes; derivatives of unrelated variables vanish."""
-    return canonicalize(_diff(e, v))
+    return _diff(e, v)
 
 
 def _diff(e: Expr, v: Symbol) -> Expr:
@@ -203,8 +202,6 @@ def _term(e: Expr, v: Symbol) -> Optional[Expr]:
         if const_parts and len(var_parts) <= 1:
             rest = var_parts[0] if var_parts else ONE
             inner = _atom(rest, v)
-            if inner is None and rest == ONE:
-                inner = v
             if inner is not None:
                 return mul(*const_parts, inner)
     return None

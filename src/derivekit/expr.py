@@ -3,8 +3,8 @@
 Every constructor function (``add``, ``mul``, ``pow_``, ...) returns a
 canonical tree: sums and products are flattened, numeric parts folded into
 exact rationals, like terms and like factors merged, and operands stored in
-a fixed total structural order. ``canonicalize`` therefore just rebuilds a
-tree bottom-up through the constructors and is idempotent by construction.
+a fixed total structural order. A tree built only through the constructors
+is canonical, so no separate canonicalization pass is ever needed.
 A folded number is an ``int``, or a ``Fraction`` only when it is not
 integral; the two mix exactly and compare and hash alike.
 
@@ -14,7 +14,6 @@ evaluated by the calculus module.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -36,10 +35,6 @@ class ExprError(Exception):
     """Base error for expression operations."""
 
 
-class EvalError(ExprError):
-    """Numeric evaluation failed (unbound name, domain error, opaque node)."""
-
-
 class Expr:
     """Base class for all expression nodes. Instances are immutable."""
 
@@ -52,7 +47,7 @@ class Expr:
         key = self._key
         if key is None:
             key = self._make_key()
-            object.__setattr__(self, "_key", key)
+            self._key = key
         return key
 
     def _make_key(self) -> tuple:  # pragma: no cover - overridden
@@ -82,9 +77,9 @@ class Integer(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        object.__setattr__(self, "value", int(value))
-        object.__setattr__(self, "_hash", hash(("i", self.value)))
-        object.__setattr__(self, "_key", None)
+        self.value = int(value)
+        self._hash = hash(("i", self.value))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, self.value)
@@ -101,10 +96,10 @@ class Rational(Expr):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash(("r", num, den)))
-        object.__setattr__(self, "_key", None)
+        self.num = num
+        self.den = den
+        self._hash = hash(("r", num, den))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, Fraction(self.num, self.den))
@@ -119,9 +114,9 @@ class Symbol(Expr):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("s", name)))
-        object.__setattr__(self, "_key", None)
+        self.name = name
+        self._hash = hash(("s", name))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_SYMBOL, self.name)
@@ -136,9 +131,9 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[Expr, ...]):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(("+",) + tuple(map(hash, terms))))
-        object.__setattr__(self, "_key", None)
+        self.terms = terms
+        self._hash = hash(("+",) + tuple(map(hash, terms)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_ADD,) + tuple(t.sort_key() for t in self.terms)
@@ -156,9 +151,9 @@ class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors: tuple[Expr, ...]):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(("*",) + tuple(map(hash, factors))))
-        object.__setattr__(self, "_key", None)
+        self.factors = factors
+        self._hash = hash(("*",) + tuple(map(hash, factors)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_MUL,) + tuple(f.sort_key() for f in self.factors)
@@ -176,10 +171,10 @@ class Pow(Expr):
     __slots__ = ("base", "exp")
 
     def __init__(self, base: Expr, exp: Expr):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exp", exp)
-        object.__setattr__(self, "_hash", hash(("^", hash(base), hash(exp))))
-        object.__setattr__(self, "_key", None)
+        self.base = base
+        self.exp = exp
+        self._hash = hash(("^", hash(base), hash(exp)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_POW, self.base.sort_key(), self.exp.sort_key())
@@ -199,10 +194,10 @@ class Func(Expr):
     __slots__ = ("kind", "arg")
 
     def __init__(self, kind: str, arg: Expr):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash(("f", kind, hash(arg))))
-        object.__setattr__(self, "_key", None)
+        self.kind = kind
+        self.arg = arg
+        self._hash = hash(("f", kind, hash(arg)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_FUNC, self.kind, self.arg.sort_key())
@@ -222,10 +217,10 @@ class AppliedFunction(Expr):
     __slots__ = ("name", "args")
 
     def __init__(self, name: str, args: tuple[Expr, ...]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(("a", name) + tuple(map(hash, args))))
-        object.__setattr__(self, "_key", None)
+        self.name = name
+        self.args = args
+        self._hash = hash(("a", name) + tuple(map(hash, args)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_APPLIED, self.name) + tuple(a.sort_key() for a in self.args)
@@ -249,11 +244,11 @@ class Derivative(Expr):
     __slots__ = ("body", "var", "order")
 
     def __init__(self, body: Expr, var: Symbol, order: int):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_hash", hash(("d", hash(body), hash(var), order)))
-        object.__setattr__(self, "_key", None)
+        self.body = body
+        self.var = var
+        self.order = order
+        self._hash = hash(("d", hash(body), hash(var), order))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_DERIVATIVE, self.var.sort_key(), self.order, self.body.sort_key())
@@ -280,10 +275,10 @@ class Integral(Expr):
     __slots__ = ("body", "var")
 
     def __init__(self, body: Expr, var: Symbol):
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "_hash", hash(("I", hash(body), hash(var))))
-        object.__setattr__(self, "_key", None)
+        self.body = body
+        self.var = var
+        self._hash = hash(("I", hash(body), hash(var)))
+        self._key = None
 
     def _make_key(self) -> tuple:
         return (_R_INTEGRAL, self.var.sort_key(), self.body.sort_key())
@@ -307,10 +302,10 @@ class Equation:
     __slots__ = ("lhs", "rhs", "_hash", "_latex")
 
     def __init__(self, lhs: Expr, rhs: Expr):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "_hash", hash(("eq", hash(lhs), hash(rhs))))
-        object.__setattr__(self, "_latex", None)
+        self.lhs = lhs
+        self.rhs = rhs
+        self._hash = hash(("eq", hash(lhs), hash(rhs)))
+        self._latex = None
 
     def __eq__(self, other) -> bool:
         return type(other) is Equation and other.lhs == self.lhs and other.rhs == self.rhs
@@ -353,12 +348,6 @@ def num_from_exact(q: int | Fraction) -> Number:
     return Rational(num, den)
 
 
-def rational(num: int, den: int) -> Number:
-    if den == 0:
-        raise ExprError("zero denominator")
-    return num_from_exact(Fraction(num, den))
-
-
 def exact_value(e: Expr) -> int | Fraction | None:
     """An Integer's int, a Rational's Fraction, None for any other node."""
     if type(e) is Integer:
@@ -392,8 +381,6 @@ def _coeff_split(term: Expr) -> tuple[int | Fraction, Optional[Expr]]:
                 coeff *= q
             else:
                 rest.append(f)
-        if not rest:
-            return coeff, None
         if len(rest) == 1:
             return coeff, rest[0]
         return coeff, Mul(tuple(rest))
@@ -509,15 +496,14 @@ def mul(*factors: Expr) -> Expr:
         e = by_base[base][0]
         if e == 0:
             continue
-        if e == 1:
-            rebuilt.append(base)
-        else:
-            p = pow_(base, num_from_exact(e))
-            q = exact_value(p)
-            if q is not None:
-                coeff *= q
-                continue
-            rebuilt.append(p)
+        p = base if e == 1 else pow_(base, num_from_exact(e))
+        q = exact_value(p)
+        if q is not None:
+            # a numeric base folds once its exponents sum to an integer
+            # (2^{1/2} 2^{1/2} -> 2)
+            coeff *= q
+            continue
+        rebuilt.append(p)
     if any(type(p) is Mul for p in rebuilt):
         # exponent merging can resurface a product (e.g. (x y)^2 * (x y)^-1)
         return mul(num_from_exact(coeff), *rebuilt)
@@ -654,17 +640,6 @@ def rebuild(e: Expr, kids: Sequence[Expr], raw: bool = False) -> Expr:
     return e if build is None else build(e, kids)
 
 
-def canonicalize(e: Expr) -> Expr:
-    """Rebuild a tree bottom-up through the canonical constructors."""
-    if type(e) is Rational:
-        return rational(e.num, e.den)
-    return rebuild(e, [canonicalize(x) for x in e.children()])
-
-
-def canonicalize_equation(eq: Equation) -> Equation:
-    return Equation(canonicalize(eq.lhs), canonicalize(eq.rhs))
-
-
 def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     """Replace every complete-subtree occurrence of target, then canonicalize.
 
@@ -717,52 +692,3 @@ def symbol_nodes(e: Expr) -> tuple[Symbol, ...]:
 
 def equation_free_symbols(eq: Equation) -> tuple[str, ...]:
     return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
-
-
-def eval_numeric(e: Expr, bindings: dict[str, float]) -> float:
-    """Evaluate to an IEEE double. AppliedFunction names evaluate via bindings."""
-    t = type(e)
-    if t is Integer:
-        return float(e.value)
-    if t is Rational:
-        return e.num / e.den
-    if t is Symbol:
-        if e.name not in bindings:
-            raise EvalError(f"unbound symbol: {e.name}")
-        return float(bindings[e.name])
-    if t is AppliedFunction:
-        if e.name not in bindings:
-            raise EvalError(f"unbound function name: {e.name}")
-        return float(bindings[e.name])
-    if t is Add:
-        return sum(eval_numeric(x, bindings) for x in e.terms)
-    if t is Mul:
-        out = 1.0
-        for x in e.factors:
-            out *= eval_numeric(x, bindings)
-        return out
-    if t is Pow:
-        b = eval_numeric(e.base, bindings)
-        p = eval_numeric(e.exp, bindings)
-        try:
-            out = b ** p
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"power domain error: {b} ** {p}") from exc
-        if isinstance(out, complex):
-            raise EvalError(f"power domain error: {b} ** {p}")
-        return out
-    if t is Func:
-        x = eval_numeric(e.arg, bindings)
-        if e.kind == "sin":
-            return math.sin(x)
-        if e.kind == "cos":
-            return math.cos(x)
-        if e.kind == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError as exc:
-                raise EvalError("exp overflow") from exc
-        if x <= 0:
-            raise EvalError(f"log of non-positive value {x}")
-        return math.log(x)
-    raise EvalError(f"cannot evaluate {type(e).__name__} node numerically")

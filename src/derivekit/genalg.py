@@ -194,8 +194,6 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
     arity = rng.choices((0, 1, 2), weights=(cfg.p_arity_0, cfg.p_arity_1, cfg.p_arity_2))[0]
     if arity == 0:
         return NEW_PREMISE
-    if flags.n_steps < 1:
-        return None
     if arity == 1:
         group = rng.choices(
             ("evaluate", "int_or_diff", "renaming", "arith", "ext"),

@@ -240,7 +240,7 @@ def equation_to_latex(eq: Equation) -> str:
     text = eq._latex
     if text is None:
         text = f"{to_latex(eq.lhs)} = {to_latex(eq.rhs)}"
-        object.__setattr__(eq, "_latex", text)
+        eq._latex = text
     return text
 
 

@@ -111,14 +111,12 @@ def _gleu(c: int, r: int, hits: list[int], max_n: int) -> float:
     matched = sum(hits[1 : max_n + 1])
     total_c = sum(_total(c, n) for n in range(1, max_n + 1))
     total_r = sum(_total(r, n) for n in range(1, max_n + 1))
-    if total_c == 0 or total_r == 0:
-        return 0.0
     return min(matched / total_c, matched / total_r)
 
 
-def _check_order(order: int) -> int:
+def _check_order(order: int, what: str = "ROUGE order") -> int:
     if order < 1:
-        raise MetricError(f"ROUGE order must be >= 1, got {order}")
+        raise MetricError(f"{what} must be >= 1, got {order}")
     return order
 
 
@@ -149,12 +147,12 @@ def rouge_l(candidate: str, reference: str) -> float:
 def bleu(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> float:
     """BLEU with uniform weights over 1..max_n and the brevity penalty;
     orders with zero matches take add-one smoothing."""
-    return _bleu(*_pair(candidate, reference, max_n), max_n)
+    return _bleu(*_pair(candidate, reference, _check_order(max_n, "max_n")), max_n)
 
 
 def gleu(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> float:
     """GLEU: min(precision, recall) over n-grams pooled across 1..max_n."""
-    return _gleu(*_pair(candidate, reference, max_n), max_n)
+    return _gleu(*_pair(candidate, reference, _check_order(max_n, "max_n")), max_n)
 
 
 def score_all(candidate: str, reference: str, rouge_order="2") -> dict[str, float]:

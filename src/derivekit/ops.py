@@ -19,7 +19,6 @@ from .expr import (
     contains,
     Equation,
     Expr,
-    Integer,
     Symbol,
     add,
     applied,
@@ -32,11 +31,10 @@ from .expr import (
     mul,
     neg,
     pow_,
+    sub,
     substitute,
     symbol_nodes,
 )
-
-MINUS_ONE = Integer(-1)
 
 
 class OpError(Exception):
@@ -144,17 +142,8 @@ class Derivation:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self):
-        return iter(self.steps)
-
     def equations(self) -> tuple[Equation, ...]:
         return tuple(s.equation for s in self.steps)
-
-    def goal(self) -> Step:
-        return self.steps[-1]
-
-    def premises(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.steps) if s.role == ROLE_PREMISE)
 
     def intermediates(self) -> tuple[int, ...]:
         return tuple(
@@ -172,7 +161,7 @@ class ValidityReport:
 
 def apply(
     op: str,
-    derivation: Sequence[Step] | Derivation,
+    steps: Sequence[Step],
     parents: tuple[int, ...],
     operand: Optional[Expr] = None,
     fresh_name: Optional[str] = None,
@@ -185,7 +174,6 @@ def apply(
     explicitly and eval_int either reuses the given constants (replay) or
     draws them in order from constant_pool (generation).
     """
-    steps = derivation.steps if isinstance(derivation, Derivation) else tuple(derivation)
     info = REGISTRY.get(op)
     if info is None:
         raise OpError(f"unknown op {op!r}")
@@ -207,9 +195,25 @@ def apply(
         raise InapplicableOp(str(exc)) from exc
 
 
+# ops that run one function on both sides: side(expr, operand); the operand
+# is None for the ops that take none
+_BOTH_SIDES = {
+    ADD: add,
+    SUB: sub,
+    MUL: mul,
+    DIV: div,
+    POW: pow_,
+    DIFF: derivative,
+    INT: integral,
+    NEGATE: lambda e, _: neg(e),
+    EXP_BOTH: lambda e, _: func("exp", e),
+    LOG_BOTH: lambda e, _: func("log", e),
+}
+
+
 def _apply_dispatch(
     op: str,
-    steps: tuple[Step, ...],
+    steps: Sequence[Step],
     parents: tuple[int, ...],
     eqs: list[Equation],
     operand: Optional[Expr],
@@ -218,33 +222,14 @@ def _apply_dispatch(
     constant_pool: Iterable[str],
 ) -> Step:
 
-    if op in (ADD, SUB, MUL, DIV, POW):
-        lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        assert operand is not None
-        if op == ADD:
-            return Step(Equation(add(lhs, operand), add(rhs, operand)), op, parents, operand)
-        if op == SUB:
-            return Step(
-                Equation(add(lhs, neg(operand)), add(rhs, neg(operand))), op, parents, operand
-            )
-        if op == MUL:
-            return Step(Equation(mul(lhs, operand), mul(rhs, operand)), op, parents, operand)
-        if op == DIV:
-            if is_zero(operand):
-                raise InapplicableOp("division by syntactic zero")
-            return Step(Equation(div(lhs, operand), div(rhs, operand)), op, parents, operand)
-        return Step(Equation(pow_(lhs, operand), pow_(rhs, operand)), op, parents, operand)
-
-    if op in (DIFF, INT):
-        assert operand is not None
-        if not isinstance(operand, Symbol):
+    side = _BOTH_SIDES.get(op)
+    if side is not None:
+        if op == DIV and is_zero(operand):
+            raise InapplicableOp("division by syntactic zero")
+        if op in (DIFF, INT) and not isinstance(operand, Symbol):
             raise InapplicableOp(f"{op} operand must be a variable symbol")
         lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        if op == DIFF:
-            eq = Equation(derivative(lhs, operand), derivative(rhs, operand))
-        else:
-            eq = Equation(integral(lhs, operand), integral(rhs, operand))
-        return Step(eq, op, parents, operand)
+        return Step(Equation(side(lhs, operand), side(rhs, operand)), op, parents, operand)
 
     if op == EVAL_DIFF:
         try:
@@ -306,17 +291,8 @@ def _apply_dispatch(
         eq = Equation(applied(fresh_name, args), operand)
         return Step(eq, op, parents, operand)
 
-    if op == NEGATE:
-        lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        return Step(Equation(neg(lhs), neg(rhs)), op, parents)
     if op == SWAP:
         return Step(eqs[0].swapped(), op, parents)
-    if op == EXP_BOTH:
-        lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        return Step(Equation(func("exp", lhs), func("exp", rhs)), op, parents)
-    if op == LOG_BOTH:
-        lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        return Step(Equation(func("log", lhs), func("log", rhs)), op, parents)
     if op == ADD_EQ:
         a, b = eqs
         if parents[0] == parents[1]:
@@ -349,9 +325,8 @@ def subexpression_pool(eq: Equation) -> tuple[Expr, ...]:
     return tuple(seen)
 
 
-def sample_operand(derivation: Derivation | Sequence[Step], rng, p_history: float) -> Expr:
+def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:
     """Draw a symbol or sub-expression from the chain with recency bias."""
-    steps = derivation.steps if isinstance(derivation, Derivation) else tuple(derivation)
     if not steps:
         raise OpError("cannot sample an operand from an empty derivation")
     weights = step_weights(len(steps), p_history)

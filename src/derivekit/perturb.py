@@ -143,8 +143,6 @@ def _sample_goal_step(state: _GenState, target: int) -> Optional[Step]:
     action = choices[rng.randrange(len(choices))]
     if action in (ops.SUB_LHS, ops.SUB_RHS):
         return apply_action(state, action, (rng.randrange(target), target))
-    if action == ops.EVAL_INT and (target,) in state.eval_int_parents:
-        return None
     return apply_action(state, action, (target,))
 
 
@@ -160,4 +158,4 @@ def remove_steps(record: PromptRecord) -> Optional[PromptRecord]:
     if "then derive" not in record.prompt:
         return None
     stripped = _THEN_DERIVE_CLAUSE.sub("", record.prompt)
-    return replace(record, prompt=stripped, intermediates=(), perturbation=SR)
+    return replace(record, prompt=stripped, perturbation=SR)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Optional, Sequence
 
-from .latex import equation_to_latex, parse_equation
+from .latex import equation_to_latex
 from .ops import RENAME_FAMILY, Derivation
 from .records import PromptRecord
 
@@ -75,14 +75,11 @@ def build_prompt(
 ) -> PromptRecord:
     if not len(derivation):
         raise RoleMissing("empty derivation has no goal")
-    premises = prompt_premise_indices(derivation)
-    if not premises:
-        raise RoleMissing("derivation has no premise")
-    intermediates = derivation.intermediates()
-    goal = len(derivation) - 1
     eqs = [equation_to_latex(s.equation) for s in derivation.steps]
     prompt = render_prompt_text(
-        [eqs[i] for i in premises], [eqs[i] for i in intermediates], eqs[goal]
+        [eqs[i] for i in prompt_premise_indices(derivation)],
+        [eqs[i] for i in derivation.intermediates()],
+        eqs[-1],
     )
     return PromptRecord(
         id=record_id,
@@ -90,19 +87,7 @@ def build_prompt(
         perturbation=perturbation,
         prompt=prompt,
         target=build_target(derivation),
-        premises=premises,
-        intermediates=intermediates,
-        goal=goal,
     )
-
-
-def parse_prompt_equations(prompt: str) -> list:
-    """Parse every $-delimited equation in a prompt back to Equation values."""
-    out = []
-    chunks = prompt.split("$")
-    for i in range(1, len(chunks), 2):
-        out.append(parse_equation(chunks[i]))
-    return out
 
 
 def qualifies_for_fewshot(record: PromptRecord) -> bool:

@@ -45,9 +45,6 @@ class PromptRecord:
     perturbation: Optional[str]
     prompt: str
     target: str
-    premises: tuple[int, ...] = ()
-    intermediates: tuple[int, ...] = ()
-    goal: int = -1
 
 
 def step_to_json(step: Step) -> dict:
@@ -205,11 +202,6 @@ def _numbered_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(row, dict):
                 raise RecordError(f"{path}:{lineno}: row is not a JSON object")
             yield lineno, row
-
-
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    for _, row in _numbered_rows(path):
-        yield row
 
 
 # what a row that does not fit its format raises while it is converted

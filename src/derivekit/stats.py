@@ -76,15 +76,3 @@ def build_stats(op_tags: Iterable[Sequence[str]], top_per_length: int = 2) -> di
 def relative_frequency(p_chain: float, permutations: int) -> float:
     """Table-2 arithmetic: P(chain) x distinct-chain count."""
     return p_chain * permutations
-
-
-def mode_length(stats: dict) -> int:
-    hist = stats["length_hist"]
-    return int(max(hist, key=lambda k: hist[k]["count"]))
-
-
-def top_chain(stats: dict, length: int) -> tuple[str, ...]:
-    for entry in stats["chains"]:
-        if entry["length"] == length and entry["top_chains"]:
-            return tuple(entry["top_chains"][0]["ops"])
-    return ()

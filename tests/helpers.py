@@ -1,24 +1,31 @@
 """Shared test support: the prompt-example derivation, ground-truth
-derivation transcripts, replay-by-search annotation, a complex-valued
-expression evaluator for the complex-step derivative oracle, a
-character-by-character LaTeX tokenizer that the parser's scanner is checked
-against, and the op tags that `stats` reads."""
+derivation transcripts, replay-by-search annotation, the canonicalization
+oracle, real- and complex-valued expression evaluators (the latter for the
+complex-step derivative oracle), a character-by-character LaTeX tokenizer
+that the parser's scanner is checked against, the op tags that `stats`
+reads, and readers of command outputs (JSONL rows, prompt equations, the
+mode length and top chain of a `stats` report)."""
 from __future__ import annotations
 
 import cmath
+import math
 import re
+from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
+from typing import Iterator
 
 from derivekit import ops
 from derivekit.expr import (
     Add,
     AppliedFunction,
     Equation,
-    EvalError,
     Expr,
+    ExprError,
     Func,
     Integer,
     Mul,
+    Number,
     Pow,
     Rational,
     Symbol,
@@ -29,11 +36,38 @@ from derivekit.expr import (
     equation_free_symbols,
     func,
     neg,
+    num_from_exact,
+    rebuild,
     sub,
 )
 from derivekit.genalg import extract_derivation
 from derivekit.latex import _PUNCT, LatexParseError, parse_equation
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
+from derivekit.records import _numbered_rows
+
+
+class EvalError(ExprError):
+    """Numeric evaluation failed (unbound name, domain error, opaque node)."""
+
+
+# ---------------------------------------------------------------------------
+# canonicalization oracle: every constructor output must be a fixed point
+
+def rational(num: int, den: int) -> Number:
+    if den == 0:
+        raise ExprError("zero denominator")
+    return num_from_exact(Fraction(num, den))
+
+
+def canonicalize(e: Expr) -> Expr:
+    """Rebuild a tree bottom-up through the canonical constructors."""
+    if type(e) is Rational:
+        return rational(e.num, e.den)
+    return rebuild(e, [canonicalize(x) for x in e.children()])
+
+
+def canonicalize_equation(eq: Equation) -> Equation:
+    return Equation(canonicalize(eq.lhs), canonicalize(eq.rhs))
 
 
 def prompt_example_derivation() -> Derivation:
@@ -157,11 +191,60 @@ def parse_derivation(lines: list[str]) -> list[Equation]:
 
 
 # ---------------------------------------------------------------------------
-# complex-valued evaluation
+# real- and complex-valued evaluation
+
+def eval_numeric(e: Expr, bindings: dict[str, float]) -> float:
+    """Evaluate to an IEEE double. AppliedFunction names evaluate via bindings."""
+    t = type(e)
+    if t is Integer:
+        return float(e.value)
+    if t is Rational:
+        return e.num / e.den
+    if t is Symbol:
+        if e.name not in bindings:
+            raise EvalError(f"unbound symbol: {e.name}")
+        return float(bindings[e.name])
+    if t is AppliedFunction:
+        if e.name not in bindings:
+            raise EvalError(f"unbound function name: {e.name}")
+        return float(bindings[e.name])
+    if t is Add:
+        return sum(eval_numeric(x, bindings) for x in e.terms)
+    if t is Mul:
+        out = 1.0
+        for x in e.factors:
+            out *= eval_numeric(x, bindings)
+        return out
+    if t is Pow:
+        b = eval_numeric(e.base, bindings)
+        p = eval_numeric(e.exp, bindings)
+        try:
+            out = b ** p
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power domain error: {b} ** {p}") from exc
+        if isinstance(out, complex):
+            raise EvalError(f"power domain error: {b} ** {p}")
+        return out
+    if t is Func:
+        x = eval_numeric(e.arg, bindings)
+        if e.kind == "sin":
+            return math.sin(x)
+        if e.kind == "cos":
+            return math.cos(x)
+        if e.kind == "exp":
+            try:
+                return math.exp(x)
+            except OverflowError as exc:
+                raise EvalError("exp overflow") from exc
+        if x <= 0:
+            raise EvalError(f"log of non-positive value {x}")
+        return math.log(x)
+    raise EvalError(f"cannot evaluate {type(e).__name__} node numerically")
+
 
 
 def eval_complex(e: Expr, bindings: dict[str, complex]) -> complex:
-    """Evaluate like expr.eval_numeric, but over complex numbers.
+    """Evaluate like eval_numeric, but over complex numbers.
 
     Raises EvalError where eval_numeric does at the real parts (an unbound
     name, a zero base to a negative power, a non-positive base to a
@@ -245,4 +328,33 @@ def tokenize(s: str) -> list[tuple[str, str, int]]:
 
 def op_tags(records) -> list[tuple[str, ...]]:
     """Each record's step op tags, the input stats.build_stats takes."""
-    return [tuple(s.op_tag() for s in r.derivation) for r in records]
+    return [tuple(s.op_tag() for s in r.derivation.steps) for r in records]
+
+
+# ---------------------------------------------------------------------------
+# readers of command outputs
+
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    for _, row in _numbered_rows(path):
+        yield row
+
+
+def parse_prompt_equations(prompt: str) -> list:
+    """Parse every $-delimited equation in a prompt back to Equation values."""
+    out = []
+    chunks = prompt.split("$")
+    for i in range(1, len(chunks), 2):
+        out.append(parse_equation(chunks[i]))
+    return out
+
+
+def mode_length(stats: dict) -> int:
+    hist = stats["length_hist"]
+    return int(max(hist, key=lambda k: hist[k]["count"]))
+
+
+def top_chain(stats: dict, length: int) -> tuple[str, ...]:
+    for entry in stats["chains"]:
+        if entry["length"] == length and entry["top_chains"]:
+            return tuple(entry["top_chains"][0]["ops"])
+    return ()

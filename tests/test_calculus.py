@@ -16,14 +16,12 @@ from derivekit.calculus import (
 )
 from derivekit.expr import (
     Equation,
-    EvalError,
     Integer,
     Symbol,
     add,
     applied,
     derivative,
     div,
-    eval_numeric,
     func,
     integral,
     mul,
@@ -31,7 +29,7 @@ from derivekit.expr import (
     pow_,
 )
 from derivekit.latex import equation_to_latex, to_latex
-from helpers import eval_complex
+from helpers import EvalError, eval_complex, eval_numeric
 from test_expr import random_expr
 
 x, y = Symbol("x"), Symbol("y")

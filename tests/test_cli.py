@@ -7,17 +7,20 @@ from http.server import HTTPServer
 
 import pytest
 
-from derivekit import cli, latex, records
+from derivekit import cli, latex, ops, records
 from derivekit.cli import main
+from derivekit.expr import Symbol
+from derivekit.latex import parse_equation
+from derivekit.ops import ROLE_PREMISE, Derivation, Step
 from derivekit.records import (
+    DerivationRecord,
     derivation_record_to_json,
     load_derivation_records,
     load_prompt_records,
-    read_jsonl,
     write_jsonl,
 )
 from derivekit.stats import build_stats
-from helpers import op_tags
+from helpers import op_tags, read_jsonl
 from test_client import MockChatHandler
 
 
@@ -73,6 +76,24 @@ def test_verify_flags_corruption(workdir, tmp_path):
     payload = json.loads(report.read_text())
     assert payload["invalid"] == 1
     assert payload["failures"][0]["id"] == rows[0]["id"]
+
+
+def test_verify_reports_incoherent_and_duplicate_records(tmp_path):
+    # both replay step by step, so only the derivation-level checks catch them
+    steps = [Step(parse_equation(r"q{(a)} = e^{a}"), None, role=ROLE_PREMISE),
+             Step(parse_equation(r"W{(x)} = x"), None, role=ROLE_PREMISE)]
+    orphan = steps + [ops.apply(ops.DIFF, steps, (0,), Symbol("a"))]
+    swapped = steps[:1] + [ops.apply(ops.SWAP, steps, (0,))]
+    duplicate = swapped + [ops.apply(ops.SWAP, swapped, (1,))]
+    infile, report = tmp_path / "in.jsonl", tmp_path / "report.json"
+    write_jsonl(infile, (
+        derivation_record_to_json(DerivationRecord(name, 0, Derivation(tuple(s))))
+        for name, s in (("orphan", orphan), ("duplicate", duplicate))))
+    assert run(["verify", "--in", infile, "--report", report]) == 1
+    assert json.loads(report.read_text())["failures"] == [
+        {"id": "orphan", "problems": ["not DAG-coherent"]},
+        {"id": "duplicate", "problems": ["duplicate equations or integral evaluations"]},
+    ]
 
 
 @pytest.mark.parametrize("kind", ["vr", "ee", "ag", "sr"])
@@ -220,6 +241,25 @@ def test_score_with_explicit_pairs(workdir, tmp_path):
     assert payload["aggregates"]["n"] == 2
 
 
+def test_score_with_bleurt_scores(tmp_path):
+    # external BLEURT scores join the report and the feature rows by key
+    refs = [{"id": "s1", "static_id": "s1", "perturbation": p, "prompt": "", "target": t}
+            for p, t in ((None, "x y z"), ("VR", "x y q"))]
+    preds = [{"id": "s1", "perturbation": p, "completion": "x y z"} for p in (None, "VR")]
+    bleurt = [{"id": "s1", "perturbation": None, "score": 0.25},
+              {"id": "s1", "static_id": "s1", "perturbation": "VR", "score": "0.75"}]
+    for name, rows in (("refs", refs), ("preds", preds), ("bleurt", bleurt)):
+        write_jsonl(tmp_path / f"{name}.jsonl", rows)
+    report, features = tmp_path / "rep.json", tmp_path / "features.csv"
+    assert run(["score", "--pred", tmp_path / "preds.jsonl", "--ref", tmp_path / "refs.jsonl",
+                "--bleurt", tmp_path / "bleurt.jsonl", "--out", report,
+                "--features-out", features]) == 0
+    rows = json.loads(report.read_text())["rows"]
+    assert [(r["perturbation"], r["external_bleurt"]) for r in rows] == [(None, 0.25), ("VR", 0.75)]
+    static = features.read_text().splitlines()[1].split(",")
+    assert (static[4], static[8]) == ("0.25", "1.0")
+
+
 BAD_JSONL = '{"id": "d0", "steps": [\n'
 PROMPT_ROW = {"id": "d0", "static_id": "d0", "perturbation": None,
               "prompt": "Given $x = y$, then obtain $y = x$", "target": "x = y and y = x"}
@@ -234,6 +274,12 @@ def _stored(path, latex, parents=(), **fields):
     step = {"latex": latex, "op": "premise", "parents": list(parents),
             "operand_latex": None, "role": "premise", **fields}
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
+
+
+def _with_vocabulary(d, *entries):
+    symbols = [{"name": name, "kind": kind} for name, kind in entries]
+    return ["generate", "--count", 1, "--out", d / "o.jsonl", "--vocabulary",
+            _file(d / "v.json", json.dumps({"symbols": symbols}))]
 
 
 def _generate_with(path, **fields):
@@ -264,6 +310,11 @@ BAD_INPUT_CASES = {
     "stats-numeric-op": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", "x = y", op=5)], 3),
     "verify-list-op": (lambda d: ["verify", "--in",
                                   _stored(d / "in.jsonl", "x = y", op=["x"])], 3),
+    "verify-steps-not-a-list": (lambda d: ["verify", "--in", _file(
+        d / "in.jsonl", '{"id": "d0", "seed": 0, "steps": {}}\n')], 3),
+    "verify-row-not-an-object": (lambda d: ["verify", "--in",
+                                            _file(d / "in.jsonl", "[1, 2]\n")], 3),
+    "stats-numeric-latex": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", 5)], 3),
     "verify-zero-denominator": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",
@@ -289,6 +340,12 @@ BAD_INPUT_CASES = {
     "vocabulary-non-string-name": (lambda d: [
         "generate", "--count", 1, "--out", d / "o.jsonl", "--vocabulary",
         _file(d / "v.json", '{"symbols": [{"name": 5, "kind": "variable"}]}')], 2),
+    "vocabulary-unknown-kind": (lambda d: _with_vocabulary(d, ("x", "planet")), 2),
+    "vocabulary-duplicate-name": (lambda d: _with_vocabulary(
+        d, ("x", "variable"), ("x", "constant")), 2),
+    "vocabulary-reserved-name": (lambda d: _with_vocabulary(d, ("e", "constant")), 2),
+    "vocabulary-comma-in-name": (lambda d: _with_vocabulary(d, ("a,b", "variable")), 2),
+    "vocabulary-greek-pool-name": (lambda d: _with_vocabulary(d, ("\\alpha", "variable")), 2),
     "fewshot-without-train": (lambda d: ["prompt", "--mode", "fewshot", "--in",
                                          _file(d / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
                                          "--out", d / "o.jsonl"], 2),
@@ -300,6 +357,8 @@ BAD_INPUT_CASES = {
     "config-bad-json": (lambda d: ["generate", "--count", 1, "--config",
                                    _file(d / "cfg.json", "{"), "--out", d / "o.jsonl"], 2),
     "config-wrong-type": (lambda d: _generate_with(d / "cfg.json", p_subs="x"), 2),
+    "config-not-an-object": (lambda d: ["generate", "--count", 1, "--config",
+                                        _file(d / "cfg.json", "[1]"), "--out", d / "o.jsonl"], 2),
 }
 
 
@@ -311,6 +370,71 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("io error: " if code == 3 else "config error: ")
+
+
+def test_generate_reports_a_shortfall(tmp_path, capsys):
+    # no prompt fits in one lexeme, so every attempt is token-filtered
+    argv = _generate_with(tmp_path / "cfg.json", max_prompt_tokens=1, attempt_factor=2)
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert (summary["produced"], summary["attempts"]) == (0, 2)
+    assert captured.err.startswith("shortfall: produced 0/1 (")
+
+
+def _premises(path, *latex):
+    steps = [{"latex": text, "op": "premise", "parents": [], "operand_latex": None,
+              "role": "premise"} for text in latex]
+    return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": steps}) + "\n")
+
+
+# records each perturbation skips: (kind, config, stored premises, reason)
+PERTURB_SKIPS = {
+    "vr-too-many-symbols": ("vr", {}, ["x = a + b + c + f + g + h + k + m + n + p + q"],
+                            "too many symbols"),
+    "vr-token-limit": ("vr", {"max_prompt_tokens": 5}, ["x = y"], "token limit"),
+    # every op on 0 = 0 is inapplicable or gives lhs = rhs
+    "ag-goal-exhausted": ("ag", {"retry_cap": 5}, ["0 = 0", "x = y"],
+                          "goal resampling exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PERTURB_SKIPS))
+def test_perturb_reports_skipped_records(case, tmp_path, capsys):
+    kind, config, latex, reason = PERTURB_SKIPS[case]
+    infile = _premises(tmp_path / "in.jsonl", *latex)
+    assert run(["perturb", "--kind", kind, "--in", infile, "--out", tmp_path / "o.jsonl",
+                "--config", _file(tmp_path / "cfg.json", json.dumps(config))]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["written"] == 0
+    assert report["skipped"] == [{"id": "d0", "reason": reason}]
+
+
+def test_collect_records_failed_requests(tmp_path, monkeypatch, capsys):
+    server = HTTPServer(("127.0.0.1", 0), MockChatHandler)
+    server.plan = ["401"]
+    server.requests = []
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    monkeypatch.setenv("DERIVEKIT_TEST_TOKEN", "tok")
+    out, errs = tmp_path / "completions.jsonl", tmp_path / "errors.jsonl"
+    try:
+        assert run(["collect", "--in", _file(tmp_path / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
+                    "--out", out, "--errors-out", errs,
+                    "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+                    "--model", "mock", "--token-env", "DERIVEKIT_TEST_TOKEN"]) == 0
+    finally:
+        server.shutdown()
+    assert json.loads(capsys.readouterr().out) == {"completed": 0, "failed": 1}
+    assert out.read_text() == ""
+    [error] = read_jsonl(errs)
+    assert (error["id"], error["error"]) == ("d0", "AuthError")
+
+
+def test_blank_lines_are_skipped(tmp_path, capsys):
+    row = _stored(tmp_path / "row.jsonl", "x = y").read_text()
+    infile = _file(tmp_path / "in.jsonl", "\n" + row + "\n  \n")
+    assert run(["stats", "--in", infile]) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == 1
 
 
 def test_stats_reads_no_latex(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Chat-completions client tests against an in-process mock server."""
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -8,6 +9,7 @@ import pytest
 
 from derivekit.client import (
     AuthError,
+    ClientError,
     EndpointConfig,
     MalformedResponse,
     ModelTimeout,
@@ -38,6 +40,10 @@ class MockChatHandler(BaseHTTPRequestHandler):
             self._reply(500, {"error": "transient"})
         elif action == "401":
             self._reply(401, {"error": "bad token"})
+        elif action == "404":
+            self._reply(404, {"error": "no such model"})
+        elif action == "number":
+            self._reply(200, {"choices": [{"message": {"content": 5}}]})
         elif action == "garbage":
             self._reply(200, {"unexpected": True})
         elif action == "sleep":
@@ -144,4 +150,27 @@ def test_malformed_response_distinct(mock_server):
     mock_server.plan = ["garbage"]
     cfg = make_config(mock_server)
     with pytest.raises(MalformedResponse):
+        query_model(cfg, "x")
+
+
+def test_other_http_errors_are_client_errors_and_not_retried(mock_server):
+    mock_server.plan = ["404"]
+    with pytest.raises(ClientError, match="HTTP 404"):
+        query_model(make_config(mock_server), "x")
+    assert len(mock_server.requests) == 1
+
+
+def test_non_string_content_is_malformed(mock_server):
+    mock_server.plan = ["number"]
+    with pytest.raises(MalformedResponse, match="not a string"):
+        query_model(make_config(mock_server), "x")
+
+
+def test_refused_connections_are_retried_then_a_server_error():
+    with socket.socket() as sock:  # a port that nothing listens on once closed
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cfg = EndpointConfig(base_url=f"http://127.0.0.1:{port}/v1", model="m",
+                         token_env="DERIVEKIT_TEST_TOKEN", max_retries=1)
+    with pytest.raises(ServerError, match="no response after 2 attempts"):
         query_model(cfg, "x")

@@ -12,7 +12,6 @@ from derivekit.expr import (
     Add,
     Mul,
     Equation,
-    EvalError,
     ExprError,
     Integer,
     MAX_FOLD_BITS,
@@ -21,9 +20,7 @@ from derivekit.expr import (
     Symbol,
     add,
     applied,
-    canonicalize,
     div,
-    eval_numeric,
     free_symbols,
     func,
     integral,
@@ -31,9 +28,9 @@ from derivekit.expr import (
     mul,
     neg,
     pow_,
-    rational,
     substitute,
 )
+from helpers import EvalError, canonicalize, eval_numeric, rational
 
 x, y, z = Symbol("x"), Symbol("y"), Symbol("z")
 
@@ -113,6 +110,15 @@ def test_pow_conventions():
     assert pow_(x, Integer(1)) == x
     assert pow_(pow_(x, Integer(2)), Integer(3)) == pow_(x, Integer(6))
     assert pow_(mul(Integer(2), x), Integer(2)) == mul(Integer(4), pow_(x, Integer(2)))
+    half = rational(1, 2)
+    assert pow_(Integer(0), half) == Integer(0)
+    assert pow_(Integer(1), half) == Integer(1)
+    # merged exponents can fold to a number, or give back a product
+    root2 = pow_(Integer(2), half)
+    assert mul(root2, root2, root2, root2) == Integer(4)
+    assert mul(Integer(3), root2, root2, x) == mul(Integer(6), x)
+    root_xy = pow_(mul(x, y), half)
+    assert mul(root_xy, root_xy) == mul(x, y)
 
 
 def test_elementary_special_values():
@@ -122,6 +128,10 @@ def test_elementary_special_values():
     assert func("cos", Integer(0)) == Integer(1)
     assert func("log", func("exp", x)) == x
     assert func("exp", func("log", x)) == x
+    with pytest.raises(ExprError, match="unsupported function kind"):
+        func("tan", x)
+    with pytest.raises(ExprError, match="order must be >= 1"):
+        derivative(x, x, 0)
 
 
 def test_substitute_spec_examples():
@@ -249,7 +259,7 @@ def test_add_mul_permutation_invariance(seed):
 
 
 def test_canonicalize_equation_both_sides():
-    from derivekit.expr import canonicalize_equation
+    from helpers import canonicalize_equation
 
     eq = Equation(Add((x, x)), Mul((Integer(1), y)))
     out = canonicalize_equation(eq)

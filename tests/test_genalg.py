@@ -23,13 +23,14 @@ from derivekit.genalg import (
     passes_token_filter,
     sample_action,
     sample_length,
+    try_step,
     _GenState,
 )
-from derivekit.latex import count_lexemes, equation_to_latex, to_latex
+from derivekit.latex import count_lexemes, equation_to_latex, parse_equation, to_latex
 from derivekit.ops import ROLE_PREMISE, Step, dag_coherent, duplicate_free, replay
 from derivekit.prompts import build_prompt
 from derivekit.records import derivation_record_to_json
-from derivekit.vocab import load_symbol_table
+from derivekit.vocab import SymbolEntry, SymbolTable, load_symbol_table
 
 
 def test_config_validation():
@@ -199,6 +200,28 @@ def test_retry_cap_returns_none():
     cfg = GenConfig(p_arity_0=0, p_arity_1=0, p_arity_2=1, retry_cap=1)
     out = generate_derivation(cfg, random.Random(0))
     assert out is None
+
+
+ONLY_EVALUATE = dict(p_arity_0=0, p_arity_2=0, p_int_or_diff=0, p_renaming=0, p_define=0,
+                     p_arith=0, p_extension=0)
+ONLY_RENAME = dict(p_arity_0=0, p_arity_2=0, p_evaluate=0, p_int_or_diff=0, p_define=0,
+                   p_arith=0, p_extension=0)
+
+
+@pytest.mark.parametrize("weights,vocab", [
+    (ONLY_EVALUATE, None),  # the one derivative is evaluated already
+    (ONLY_RENAME, (("y", "function-name"), ("x", "variable"))),  # no unused function name
+])
+def test_draws_with_nothing_to_apply_fail(weights, vocab):
+    steps = [Step(parse_equation("y = x^{2}"), None, role=ROLE_PREMISE)]
+    steps.append(ops.apply(ops.DIFF, steps, (0,), Symbol("x")))
+    steps.append(ops.apply(ops.EVAL_DIFF, steps, (1,)))
+    table = load_symbol_table() if vocab is None else SymbolTable(
+        tuple(SymbolEntry(name, kind) for name, kind in vocab))
+    state = _GenState(GenConfig(**weights), table, random.Random(0))
+    for s in steps:
+        state.note(s)
+    assert all(try_step(state) is None for _ in range(20))
 
 
 def test_determinism_same_seed_identical_records():

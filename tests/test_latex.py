@@ -18,11 +18,11 @@ from derivekit.expr import (
     mul,
     neg,
     pow_,
-    rational,
 )
 from derivekit.latex import (
     MAX_DEPTH,
     LatexParseError,
+    RenderError,
     _Parser,
     UnknownLatexCommand,
     count_lexemes,
@@ -31,7 +31,7 @@ from derivekit.latex import (
     parse_latex,
     to_latex,
 )
-from helpers import tokenize
+from helpers import rational, tokenize
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -81,6 +81,8 @@ def test_golden_round_trip(expr, expected):
 def test_parse_frac_to_power():
     assert parse_latex(r"\frac{1}{P_{e}}") == pow_(Symbol("P_{e}"), Integer(-1))
     assert parse_latex("0") == Integer(0)
+    # docs/latex-grammar.md: an exponent is a braced expr or a bare digit run
+    assert parse_latex("x^2") == parse_latex("x^{2}") == pow_(x, Integer(2))
 
 
 def test_partial_rendering_by_symbol_count():
@@ -109,6 +111,8 @@ def test_operatorname_and_bare_heads():
     assert to_latex(applied("\\hat{p}_0", [x, a])) == r"\hat{p}_0{(x,a)}"
     assert to_latex(applied("v_{y}", [x])) == r"\operatorname{v_{y}}{(x)}"
     assert to_latex(applied("f^{\\prime}", [x])) == r"\operatorname{f^{\prime}}{(x)}"
+    with pytest.raises(RenderError, match="empty function name"):
+        to_latex(applied("", [x]))
 
 
 def test_equation_round_trip():
@@ -124,6 +128,26 @@ def test_whitespace_tolerance():
     assert parse_equation(spaced) == Equation(
         derivative(applied("W", [pe]), pe), pow_(pe, Integer(-1))
     )
+
+
+# malformed input and the error the parser names it with
+PARSE_ERRORS = [
+    (r"\operatorname{ab}", "must be applied to arguments"),
+    (r"\operatorname{ab", "unterminated brace group"),
+    (r"\int x d2", "expected a symbol"),
+    ("x_+", "bad subscript"),
+    (r"\frac{d^{0}}{d x^{0}} y", "order must be a positive integer"),
+    (r"\frac{d}{x} y", "mismatched derivative denominator"),
+    (r"\frac{d^{2}}{d x^{3}} y", "derivative orders disagree"),
+    (r"\int x", "expected differential"),
+    ("x^y", "expected '{' or digits"),
+]
+
+
+@pytest.mark.parametrize("text,message", PARSE_ERRORS, ids=[t for t, _ in PARSE_ERRORS])
+def test_parse_errors_name_the_fault(text, message):
+    with pytest.raises(LatexParseError, match=message):
+        parse_latex(text)
 
 
 def test_syntax_error_carries_position():

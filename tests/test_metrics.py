@@ -108,6 +108,17 @@ def test_rouge_hand_bigram_case():
     assert rouge("a b c", "a b d", order=2) == pytest.approx(0.5)
 
 
+def test_rouge_order_must_be_positive():
+    with pytest.raises(MetricError, match="order must be >= 1"):
+        rouge("a b", "a b", order=0)
+
+
+@pytest.mark.parametrize("metric", [bleu, gleu])
+def test_bleu_and_gleu_max_n_must_be_positive(metric):
+    with pytest.raises(MetricError, match="max_n must be >= 1"):
+        metric("a", "a", max_n=0)
+
+
 def test_disjoint_vocabularies_score_zero():
     assert rouge("a b c", "x y z") == 0.0
     assert gleu("a b", "x y") == 0.0
@@ -260,6 +271,10 @@ def test_score_weights_validation():
         ScoreWeights(weights=(0.5, 0.5, 0, 0, 0, 0.5))
     with pytest.raises(MetricError):
         ScoreWeights(alpha=0.0)
+    with pytest.raises(MetricError, match="six category weights"):
+        ScoreWeights(weights=(1.0,))
+    with pytest.raises(MetricError, match=">= 0"):
+        ScoreWeights(weights=(1.5, -0.5, 0, 0, 0, 0))
     with pytest.raises(MetricError):
         ErrorAnnotation(2, 0, 0, 0, 0, 0)
 
@@ -312,6 +327,12 @@ def test_build_score_report_pairwise():
     assert vr["ratio"]["rouge"] == pytest.approx(expected_ratio)
     assert vr["ratio_excluded"] == 0
     assert report["schema_version"] == 1
+
+
+def test_build_score_report_needs_the_static_row_for_a_pair():
+    report, _ = build_score_report({("a", "VR"): "x y"}, {("a", "VR"): "x y"})
+    assert report["aggregates"]["n"] == 1
+    assert report["pairwise"] == {}
 
 
 def test_build_score_report_zero_denominator_counted():

@@ -11,16 +11,20 @@ from derivekit import ops
 from derivekit.expr import (
     Equation,
     Integer,
+    Rational,
     Symbol,
     add,
     applied,
     func,
+    mul,
+    pow_,
 )
-from derivekit.latex import equation_to_latex, parse_equation
+from derivekit.latex import equation_to_latex, parse_equation, to_latex
 from derivekit.ops import (
     ArityMismatch,
     Derivation,
     InapplicableOp,
+    OpError,
     ROLE_PREMISE,
     Step,
     dag_coherent,
@@ -28,6 +32,11 @@ from derivekit.ops import (
     replay,
     sample_operand,
     step_weights,
+)
+from derivekit.records import (
+    DerivationRecord,
+    derivation_record_from_json,
+    derivation_record_to_json,
 )
 from helpers import infer_derivation, parse_derivation
 
@@ -105,6 +114,39 @@ def test_eval_int_without_integral_inapplicable():
         ops.apply(ops.EVAL_INT, steps, (0,), constant_pool=["n"])
 
 
+# calls ops.apply rejects, on the steps q(a) = a^2, f(x) = 0 and
+# g(x) = \int x dx: (op, parents, operand, keyword arguments, error, message)
+BAD_APPLY_CASES = {
+    "unknown-op": ("frobnicate", (0,), None, {}, OpError, "unknown op"),
+    "operand-on-swap": (ops.SWAP, (0,), x, {}, ArityMismatch, "does not take an operand"),
+    "diff-by-a-number": (ops.DIFF, (0,), Integer(2), {}, InapplicableOp, "variable symbol"),
+    "int-by-a-function": (ops.INT, (0,), func("sin", x), {}, InapplicableOp, "variable symbol"),
+    "zero-to-a-negative-power": (ops.POW, (1,), Integer(-1), {}, InapplicableOp,
+                                 "zero to a negative power"),
+    "substitution-on-one-parent": (ops.SUB_RHS, (0, 0), None, {}, InapplicableOp,
+                                   "two distinct parents"),
+    "add-eq-on-one-parent": (ops.ADD_EQ, (1, 1), None, {}, InapplicableOp,
+                             "two distinct parents"),
+    "wrong-recorded-operand": (ops.SUB_LHS, (0, 1), x, {}, OpError, "recorded operand"),
+    "rename-without-a-name": (ops.RENAME, (0,), Symbol("a"), {}, OpError,
+                              "fresh function name"),
+    "constants-do-not-replay": (ops.EVAL_INT, (2,), None,
+                                {"constants": [Symbol("n"), Symbol("m")]}, OpError,
+                                "do not replay"),
+    "constant-pool-exhausted": (ops.EVAL_INT, (2,), None, {"constant_pool": ["x"]}, OpError,
+                                "pool exhausted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_APPLY_CASES))
+def test_apply_rejects_bad_input(case):
+    op, parents, operand, kwargs, error, message = BAD_APPLY_CASES[case]
+    steps = [premise(r"q{(a)} = a^{2}"), premise(r"f{(x)} = 0"),
+             premise(r"g{(x)} = \int x dx")]
+    with pytest.raises(error, match=message):
+        ops.apply(op, steps, parents, operand, **kwargs)
+
+
 def test_rename_records_source_and_freshness():
     steps = [
         premise(r"\phi{(x)} = \int \log{(x)} dx"),
@@ -161,6 +203,8 @@ def test_sample_operand_singleton_support():
     rng = random.Random(0)
     for _ in range(50):
         assert sample_operand(steps, rng, 10.0) in pool
+    with pytest.raises(OpError, match="empty derivation"):
+        sample_operand([], rng, 10.0)
 
 
 def test_sample_operand_recency_limit():
@@ -219,6 +263,23 @@ def test_replay_accepts_valid_chain():
     assert duplicate_free(d)
 
 
+def test_numeric_roots_fold_and_replay_after_a_round_trip():
+    # the power rule on (2^{1/2} x)^{3 2^{1/2}} multiplies the exponent by the
+    # inner derivative 2^{1/2}; 3 2^{1/2} 2^{1/2} must fold to the
+    # coefficient 6, not stay 3 2, or the parsed record differs from replay
+    root = pow_(Integer(2), Rational(1, 2))
+    rhs = pow_(mul(root, x), mul(Integer(3), root))
+    steps = [premise(f"u{{(x)}} = {to_latex(rhs)}")]
+    steps.append(ops.apply(ops.DIFF, steps, (0,), x))
+    steps.append(ops.apply(ops.EVAL_DIFF, steps, (1,)))
+    power = pow_(mul(root, x), add(mul(Integer(3), root), Integer(-1)))
+    assert steps[2].equation.rhs == mul(Integer(6), power)
+    record = DerivationRecord("r", 0, Derivation(tuple(steps)))
+    reread = derivation_record_from_json(derivation_record_to_json(record))
+    assert reread.derivation.steps[2].equation == steps[2].equation
+    assert replay(reread.derivation).valid
+
+
 def test_replay_flags_corrupted_equation():
     d = build_small_chain()
     # corrupt the final equation: drop the derivative wrapper on the lhs
@@ -274,6 +335,15 @@ def test_replay_rejects_malformed_renames(op, fault):
     assert not replay(Derivation((*steps, bad))).valid
 
 
+@pytest.mark.parametrize("fault,message", [
+    (lambda s: replace(s, parents=(0,)), "premise with parents"),
+    (lambda s: replace(s, role=ops.ROLE_ORDINARY), "unannotated step without premise role"),
+])
+def test_replay_reports_malformed_premises(fault, message):
+    steps = (premise(r"q{(a)} = e^{a}"), fault(premise(r"W{(x)} = x")))
+    assert replay(Derivation(steps)).failures == ((1, message),)
+
+
 @pytest.mark.parametrize("parent", [-1, 3, 9])
 def test_bad_parent_index_is_reported_not_raised(parent):
     d = build_small_chain()
@@ -287,6 +357,7 @@ def test_dag_coherence_detects_orphans():
     steps.append(ops.apply(ops.DIFF, steps, (0,), Symbol("a")))
     d = Derivation(tuple(steps))
     assert not dag_coherent(d)
+    assert dag_coherent(Derivation(()))  # nothing to orphan
 
 
 # ---------------------------------------------------------------------------

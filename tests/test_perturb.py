@@ -135,7 +135,7 @@ def test_alternative_goal_contract(small_dataset):
         replaced += 1
         assert len(ag) == len(record.derivation)
         assert ag.steps[:-1] == record.derivation.steps[:-1]
-        assert ag.goal().equation != record.derivation.goal().equation
+        assert ag.steps[-1].equation != record.derivation.steps[-1].equation
         assert replay(ag).valid
     assert replaced >= 50
 

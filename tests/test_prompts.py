@@ -15,11 +15,11 @@ from derivekit.prompts import (
     build_fewshot,
     build_prompt,
     build_target,
-    parse_prompt_equations,
+    prompt_premise_indices,
     qualifies_for_fewshot,
 )
 from derivekit.records import PromptRecord
-from helpers import prompt_example_derivation
+from helpers import parse_prompt_equations, prompt_example_derivation
 
 GOLDEN_PROMPT = (
     "Given $q{(a)} = e^{a}$ and $G{(a)} = - e^{a} + \\frac{d}{d a} q{(a)}$"
@@ -36,9 +36,10 @@ def test_prompt_example_byte_for_byte():
 def test_prompt_roles_recorded():
     d = prompt_example_derivation()
     record = build_prompt(d, "fig1")
-    assert record.premises == (0, 4)
-    assert record.intermediates == (3,)
-    assert record.goal == len(d) - 1
+    assert prompt_premise_indices(d) == (0, 4)
+    assert d.intermediates() == (3,)
+    goal = equation_to_latex(d.steps[-1].equation)
+    assert record.prompt.endswith(f", then obtain ${goal}$")
 
 
 def test_single_premise_prompt_shape():
@@ -60,8 +61,8 @@ def test_prompt_round_trip_equations():
     d = prompt_example_derivation()
     record = build_prompt(d, "fig1")
     parsed = parse_prompt_equations(record.prompt)
-    referenced = [d.steps[i].equation for i in record.premises + record.intermediates]
-    referenced.append(d.steps[record.goal].equation)
+    referenced = [d.steps[i].equation for i in prompt_premise_indices(d) + d.intermediates()]
+    referenced.append(d.steps[-1].equation)
     assert parsed == referenced
 
 
@@ -79,6 +80,9 @@ def test_build_target_counts():
     assert pieces == [equation_to_latex(s.equation) for s in d.steps]
     single = Derivation(d.steps[:1])
     assert build_target(single) == equation_to_latex(d.steps[0].equation)
+    # a lone premise is both the given and the goal
+    eq = equation_to_latex(d.steps[0].equation)
+    assert build_prompt(single).prompt == f"Given ${eq}$, then obtain ${eq}$"
 
 
 def test_target_round_trip(small_dataset):

@@ -2,8 +2,8 @@
 relative-frequency arithmetic."""
 import pytest
 
-from derivekit.stats import build_stats, chain_label, mode_length, relative_frequency, top_chain
-from helpers import op_tags
+from derivekit.stats import build_stats, chain_label, relative_frequency
+from helpers import mode_length, op_tags, top_chain
 
 
 def test_relative_frequency_reference_arithmetic():
