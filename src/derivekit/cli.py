@@ -124,6 +124,8 @@ def cmd_perturb(args) -> int:
         except perturb_mod.GoalExhausted:
             report["skipped"].append({"id": record.id, "reason": "goal resampling exhausted"})
             continue
+        except RecordError as exc:
+            raise RecordError(f"{args.infile}: record {record.id}: {exc}") from exc
         new = DerivationRecord(record.id, record.seed, derivation, tag, family)
         prompt = prompts_mod.build_prompt(derivation, record.id, static_id, tag)
         if kind == perturb_mod.SR:

@@ -371,21 +371,15 @@ class _Parser:
             raise LatexParseError("number too long", self.pos(j)) from None
 
     # grammar -----------------------------------------------------------
-    def end(self) -> None:
+    def parse(self, equation: bool):
+        """The whole string: `lhs = rhs` if `equation`, else one expression."""
+        e = self.expr()
+        if equation:
+            self.expect("EQUALS")
+            e = Equation(e, self.expr())
         if self.kinds[self.i] != _EOF:
             self.fail(f"trailing input {self.texts[self.i]!r}")
-
-    def parse_expression(self) -> Expr:
-        e = self.expr()
-        self.end()
         return e
-
-    def parse_equation(self) -> Equation:
-        lhs = self.expr()
-        self.expect("EQUALS")
-        rhs = self.expr()
-        self.end()
-        return Equation(lhs, rhs)
 
     def expr(self) -> Expr:
         self.depth += 1
@@ -623,19 +617,43 @@ class _Parser:
         return integral(body, var)
 
 
-def _parse(s: str, whole):
+def _parse(s: str, equation: bool = False):
     parser = _Parser(s)
     try:
-        return whole(parser)
+        return parser.parse(equation)
     except ExprError as exc:
         # a constructor rejected the construct the last consumed token closed
         raise LatexParseError(str(exc), parser.pos(max(parser.i - 1, 0))) from exc
 
 
-def parse_latex(s: str) -> Expr:
-    """Parse a single expression in the emitted grammar (whitespace tolerant)."""
-    return _parse(s, _Parser.parse_expression)
+def _side(s: str, sides: dict[str, Expr]) -> Expr:
+    e = sides.get(s)
+    if e is None:
+        e = sides[s] = _parse(s)
+    return e
 
 
-def parse_equation(s: str) -> Equation:
-    return _parse(s, _Parser.parse_equation)
+def parse_latex(s: str, sides: Optional[dict[str, Expr]] = None) -> Expr:
+    """Parse a single expression in the emitted grammar (whitespace tolerant).
+    With `sides`, a dict from LaTeX text to tree, a text parsed before is
+    looked up there instead, and a new one is stored."""
+    if sides is None:
+        return _parse(s)
+    return _side(s, sides)
+
+
+def parse_equation(s: str, sides: Optional[dict[str, Expr]] = None) -> Equation:
+    """Parse `lhs = rhs`. With `sides` (as for parse_latex), each side of a
+    text that splits at " = " into exactly two is parsed alone through it:
+    tokens never span whitespace, a parse that succeeds never consumes the
+    token after its last one, and each side starts at depth 0, so the trees
+    are those of the full parse. Anything else, and any side that does not
+    parse, takes the full parse, which raises its error at its position."""
+    if sides is not None and type(s) is str:
+        parts = s.split(" = ")
+        if len(parts) == 2:
+            try:
+                return Equation(_side(parts[0], sides), _side(parts[1], sides))
+            except LatexParseError:
+                pass
+    return _parse(s, equation=True)

@@ -16,7 +16,7 @@ from . import ops
 from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
 from .genalg import GenConfig, _GenState, apply_action
 from .ops import Derivation, ROLE_GOAL, Step
-from .records import PromptRecord
+from .records import PromptRecord, RecordError
 from .vocab import GREEK_POOL_DEFAULT, SymbolTable
 
 VR, EE, AG, SR = "VR", "EE", "AG", "SR"
@@ -109,7 +109,8 @@ def alternative_goal(
 ) -> Derivation:
     """Replace the final step with a freshly sampled applicable operation on
     the penultimate equation whose result is a new equation. Pass the
-    vocabulary to avoid loading it from ``cfg`` on every call."""
+    vocabulary to avoid loading it from ``cfg`` on every call. A kept step
+    whose parent does not precede it raises RecordError."""
     if len(d) < 2:
         raise PerturbationError("alternative goal needs at least two steps")
     prefix = d.steps[:-1]
@@ -117,7 +118,10 @@ def alternative_goal(
     existing = {s.equation for s in d.steps}
     vocab = vocab if vocab is not None else cfg.load_vocabulary()
     state = _GenState(cfg, vocab, rng)
-    for s in prefix:
+    for i, s in enumerate(prefix):
+        for p in s.parents:
+            if not 0 <= p < i:
+                raise RecordError(f"step {i} names parent {p}, which does not precede it")
         state.note(s)
     penultimate = len(prefix) - 1
     for _ in range(cfg.retry_cap):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
-from .expr import ExprError, Symbol
+from .expr import Expr, ExprError, Symbol
 from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
 from .ops import EVAL_INT, PREMISE, Derivation, Step
 
@@ -86,7 +86,9 @@ def _steps(payload: dict) -> list:
     return steps
 
 
-def step_from_json(payload: dict) -> Step:
+def step_from_json(payload: dict, sides: Optional[dict[str, Expr]] = None) -> Step:
+    """`sides` is the parse memo of latex.parse_equation, shared by the steps
+    of one record: a derivation repeats most of its parents' sides."""
     op = _op(payload)
     operand = None
     constants: tuple[Symbol, ...] = ()
@@ -95,10 +97,10 @@ def step_from_json(payload: dict) -> Step:
         if raw_operand:
             constants = tuple(Symbol(name) for name in raw_operand.split(","))
     elif raw_operand is not None:
-        operand = parse_latex(raw_operand)
+        operand = parse_latex(raw_operand, sides)
     parents = _parents(payload)
     return Step(
-        equation=parse_equation(payload["latex"]),
+        equation=parse_equation(payload["latex"], sides),
         op=None if op == PREMISE else op,
         parents=parents,
         operand=operand,
@@ -121,10 +123,11 @@ def derivation_record_to_json(record: DerivationRecord) -> dict:
 
 
 def derivation_record_from_json(payload: dict) -> DerivationRecord:
+    sides: dict[str, Expr] = {}
     return DerivationRecord(
         id=payload["id"],
         seed=payload.get("seed", 0),
-        derivation=Derivation(tuple(step_from_json(s) for s in _steps(payload))),
+        derivation=Derivation(tuple(step_from_json(s, sides) for s in _steps(payload))),
         perturbation=payload.get("perturbation"),
         static_id=payload.get("static_id"),
     )

@@ -10,7 +10,7 @@ import pytest
 from derivekit import cli, latex, ops, records
 from derivekit.cli import main
 from derivekit.expr import Symbol
-from derivekit.latex import parse_equation
+from derivekit.latex import parse_equation, parse_latex
 from derivekit.ops import ROLE_PREMISE, Derivation, Step
 from derivekit.records import (
     DerivationRecord,
@@ -276,6 +276,18 @@ def _stored(path, latex, parents=(), **fields):
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
 
 
+def _ag_with_parent(d, parent):
+    """perturb --kind ag of a three-step record whose second step names `parent`."""
+    steps = [{"latex": "x = y", "op": "premise", "parents": [], "operand_latex": None,
+              "role": "premise"},
+             {"latex": "y = x", "op": "swap", "parents": [parent], "operand_latex": None,
+              "role": "intermediate"},
+             {"latex": "2 y = 2 x", "op": "mul", "parents": [1], "operand_latex": "2",
+              "role": "goal"}]
+    infile = _file(d / "in.jsonl", json.dumps({"id": "d7", "seed": 0, "steps": steps}) + "\n")
+    return ["perturb", "--kind", "ag", "--in", infile, "--out", d / "o.jsonl"]
+
+
 def _with_vocabulary(d, *entries):
     symbols = [{"name": name, "kind": kind} for name, kind in entries]
     return ["generate", "--count", 1, "--out", d / "o.jsonl", "--vocabulary",
@@ -315,6 +327,7 @@ BAD_INPUT_CASES = {
     "verify-row-not-an-object": (lambda d: ["verify", "--in",
                                             _file(d / "in.jsonl", "[1, 2]\n")], 3),
     "stats-numeric-latex": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", 5)], 3),
+    "verify-numeric-latex": (lambda d: ["verify", "--in", _stored(d / "in.jsonl", 5)], 3),
     "verify-zero-denominator": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",
@@ -333,6 +346,8 @@ BAD_INPUT_CASES = {
         "score", "--pred", _file(d / "p.jsonl", '{"id": "d0", "completion": "x"}\n'),
         "--ref", _file(d / "r.jsonl", (json.dumps(PROMPT_ROW) + "\n") * 2),
         "--out", d / "o.json"], 3),
+    "perturb-ag-forward-parent": (lambda d: _ag_with_parent(d, 1), 3),
+    "perturb-ag-negative-parent": (lambda d: _ag_with_parent(d, -1), 3),
     "prompt-huge-integer": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
         d / "in.jsonl", "x = 7^{4000} 5^{4000}"), "--out", d / "o.jsonl"], 3),
     "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
@@ -370,6 +385,14 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("io error: " if code == 3 else "config error: ")
+
+
+@pytest.mark.parametrize("parent", [1, 2, -1])
+def test_perturb_ag_names_the_step_whose_parent_does_not_precede_it(parent, tmp_path, capsys):
+    assert run(_ag_with_parent(tmp_path, parent)) == 3
+    err = capsys.readouterr().err
+    assert f"record d7: step 1 names parent {parent}, which does not precede it" in err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 def test_generate_reports_a_shortfall(tmp_path, capsys):
@@ -459,6 +482,28 @@ def test_stats_matches_build_stats_over_parsed_records(small_dataset, tmp_path, 
     assert run(["stats", "--in", infile, "--top", 3, "--out", tmp_path / "s.json"]) == 0
     expected = json.dumps(build_stats(op_tags(dataset), top_per_length=3), indent=1) + "\n"
     assert (tmp_path / "s.json").read_text("utf-8") == expected
+
+
+def test_records_load_as_a_plain_parse_of_each_step(small_dataset, tmp_path):
+    # each record parses a side or operand text once and reuses the tree for
+    # its later occurrences; the trees equal a plain parse of each step
+    _, dataset, _ = small_dataset
+    infile = tmp_path / "in.jsonl"
+    write_jsonl(infile, (derivation_record_to_json(r) for r in dataset))
+    reused = 0
+    for row, record in zip(read_jsonl(infile), load_derivation_records(infile), strict=True):
+        trees = {}
+        for payload, step in zip(row["steps"], record.derivation.steps, strict=True):
+            assert step.equation == parse_equation(payload["latex"])
+            lhs, rhs = payload["latex"].split(" = ")
+            found = [(lhs, step.equation.lhs), (rhs, step.equation.rhs)]
+            if step.operand is not None:
+                assert step.operand == parse_latex(payload["operand_latex"])
+                found.append((payload["operand_latex"], step.operand))
+            for text, tree in found:
+                reused += text in trees
+                assert trees.setdefault(text, tree) is tree
+    assert reused > 1000
 
 
 def test_failed_write_keeps_the_old_output(tmp_path, monkeypatch):

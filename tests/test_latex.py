@@ -270,6 +270,39 @@ def test_scanner_matches_the_reference_tokenizer(text):
     assert _outcome(lambda: _scanned(text)) == _outcome(lambda: tokenize(text))
 
 
+def _tower(n: int, opening: str, closing: str) -> str:
+    return opening * n + "x" + closing * n
+
+
+# sides for the memo property: token soup with "=" and " = " in it (inside
+# \operatorname{...} too, and so also three-part splits), and towers at
+# depths around MAX_DEPTH
+_SIDE_TEXTS = st.one_of(
+    _TEXTS,
+    st.lists(st.sampled_from(_FRAGMENTS + (" = ", r"\operatorname{a = b}", "a=b"))).map("".join),
+    st.builds(lambda n, group: _tower(n, *group), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 1),
+              st.sampled_from([("x^{", "}"), ("(", ")"), (r"\frac{d}{d x} ", "")])),
+)
+
+
+@given(_SIDE_TEXTS, _SIDE_TEXTS)
+@settings(max_examples=400, deadline=None)
+@example("x", r"\operatorname{a = b}{(x)}")
+@example(r"\operatorname{a", r"b}{(x)}")
+@example("x=y", "z")
+@example("x", "y = z")
+@example("x ", "y")
+@example(_tower(MAX_DEPTH - 1, "x^{", "}"), _tower(MAX_DEPTH, "x^{", "}"))
+def test_side_memo_matches_the_full_parse(lhs, rhs):
+    text = lhs + " = " + rhs
+    plain = _outcome(lambda: parse_equation(text))
+    sides = {}
+    for _ in range(2):  # the second pass finds each side that parsed in the memo
+        assert _outcome(lambda: parse_equation(text, sides)) == plain
+    for side, tree in sides.items():
+        assert tree == parse_latex(side)
+
+
 def test_unknown_command_error():
     with pytest.raises(UnknownLatexCommand):
         parse_latex(r"\sqrt{2}")
