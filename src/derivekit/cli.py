@@ -6,11 +6,14 @@ Exit codes: 0 success, 1 verification failure, 2 configuration/usage error,
 output). Commands raise their errors and ``main`` maps them to exit codes;
 per-record failures are collected into machine-readable reports rather than
 aborting the run. Commands are deterministic given identical seeds and inputs.
+
+A module that only one command uses (``client``, ``metrics``, ``perturb``,
+``stats``, ``csv``) is imported inside that command, so each run of the
+entry point loads only what its command runs.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import random
@@ -18,11 +21,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import client as client_mod
-from . import metrics as metrics_mod
-from . import perturb as perturb_mod
 from . import prompts as prompts_mod
-from . import stats as stats_mod
 from .genalg import (
     GenConfig,
     GenerationError,
@@ -94,6 +93,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import perturb as perturb_mod
+
     kind = args.kind.upper()
     cfg = load_config(args.config, {"seed": args.seed})
     vocab = cfg.load_vocabulary() if kind == perturb_mod.AG else None
@@ -172,6 +173,10 @@ def cmd_prompt(args) -> int:
 
 
 def cmd_score(args) -> int:
+    import csv
+
+    from . import metrics as metrics_mod
+
     alias = {}
     if args.pairs:
         # explicit pair list: perturbed row id -> its static family id
@@ -210,6 +215,8 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import stats as stats_mod
+
     op_tags = load_rows(args.infile, op_tags_from_json)
     summary = stats_mod.build_stats(op_tags, top_per_length=args.top)
     text = json.dumps(summary, indent=1)
@@ -246,6 +253,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    from . import client as client_mod
+
     cfg = client_mod.EndpointConfig(
         base_url=args.base_url,
         model=args.model,

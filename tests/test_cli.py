@@ -2,6 +2,9 @@
 file-level contracts."""
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 from http.server import HTTPServer
 
@@ -534,3 +537,83 @@ def test_output_through_a_symlink_or_to_a_device(tmp_path):
     assert link.is_symlink() and json.loads(target.read_text("utf-8"))["records"] == 1
     assert run(["stats", "--in", infile, "--out", os.devnull]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link.json", "target.json"]
+
+
+# Modules that only `collect` (the HTTP client) or `score` (the scorer and its
+# CSV writer) need; every other command must start without them.
+ONE_COMMAND_MODULES = ("derivekit.client", "derivekit.metrics", "urllib.request",
+                       "http.client", "email", "ssl", "csv")
+
+
+def _fresh_interpreter(code, cwd):
+    """Run ``code`` in a new interpreter that imports this derivekit; return
+    its stdout. The code gets ``loaded()``: the modules of ONE_COMMAND_MODULES
+    (or their submodules) that were not loaded when the interpreter started."""
+    prelude = textwrap.dedent(f"""\
+        import sys
+        _start = set(sys.modules)
+        def loaded():
+            return sorted(m for m in set(sys.modules) - _start
+                          if any(m == n or m.startswith(n + ".") for n in {ONE_COMMAND_MODULES!r}))
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
+                          cwd=cwd, env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_commands_other_than_collect_and_score_import_neither_client_nor_scorer(tmp_path):
+    # a few-shot pool of five prompts that show an intermediate step and two premises
+    write_jsonl(tmp_path / "train.jsonl", (
+        dict(PROMPT_ROW, id=f"t{i}", static_id=f"t{i}",
+             prompt="Given $x = y$ and $y = z$, then derive $x = z$, then obtain $z = x$")
+        for i in range(5)))
+    out = _fresh_interpreter("""
+        import contextlib, io, json
+        from derivekit.cli import main
+        seen = {"import derivekit.cli": loaded()}
+        for argv in (
+            "generate --count 4 --seed 0 --out d.jsonl",
+            "verify --in d.jsonl",
+            "stats --in d.jsonl",
+            "prompt --mode finetune --in d.jsonl --out p.jsonl",
+            "prompt --mode fewshot --in p.jsonl --train train.jsonl --out f.jsonl",
+            "perturb --kind vr --in d.jsonl --out vr.jsonl",
+            "perturb --kind ee --in d.jsonl --out ee.jsonl",
+            "perturb --kind ag --in d.jsonl --out ag.jsonl",
+            "perturb --kind sr --in d.jsonl --out sr.jsonl",
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv.split())
+            seen[argv] = [code] + loaded()
+        print(json.dumps(seen))
+    """, tmp_path)
+    seen = json.loads(out)
+    assert seen.pop("import derivekit.cli") == []
+    assert seen == {argv: [0] for argv in seen}
+
+
+def test_score_in_a_fresh_interpreter_writes_the_in_process_bytes(tmp_path):
+    refs = [{"id": f"s{i}", "static_id": f"s{i}", "perturbation": None, "prompt": "",
+             "target": t, "schema_version": 1} for i, t in enumerate(("x = y", "a + b = c"))]
+    preds = [{"id": "s0", "perturbation": None, "completion": "x = y"},
+             {"id": "s1", "perturbation": None, "completion": "a = c - b"}]
+    write_jsonl(tmp_path / "refs.jsonl", refs)
+    write_jsonl(tmp_path / "preds.jsonl", preds)
+
+    def score(stem):
+        return ["score", "--pred", str(tmp_path / "preds.jsonl"),
+                "--ref", str(tmp_path / "refs.jsonl"), "--out", str(tmp_path / f"{stem}.json"),
+                "--features-out", str(tmp_path / f"{stem}.csv")]
+
+    out = _fresh_interpreter(f"""
+        from derivekit.cli import main
+        assert main({score("fresh")!r}) == 0
+    """, tmp_path)
+    assert run(score("inproc")) == 0
+    aggregates = json.loads((tmp_path / "inproc.json").read_text())["aggregates"]
+    assert out == json.dumps(aggregates) + "\n"
+    for suffix in (".json", ".csv"):
+        assert (tmp_path / f"fresh{suffix}").read_bytes() == \
+            (tmp_path / f"inproc{suffix}").read_bytes()
