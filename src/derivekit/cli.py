@@ -22,16 +22,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import prompts as prompts_mod
-from .genalg import (
-    GenConfig,
-    GenerationError,
-    derive_seed,
-    generate_dataset,
-    passes_token_filter,
-)
+from .genalg import GenConfig, GenerationError, derive_seed, generate_dataset
 from .ops import dag_coherent, duplicate_free, replay
 from .records import (
-    DerivationRecord,
     RecordError,
     derivation_record_to_json,
     load_derivation_records,
@@ -104,39 +97,13 @@ def cmd_perturb(args) -> int:
     prompt_rows = []
     report = {"kind": kind, "input": len(records), "written": 0, "skipped": [], "schema_version": 1}
     for record in records:
-        rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}"))
-        static_id = record.static_id or record.id
-        tag, family = kind, static_id
         try:
-            if kind == perturb_mod.EE:
-                derivation = perturb_mod.exchange_expressions(record.derivation)
-                if record.perturbation == perturb_mod.EE:
-                    # second application untags: EE is a file-level involution
-                    tag = family = None
-            elif kind == perturb_mod.VR:
-                derivation, _ = perturb_mod.rename_variables(record.derivation, rng)
-            elif kind == perturb_mod.AG:
-                derivation = perturb_mod.alternative_goal(record.derivation, cfg, rng, vocab)
-            else:
-                derivation = record.derivation
-        except perturb_mod.TooManySymbols:
-            report["skipped"].append({"id": record.id, "reason": "too many symbols"})
-            continue
-        except perturb_mod.GoalExhausted:
-            report["skipped"].append({"id": record.id, "reason": "goal resampling exhausted"})
+            new, prompt = perturb_mod.perturb(kind, record, cfg, vocab)
+        except perturb_mod.Skipped as exc:
+            report["skipped"].append({"id": record.id, "reason": str(exc)})
             continue
         except RecordError as exc:
             raise RecordError(f"{args.infile}: record {record.id}: {exc}") from exc
-        new = DerivationRecord(record.id, record.seed, derivation, tag, family)
-        prompt = prompts_mod.build_prompt(derivation, record.id, static_id, tag)
-        if kind == perturb_mod.SR:
-            prompt = perturb_mod.remove_steps(prompt)
-            if prompt is None:
-                report["skipped"].append({"id": record.id, "reason": "no intermediates"})
-                continue
-        elif kind == perturb_mod.VR and not passes_token_filter(prompt.prompt, prompt.target, cfg):
-            report["skipped"].append({"id": record.id, "reason": "token limit"})
-            continue
         out_rows.append(derivation_record_to_json(new))
         prompt_rows.append(prompt_record_to_json(prompt))
         report["written"] += 1
@@ -192,16 +159,15 @@ def cmd_score(args) -> int:
         return (key_of(record.id if alias else record.static_id, record.perturbation),
                 record.target)
 
+    def row_key(row):  # a completion or BLEURT row
+        return key_of(row["id"] if alias else row.get("static_id") or row["id"],
+                      row.get("perturbation"))
+
     refs = load_keyed(args.ref, ref_entry)
-    preds = load_keyed(args.pred, lambda row: (
-        key_of(row["id"] if alias else row.get("static_id") or row["id"],
-               row.get("perturbation")),
-        row["completion"]))
+    preds = load_keyed(args.pred, lambda row: (row_key(row), row["completion"]))
     bleurt = {}
     if args.bleurt:
-        bleurt = load_keyed(args.bleurt, lambda row: (
-            (row.get("static_id") or row["id"], row.get("perturbation")),
-            float(row["score"])))
+        bleurt = load_keyed(args.bleurt, lambda row: (row_key(row), float(row["score"])))
     report, rows = metrics_mod.build_score_report(
         preds, refs, rouge_order=args.rouge_order, bleurt_scores=bleurt
     )

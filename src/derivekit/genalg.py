@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import ops
 from .expr import (
@@ -228,10 +228,10 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
     return ops.ADD_EQ
 
 
-def _recency_pick(indices: list[int], n_total: int, cfg: GenConfig, rng: random.Random) -> int:
-    weights = ops.step_weights(n_total, cfg.p_history)
+def _recency_pick(state: _GenState, indices: Sequence[int]) -> int:
+    weights = ops.step_weights(len(state.steps), state.cfg.p_history)
     ws = [weights[i] for i in indices]
-    return rng.choices(indices, weights=ws)[0]
+    return state.rng.choices(indices, weights=ws)[0]
 
 
 class _GenState:
@@ -335,8 +335,8 @@ def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
         targets = [j for j in state.containing.get(pattern, ()) if j != definition]
         if not targets:
             continue
-        target = _recency_pick(targets, n, cfg, rng)
-        candidate = apply_action(state, op, (definition, target))
+        target = _recency_pick(state, targets)
+        candidate = state.apply_once(op, (definition, target))
         if candidate is not None:
             return candidate
     return None
@@ -351,33 +351,57 @@ def _weighted_order(indices: list[int], weights, rng: random.Random) -> list[int
 
 
 def apply_action(
-    state: _GenState,
-    action: str,
-    parents: tuple[int, ...],
-    fresh_name: Optional[str] = None,
+    state: _GenState, action: str, parents: Optional[tuple[int, ...]] = None
 ) -> Optional[Step]:
-    """Execute an action (an op id or NEW_PREMISE) on picked parents, drawing
-    what the op needs: a premise, an operand, a variable or the shuffled
-    constant pool. A rename takes its fresh name, drawn before its parent.
+    """Execute an action (an op id or NEW_PREMISE), drawing what it needs in
+    a fixed order. First its parents, unless given, by recency: a rename
+    draws its fresh name before its parent, a substitution walks
+    _substitution_draw, and an evaluation skips parents already evaluated.
+    Then a premise, an operand, a variable or the shuffled constant pool.
     None when the op does not apply."""
     rng, steps = state.rng, state.steps
+    n = len(steps)
     try:
         if action == NEW_PREMISE:
             eq = generate_premise(state.vocab, rng, state.used_names)
             return Step(eq, None, role=ROLE_PREMISE)
-        if action in (ops.SUB_LHS, ops.SUB_RHS, ops.EVAL_DIFF):
+        if action in (ops.SUB_LHS, ops.SUB_RHS):
+            if parents is None:
+                return _substitution_draw(state, action)
             return state.apply_once(action, parents)
-        if action == ops.EVAL_INT:
+        if action in ops.EVAL_FAMILY:
+            if parents is None:
+                if action == ops.EVAL_DIFF:
+                    indices, done = state.derivative_indices, state.eval_diff_parents
+                else:
+                    indices, done = state.integral_indices, state.eval_int_parents
+                indices = [i for i in indices if (i,) not in done]
+                if not indices:
+                    return None
+                parents = (_recency_pick(state, indices),)
+            if action == ops.EVAL_DIFF:
+                return state.apply_once(action, parents)
             # the pool is shuffled (drawing from rng) even on a memo hit
             return state.apply_once(action, parents, constant_pool=state.constant_pool())
-        eq = steps[parents[0]].equation
+        if action == ops.ADD_EQ:
+            if parents is None:
+                first = _recency_pick(state, range(n))
+                parents = (first, _recency_pick(state, [i for i in range(n) if i != first]))
+            return ops.apply(action, steps, parents)
         if action in ops.RENAME_FAMILY:
+            name = state.fresh_function_name()
+            if name is None:
+                return None
+            parents = parents or (_recency_pick(state, state.derived_indices),)
+            eq = steps[parents[0]].equation
             if action == ops.RENAME:
                 operand = eq.lhs if rng.random() < 0.5 else eq.rhs
             else:
                 pool = ops.subexpression_pool(eq)
                 operand = pool[rng.randrange(len(pool))]
-            return ops.apply(action, steps, parents, operand, fresh_name=fresh_name)
+            return ops.apply(action, steps, parents, operand, fresh_name=name)
+        parents = parents or (_recency_pick(state, range(n)),)
+        eq = steps[parents[0]].equation
         if action in (ops.DIFF, ops.INT):
             var = ops.sample_variable(eq, rng)
             return None if var is None else ops.apply(action, steps, parents, var)
@@ -391,42 +415,14 @@ def apply_action(
 
 def try_step(state: _GenState) -> Optional[Step]:
     """One stochastic step draw; None counts as a failed attempt."""
-    cfg, rng, n = state.cfg, state.rng, len(state.steps)
     flags = Applicability(
-        n,
+        len(state.steps),
         bool(state.derivative_indices),
         bool(state.integral_indices),
         bool(state.derived_indices),
     )
-    action = sample_action(flags, cfg, rng)
-    if action is None:
-        return None
-    if action in (ops.SUB_LHS, ops.SUB_RHS):
-        candidate = _substitution_draw(state, action)
-    else:
-        parents: tuple[int, ...] = ()
-        name = None
-        if action in ops.RENAME_FAMILY:
-            name = state.fresh_function_name()
-            if name is None:
-                return None
-            parents = (_recency_pick(state.derived_indices, n, cfg, rng),)
-        elif action == ops.ADD_EQ:
-            first = _recency_pick(list(range(n)), n, cfg, rng)
-            second = _recency_pick([i for i in range(n) if i != first], n, cfg, rng)
-            parents = (first, second)
-        elif action in ops.EVAL_FAMILY:
-            if action == ops.EVAL_DIFF:
-                indices, done = state.derivative_indices, state.eval_diff_parents
-            else:
-                indices, done = state.integral_indices, state.eval_int_parents
-            indices = [i for i in indices if (i,) not in done]
-            if not indices:
-                return None
-            parents = (_recency_pick(indices, n, cfg, rng),)
-        elif action != NEW_PREMISE:
-            parents = (_recency_pick(list(range(n)), n, cfg, rng),)
-        candidate = apply_action(state, action, parents, name)
+    action = sample_action(flags, state.cfg, state.rng)
+    candidate = None if action is None else apply_action(state, action)
     if candidate is None:
         return None
 
@@ -437,7 +433,7 @@ def try_step(state: _GenState) -> Optional[Step]:
         return None
     # runtime guard: reject runaway trees early; the strict 350-char filter
     # is still applied per record downstream
-    if len(equation_to_latex(eq)) > 2 * cfg.max_latex_chars:
+    if len(equation_to_latex(eq)) > 2 * state.cfg.max_latex_chars:
         return None
     return candidate
 

@@ -90,10 +90,7 @@ def _signed(e: Expr) -> tuple[bool, str]:
     if q is not None:
         return q < 0, _number_str(abs(q))
     if type(e) is Mul:
-        coeff = exact_value(e.factors[0])  # a product's number comes first
-        if coeff is not None and coeff < 0:
-            return True, _mul_str(e, flip_sign=True)
-        return False, _mul_str(e)
+        return _mul_str(e)
     return False, to_latex(e)
 
 
@@ -110,7 +107,8 @@ def _mul_operand(f: Expr) -> str:
     return s
 
 
-def _mul_str(e: Mul, flip_sign: bool = False) -> str:
+def _mul_str(e: Mul) -> tuple[bool, str]:
+    """Render a product as (is_negative, latex of |e|)."""
     coeff = 1
     num_factors: list[Expr] = []
     den_factors: list[tuple[Expr, int | Fraction]] = []
@@ -137,8 +135,7 @@ def _mul_str(e: Mul, flip_sign: bool = False) -> str:
                 out.append(s)
         return " ".join(out)
 
-    if flip_sign:
-        coeff = -coeff
+    negative, coeff = coeff < 0, abs(coeff)
     fraction = bool(den_factors) or coeff.denominator != 1
     if fraction and len(num_factors) == 1 and coeff.numerator == 1:
         # a lone sum in a \frac numerator/denominator needs no parentheses
@@ -161,8 +158,8 @@ def _mul_str(e: Mul, flip_sign: bool = False) -> str:
         den_exprs.insert(0, None)
     num = render_run(num_parts, num_exprs)
     if den_parts:
-        return f"\\frac{{{num}}}{{{render_run(den_parts, den_exprs)}}}"
-    return num
+        return negative, f"\\frac{{{num}}}{{{render_run(den_parts, den_exprs)}}}"
+    return negative, num
 
 
 def _pow_base_str(base: Expr) -> str:
@@ -191,10 +188,6 @@ def to_latex(e: Expr) -> str:
     t = type(e)
     if t is Integer:
         return str(e.value)
-    if t is Rational:
-        if e.num < 0:
-            return f"- \\frac{{{-e.num}}}{{{e.den}}}"
-        return f"\\frac{{{e.num}}}{{{e.den}}}"
     if t is Symbol:
         return e.name
     if t is Add:
@@ -206,7 +199,7 @@ def to_latex(e: Expr) -> str:
             else:
                 parts.append(f"- {body}" if negative else f"+ {body}")
         return " ".join(parts)
-    if t is Mul:
+    if t is Mul or t is Rational:
         negative, body = _signed(e)
         return f"- {body}" if negative else body
     if t is Pow:

@@ -3,7 +3,8 @@
 Variable renaming and expression exchange rewrite trees without
 re-canonicalizing, so outputs are tree-isomorphic to their inputs (VR) or
 exact side swaps (EE). Alternative goal re-samples the final operation from
-the penultimate equation; step removal rewrites the prompt only.
+the penultimate equation; step removal rewrites the prompt only. ``perturb``
+applies one kind to one stored record.
 """
 from __future__ import annotations
 
@@ -14,25 +15,47 @@ from typing import Optional
 
 from . import ops
 from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
-from .genalg import GenConfig, _GenState, apply_action
+from .genalg import GenConfig, _GenState, apply_action, derive_seed, passes_token_filter
 from .ops import Derivation, ROLE_GOAL, Step
-from .records import PromptRecord, RecordError
+from .prompts import build_prompt
+from .records import DerivationRecord, PromptRecord, RecordError
 from .vocab import GREEK_POOL_DEFAULT, SymbolTable
 
 VR, EE, AG, SR = "VR", "EE", "AG", "SR"
 KINDS = (VR, EE, AG, SR)
 
 
-class PerturbationError(Exception):
-    pass
+class Skipped(Exception):
+    """A record a perturbation leaves out; the message is the reason."""
 
 
-class TooManySymbols(PerturbationError):
-    pass
-
-
-class GoalExhausted(PerturbationError):
-    pass
+def perturb(
+    kind: str, record: DerivationRecord, cfg: GenConfig, vocab: Optional[SymbolTable]
+) -> tuple[DerivationRecord, PromptRecord]:
+    """Apply perturbation `kind` to one stored record, drawing from the
+    record's own stream of cfg.seed: the perturbed record and its prompt.
+    AG takes the vocabulary (None loads it from cfg); EE of an EE row gives
+    the untagged original back. Raises Skipped for a record the kind leaves
+    out, and RecordError for a malformed one."""
+    rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}"))
+    derivation, static_id = record.derivation, record.static_id or record.id
+    tag, family = kind, static_id
+    if kind == EE:
+        derivation = exchange_expressions(derivation)
+        if record.perturbation == EE:
+            tag = family = None
+    elif kind == VR:
+        derivation, _ = rename_variables(derivation, rng)
+    elif kind == AG:
+        derivation = alternative_goal(derivation, cfg, rng, vocab)
+    prompt = build_prompt(derivation, record.id, static_id, tag)
+    if kind == SR:
+        prompt = remove_steps(prompt)
+        if prompt is None:
+            raise Skipped("no intermediates")
+    elif kind == VR and not passes_token_filter(prompt.prompt, prompt.target, cfg):
+        raise Skipped("token limit")
+    return DerivationRecord(record.id, record.seed, derivation, tag, family), prompt
 
 
 # ---------------------------------------------------------------------------
@@ -69,12 +92,10 @@ def collect_names(d: Derivation) -> list[str]:
 
 def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dict[str, str]]:
     """Bijectively map every distinct name to a letter of the
-    out-of-distribution Greek pool."""
+    out-of-distribution Greek pool; Skipped when the pool is too small."""
     names = collect_names(d)
     if len(names) > len(GREEK_POOL_DEFAULT):
-        raise TooManySymbols(
-            f"{len(names)} distinct symbols exceed the {len(GREEK_POOL_DEFAULT)}-letter pool"
-        )
+        raise Skipped("too many symbols")
     letters = rng.sample(GREEK_POOL_DEFAULT, len(names))
     mapping = dict(zip(names, letters))
     steps = []
@@ -108,11 +129,12 @@ def alternative_goal(
     d: Derivation, cfg: GenConfig, rng: random.Random, vocab: Optional[SymbolTable] = None
 ) -> Derivation:
     """Replace the final step with a freshly sampled applicable operation on
-    the penultimate equation whose result is a new equation. Pass the
-    vocabulary to avoid loading it from ``cfg`` on every call. A kept step
-    whose parent does not precede it raises RecordError."""
+    the penultimate equation whose result is a new equation; Skipped when
+    there is no penultimate equation or no new goal within retry_cap draws.
+    Pass the vocabulary to avoid loading it from ``cfg`` on every call. A
+    kept step whose parent does not precede it raises RecordError."""
     if len(d) < 2:
-        raise PerturbationError("alternative goal needs at least two steps")
+        raise Skipped("fewer than two steps")
     prefix = d.steps[:-1]
     old_goal = d.steps[-1].equation
     existing = {s.equation for s in d.steps}
@@ -132,7 +154,7 @@ def alternative_goal(
         if eq == old_goal or eq in existing or eq.lhs == eq.rhs:
             continue
         return Derivation(prefix + (replace(candidate, role=ROLE_GOAL),))
-    raise GoalExhausted("no differing applicable operation found within retry_cap")
+    raise Skipped("goal resampling exhausted")
 
 
 _GOAL_OPS = (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW, ops.DIFF, ops.INT,

@@ -81,8 +81,8 @@ def _op(payload: dict) -> Optional[str]:
 
 def _steps(payload: dict) -> list:
     steps = payload["steps"]
-    if type(steps) is not list:
-        raise RecordError(f"steps must be a list: {steps!r}")
+    if type(steps) is not list or not steps:
+        raise RecordError(f"steps must be a non-empty list: {steps!r}")
     return steps
 
 

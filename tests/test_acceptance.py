@@ -31,8 +31,7 @@ from derivekit.metrics import (
 )
 from derivekit.ops import dag_coherent, duplicate_free, replay
 from derivekit.perturb import (
-    GoalExhausted,
-    TooManySymbols,
+    Skipped,
     alternative_goal,
     exchange_expressions,
     remove_steps,
@@ -222,7 +221,7 @@ def test_criterion_5_perturbation_contracts(thousand_records):
         rng = random.Random(derive_seed(7001, idx))
         try:
             renamed, mapping = rename_variables(d, rng)
-        except TooManySymbols:
+        except Skipped:
             renamed = None
         if renamed is not None:
             assert len(set(mapping.values())) == len(mapping)
@@ -243,7 +242,7 @@ def test_criterion_5_perturbation_contracts(thousand_records):
         rng = random.Random(derive_seed(7002, idx))
         try:
             ag = alternative_goal(d, cfg, rng)
-        except GoalExhausted:
+        except Skipped:
             ag = None
         if ag is not None:
             prefix_a = json.dumps([step_to_json(s) for s in d.steps[:-1]])

@@ -231,17 +231,23 @@ def test_score_with_explicit_pairs(workdir, tmp_path):
         {"id": "weird-77", "perturbation": "VR", "completion": "x y z"},
     ]
     pairs = [{"id": "weird-77", "perturbation": "VR", "static_id": "s1"}]
-    for name, rows in (("refs", refs), ("preds", preds), ("pairs", pairs)):
+    # BLEURT rows are keyed like the completions, through the pair list
+    bleurt = [{"id": "s1", "perturbation": None, "score": 0.25},
+              {"id": "weird-77", "perturbation": "VR", "score": 0.75}]
+    for name, rows in (("refs", refs), ("preds", preds), ("pairs", pairs),
+                       ("bleurt", bleurt)):
         (tmp_path / f"{name}.jsonl").write_text(
             "\n".join(json.dumps(r) for r in rows) + "\n"
         )
     report = tmp_path / "rep.json"
     assert run(["score", "--pred", tmp_path / "preds.jsonl",
-                "--ref", tmp_path / "refs.jsonl",
+                "--ref", tmp_path / "refs.jsonl", "--bleurt", tmp_path / "bleurt.jsonl",
                 "--pairs", tmp_path / "pairs.jsonl", "--out", report]) == 0
     payload = json.loads(report.read_text())
     assert payload["pairwise"]["VR"]["pairs"] == 1
     assert payload["aggregates"]["n"] == 2
+    assert [(r["perturbation"], r["external_bleurt"]) for r in payload["rows"]] == [
+        (None, 0.25), ("VR", 0.75)]
 
 
 def test_score_with_bleurt_scores(tmp_path):
@@ -264,6 +270,7 @@ def test_score_with_bleurt_scores(tmp_path):
 
 
 BAD_JSONL = '{"id": "d0", "steps": [\n'
+NO_STEPS = '{"id": "d0", "seed": 0, "steps": []}\n'
 PROMPT_ROW = {"id": "d0", "static_id": "d0", "perturbation": None,
               "prompt": "Given $x = y$, then obtain $y = x$", "target": "x = y and y = x"}
 
@@ -327,6 +334,12 @@ BAD_INPUT_CASES = {
                                   _stored(d / "in.jsonl", "x = y", op=["x"])], 3),
     "verify-steps-not-a-list": (lambda d: ["verify", "--in", _file(
         d / "in.jsonl", '{"id": "d0", "seed": 0, "steps": {}}\n')], 3),
+    "verify-empty-steps": (lambda d: ["verify", "--in", _file(d / "in.jsonl", NO_STEPS)], 3),
+    "stats-empty-steps": (lambda d: ["stats", "--in", _file(d / "in.jsonl", NO_STEPS)], 3),
+    "prompt-empty-steps": (lambda d: ["prompt", "--mode", "finetune", "--in",
+                                      _file(d / "in.jsonl", NO_STEPS), "--out", d / "o.jsonl"], 3),
+    "perturb-empty-steps": (lambda d: ["perturb", "--kind", "ee", "--in",
+                                       _file(d / "in.jsonl", NO_STEPS), "--out", d / "o.jsonl"], 3),
     "verify-row-not-an-object": (lambda d: ["verify", "--in",
                                             _file(d / "in.jsonl", "[1, 2]\n")], 3),
     "stats-numeric-latex": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", 5)], 3),
@@ -422,6 +435,9 @@ PERTURB_SKIPS = {
     # every op on 0 = 0 is inapplicable or gives lhs = rhs
     "ag-goal-exhausted": ("ag", {"retry_cap": 5}, ["0 = 0", "x = y"],
                           "goal resampling exhausted"),
+    "ag-one-step": ("ag", {}, ["x = y"], "fewer than two steps"),
+    # a derivation of premises alone has no "then derive" clause to remove
+    "sr-no-intermediates": ("sr", {}, ["x = y", "y = z"], "no intermediates"),
 }
 
 

@@ -16,8 +16,7 @@ from derivekit.genalg import GenConfig
 from derivekit.latex import equation_to_latex
 from derivekit.ops import Derivation, ROLE_PREMISE, Step, replay
 from derivekit.perturb import (
-    GoalExhausted,
-    TooManySymbols,
+    Skipped,
     alternative_goal,
     exchange_expressions,
     remove_steps,
@@ -71,7 +70,7 @@ def test_rename_variables_too_many_symbols():
     syms = [Symbol(f"s_{{{i}}}") for i in range(12)]
     eq = Equation(syms[0], add(*syms[1:]))
     d = Derivation((Step(eq, None, role=ROLE_PREMISE),))
-    with pytest.raises(TooManySymbols):
+    with pytest.raises(Skipped, match="too many symbols"):
         rename_variables(d, random.Random(0))
 
 
@@ -81,7 +80,7 @@ def test_rename_variables_isomorphism_on_generated(small_dataset):
         rng = random.Random(idx)
         try:
             renamed, mapping = rename_variables(record.derivation, rng)
-        except TooManySymbols:
+        except Skipped:
             continue
         assert len(set(mapping.values())) == len(mapping)  # injective
         assert set(mapping.values()) <= set(GREEK_POOL_DEFAULT)
@@ -96,7 +95,7 @@ def test_rename_mapping_injective_across_records(small_dataset):
     for idx, record in enumerate(records):
         try:
             _, mapping = rename_variables(record.derivation, random.Random(idx))
-        except TooManySymbols:
+        except Skipped:
             continue
         assert len(set(mapping.values())) == len(mapping)
 
@@ -130,12 +129,14 @@ def test_alternative_goal_contract(small_dataset):
         rng = random.Random(1000 + idx)
         try:
             ag = alternative_goal(record.derivation, cfg, rng)
-        except GoalExhausted:
+        except Skipped:
             continue
         replaced += 1
         assert len(ag) == len(record.derivation)
         assert ag.steps[:-1] == record.derivation.steps[:-1]
         assert ag.steps[-1].equation != record.derivation.steps[-1].equation
+        # the new goal descends from the penultimate step it was drawn on
+        assert ag.steps[-1].parents[-1] == len(ag) - 2
         assert replay(ag).valid
     assert replaced >= 50
 
@@ -143,7 +144,7 @@ def test_alternative_goal_contract(small_dataset):
 def test_alternative_goal_requires_two_steps():
     x = Symbol("x")
     d = Derivation((Step(Equation(applied("f", [x]), x), None, role=ROLE_PREMISE),))
-    with pytest.raises(Exception):
+    with pytest.raises(Skipped, match="fewer than two steps"):
         alternative_goal(d, GenConfig(), random.Random(0))
 
 
