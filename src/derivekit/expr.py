@@ -295,17 +295,18 @@ class Integral(Expr):
 class Equation:
     """Ordered pair of canonical expressions: lhs = rhs.
 
-    ``_latex`` holds the equation's LaTeX once ``latex.equation_to_latex``
-    has rendered it, so each equation is rendered at most once.
+    ``_latex`` and ``_free`` hold its ``latex.equation_to_latex`` and its
+    ``equation_free_symbols`` once computed, so each is computed at most once.
     """
 
-    __slots__ = ("lhs", "rhs", "_hash", "_latex")
+    __slots__ = ("lhs", "rhs", "_hash", "_latex", "_free")
 
     def __init__(self, lhs: Expr, rhs: Expr):
         self.lhs = lhs
         self.rhs = rhs
         self._hash = hash(("eq", hash(lhs), hash(rhs)))
         self._latex = None
+        self._free = None
 
     def __eq__(self, other) -> bool:
         return type(other) is Equation and other.lhs == self.lhs and other.rhs == self.rhs
@@ -672,13 +673,7 @@ def contains(e: Expr, target: Expr) -> bool:
 
 def free_symbols(e: Expr) -> tuple[str, ...]:
     """Names of all Symbol and AppliedFunction nodes, in sorted order."""
-    names = set()
-    for node in e.subtrees():
-        if type(node) is Symbol:
-            names.add(node.name)
-        elif type(node) is AppliedFunction:
-            names.add(node.name)
-    return tuple(sorted(names))
+    return tuple(sorted({n.name for n in e.subtrees() if type(n) in (Symbol, AppliedFunction)}))
 
 
 def symbol_nodes(e: Expr) -> tuple[Symbol, ...]:
@@ -691,4 +686,6 @@ def symbol_nodes(e: Expr) -> tuple[Symbol, ...]:
 
 
 def equation_free_symbols(eq: Equation) -> tuple[str, ...]:
-    return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
+    if eq._free is None:
+        eq._free = tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
+    return eq._free

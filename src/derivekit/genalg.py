@@ -11,12 +11,16 @@ retry_cap consecutive failures abandon the attempt.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+import sys
 from dataclasses import asdict, dataclass, fields, replace
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import ops
 from .expr import (
+    AppliedFunction,
     Derivative,
     Equation,
     Expr,
@@ -26,7 +30,6 @@ from .expr import (
     add,
     applied,
     div,
-    equation_free_symbols,
     free_symbols,
     func,
     mul,
@@ -77,30 +80,45 @@ class GenConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.startswith("p_") and getattr(self, f.name) < 0:
+            value = getattr(self, f.name)
+            # the seed may be any int; every other number must fit in a float
+            if (f.name != "seed" and isinstance(value, (int, float))
+                    and not abs(value) <= sys.float_info.max):
+                raise GenerationError(f"{f.name} must be a finite number")
+            if f.name.startswith("p_") and value < 0:
                 raise GenerationError(f"{f.name} must be >= 0")
+        if not (self.p_history > 0 and math.isfinite(1 / self.p_history)):
+            # recency weights are p_history ** (-k / n) for 0 <= k < n
+            raise GenerationError("p_history must be > 0 with a finite reciprocal")
         if self.length_min < 4:
             raise GenerationError("length_min must be >= 4 (lengths are kept above 3)")
         if self.retry_cap < 1:
             raise GenerationError("retry_cap must be >= 1")
         if self.length_sigma < 0:
             raise GenerationError("length_sigma must be >= 0")
-        if self.length_mean + 4 * self.length_sigma <= self.length_min - 0.5:
+        if not self.length_min - 0.5 < self.length_mean + 4 * self.length_sigma < math.inf:
             # sample_length redraws until round(gauss) >= length_min
-            raise GenerationError(
-                "length_mean + 4 * length_sigma must exceed length_min - 0.5"
-            )
-        # a gate drawn with positive weight needs a member with positive weight
-        gates = (
-            ("p_arity_*", 1, (self.p_arity_0, self.p_arity_1, self.p_arity_2)),
-            ("the arity-1 groups", self.p_arity_1,
+            raise GenerationError("length_mean + 4 * length_sigma must be finite and exceed "
+                                  "length_min - 0.5")
+        # cumulative weights of sample_action's five draws, each with the weight
+        # of the gate it is drawn under: a gate drawn with positive weight needs
+        # a member with positive weight
+        for attr, name, gate, weights in (
+            ("_arity_cum", "p_arity_*", 1, (self.p_arity_0, self.p_arity_1, self.p_arity_2)),
+            ("_arity1_cum", "the arity-1 groups", self.p_arity_1,
              (self.p_evaluate, self.p_int_or_diff, self.p_renaming + self.p_define,
               self.p_arith, self.p_extension)),
-            ("p_subs + p_add_eq", self.p_arity_2, (self.p_subs, self.p_add_eq)),
-        )
-        for name, gate, members in gates:
-            if gate > 0 and not any(w > 0 for w in members):
+            ("_diff_int_cum", "p_diff_vs_int", self.p_int_or_diff, (self.p_diff_vs_int, 1.0)),
+            ("_rename_cum", "p_renaming + p_define", self.p_renaming + self.p_define,
+             (self.p_renaming, self.p_define)),
+            ("_arity2_cum", "p_subs + p_add_eq", self.p_arity_2, (self.p_subs, self.p_add_eq)),
+        ):
+            cum = list(accumulate(weights))
+            if not math.isfinite(cum[-1]):
+                raise GenerationError(f"{name} weights must have a finite sum")
+            if gate > 0 and not cum[-1] > 0:
                 raise GenerationError(f"{name} weights are all zero")
+            object.__setattr__(self, attr, cum)
 
     def load_vocabulary(self) -> SymbolTable:
         return load_symbol_table(self.vocabulary)
@@ -147,6 +165,8 @@ _THREE_ARG_BODIES: tuple[Callable[[Expr, Expr, Expr], Expr], ...] = (
     lambda x, y, z: div(mul(x, y), z),
 )
 
+_PREMISE_ARITY_CUM = tuple(accumulate((35, 40, 25)))  # premises of 1, 2 and 3 arguments
+
 
 def generate_premise(
     vocab: SymbolTable, rng: random.Random, used: Iterable[str] = ()
@@ -158,17 +178,11 @@ def generate_premise(
     var_names = [n for n in vocab.names("variable") if n not in used_set]
     if not fn_names or len(var_names) < 1:
         raise VocabularyExhausted("not enough unused symbols for a premise")
-    k = rng.choices((1, 2, 3), weights=(35, 40, 25))[0]
-    k = min(k, len(var_names))
+    k = min(ops.weighted_pick((1, 2, 3), _PREMISE_ARITY_CUM, rng), len(var_names))
     name = fn_names[rng.randrange(len(fn_names))]
     args = [Symbol(v) for v in rng.sample(var_names, k)]
-    if k == 1:
-        body = _ONE_ARG_BODIES[rng.randrange(len(_ONE_ARG_BODIES))](args[0])
-    elif k == 2:
-        body = _TWO_ARG_BODIES[rng.randrange(len(_TWO_ARG_BODIES))](args[0], args[1])
-    else:
-        body = _THREE_ARG_BODIES[rng.randrange(len(_THREE_ARG_BODIES))](*args)
-    return Equation(applied(name, args), body)
+    bodies = (_ONE_ARG_BODIES, _TWO_ARG_BODIES, _THREE_ARG_BODIES)[k - 1]
+    return Equation(applied(name, args), bodies[rng.randrange(len(bodies))](*args))
 
 
 # ---------------------------------------------------------------------------
@@ -191,38 +205,28 @@ class Applicability:
 def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> Optional[str]:
     """Draw the next action (an op id or NEW_PREMISE) through the arity gate
     hierarchy. Returns None when the drawn group has no applicable member."""
-    arity = rng.choices((0, 1, 2), weights=(cfg.p_arity_0, cfg.p_arity_1, cfg.p_arity_2))[0]
+    pick = ops.weighted_pick
+    arity = pick((0, 1, 2), cfg._arity_cum, rng)
     if arity == 0:
         return NEW_PREMISE
     if arity == 1:
-        group = rng.choices(
-            ("evaluate", "int_or_diff", "renaming", "arith", "ext"),
-            weights=(cfg.p_evaluate, cfg.p_int_or_diff, cfg.p_renaming + cfg.p_define,
-                     cfg.p_arith, cfg.p_extension),
-        )[0]
+        group = pick(("evaluate", "int_or_diff", "renaming", "arith", "ext"), cfg._arity1_cum, rng)
         if group == "evaluate":
-            candidates = []
-            if flags.has_derivative:
-                candidates.append(ops.EVAL_DIFF)
-            if flags.has_integral:
-                candidates.append(ops.EVAL_INT)
-            if not candidates:
-                return None
-            return candidates[rng.randrange(len(candidates))]
+            candidates = [op for op, ok in ((ops.EVAL_DIFF, flags.has_derivative),
+                                            (ops.EVAL_INT, flags.has_integral)) if ok]
+            return candidates[rng.randrange(len(candidates))] if candidates else None
         if group == "int_or_diff":
-            return rng.choices((ops.DIFF, ops.INT), weights=(cfg.p_diff_vs_int, 1.0))[0]
+            return pick((ops.DIFF, ops.INT), cfg._diff_int_cum, rng)
         if group == "renaming":
             if not flags.has_derived:
                 return None
-            return rng.choices(
-                (ops.RENAME, ops.DEFINE), weights=(cfg.p_renaming, cfg.p_define)
-            )[0]
+            return pick((ops.RENAME, ops.DEFINE), cfg._rename_cum, rng)
         if group == "arith":
             return _ARITH_OPS[rng.randrange(len(_ARITH_OPS))]
         return _EXT1_OPS[rng.randrange(len(_EXT1_OPS))]
     if flags.n_steps < 2:
         return None
-    group = rng.choices(("subs", "add_eq"), weights=(cfg.p_subs, cfg.p_add_eq))[0]
+    group = pick(("subs", "add_eq"), cfg._arity2_cum, rng)
     if group == "subs":
         return (ops.SUB_LHS, ops.SUB_RHS)[rng.randrange(2)]
     return ops.ADD_EQ
@@ -230,8 +234,7 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
 
 def _recency_pick(state: _GenState, indices: Sequence[int]) -> int:
     weights = ops.step_weights(len(state.steps), state.cfg.p_history)
-    ws = [weights[i] for i in indices]
-    return state.rng.choices(indices, weights=ws)[0]
+    return ops.weighted_pick(indices, list(accumulate(weights[i] for i in indices)), state.rng)
 
 
 class _GenState:
@@ -262,7 +265,6 @@ class _GenState:
         index = len(self.steps)
         self.steps.append(step)
         self.seen_equations.add(step.equation)
-        self.used_names.update(equation_free_symbols(step.equation))
         if step.operand is not None:
             self.used_names.update(free_symbols(step.operand))
         self.used_names.update(c.name for c in step.constants)
@@ -275,6 +277,7 @@ class _GenState:
             ancestors |= self.ancestors[p]
         self.ancestors.append(ancestors)
         nodes = ops.subexpression_pool(step.equation)
+        self.used_names.update(n.name for n in nodes if type(n) in (Symbol, AppliedFunction))
         for node in nodes:
             self.containing.setdefault(node, []).append(index)
         if any(type(n) is Derivative for n in nodes):

@@ -10,6 +10,7 @@ only ancestors of its final equation (see ``ancestors``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from . import calculus
@@ -239,9 +240,7 @@ def _apply_dispatch(
         return Step(eq, op, parents)
 
     if op == EVAL_INT:
-        used = set()
-        for s in steps:
-            used.update(equation_free_symbols(s.equation))
+        used = set().union(*(equation_free_symbols(s.equation) for s in steps))
         if constants is not None:
             pool: Iterable[str] = [c.name for c in constants]
             used -= {c.name for c in constants}
@@ -305,7 +304,14 @@ def _apply_dispatch(
 # ---------------------------------------------------------------------------
 # operand sampling
 
+from bisect import bisect
 from functools import lru_cache
+
+
+def weighted_pick(population: Sequence, cum: Sequence[float], rng):
+    """The pick random.choices(population, cum_weights=cum) makes, from the same
+    one rng.random() call; cum must end in a positive finite total."""
+    return population[bisect(cum, rng.random() * (cum[-1] + 0.0), 0, len(cum) - 1)]
 
 
 @lru_cache(maxsize=4096)
@@ -329,9 +335,8 @@ def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:
     """Draw a symbol or sub-expression from the chain with recency bias."""
     if not steps:
         raise OpError("cannot sample an operand from an empty derivation")
-    weights = step_weights(len(steps), p_history)
-    (idx,) = rng.choices(range(len(steps)), weights=weights)
-    pool = subexpression_pool(steps[idx].equation)
+    cum = list(accumulate(step_weights(len(steps), p_history)))
+    pool = subexpression_pool(steps[weighted_pick(range(len(cum)), cum, rng)].equation)
     return pool[rng.randrange(len(pool))]
 
 

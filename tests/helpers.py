@@ -3,8 +3,9 @@ derivation transcripts, replay-by-search annotation, the canonicalization
 oracle, real- and complex-valued expression evaluators (the latter for the
 complex-step derivative oracle), a character-by-character LaTeX tokenizer
 that the parser's scanner is checked against, the op tags that `stats`
-reads, and readers of command outputs (JSONL rows, prompt equations, the
-mode length and top chain of a `stats` report)."""
+reads, readers of command outputs (JSONL rows, prompt equations, the mode
+length and top chain of a `stats` report), and the `random.choices` draws
+and uncached free-symbol walk that generation's tables and caches replace."""
 from __future__ import annotations
 
 import cmath
@@ -34,13 +35,14 @@ from derivekit.expr import (
     derivative,
     div,
     equation_free_symbols,
+    free_symbols,
     func,
     neg,
     num_from_exact,
     rebuild,
     sub,
 )
-from derivekit.genalg import extract_derivation
+from derivekit.genalg import NEW_PREMISE, extract_derivation
 from derivekit.latex import _PUNCT, LatexParseError, parse_equation
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
 from derivekit.records import _numbered_rows
@@ -358,3 +360,60 @@ def top_chain(stats: dict, length: int) -> tuple[str, ...]:
         if entry["length"] == length and entry["top_chains"]:
             return tuple(entry["top_chains"][0]["ops"])
     return ()
+
+
+# ---------------------------------------------------------------------------
+# oracles for generation's draws and caches: random.choices draws over the
+# weights as written, and a fresh walk of both sides
+
+def sample_action_by_choices(flags, cfg, rng):
+    """genalg.sample_action with one rng.choices call per weighted draw."""
+    arity = rng.choices((0, 1, 2), weights=(cfg.p_arity_0, cfg.p_arity_1, cfg.p_arity_2))[0]
+    if arity == 0:
+        return NEW_PREMISE
+    if arity == 1:
+        group = rng.choices(
+            ("evaluate", "int_or_diff", "renaming", "arith", "ext"),
+            weights=(cfg.p_evaluate, cfg.p_int_or_diff, cfg.p_renaming + cfg.p_define,
+                     cfg.p_arith, cfg.p_extension),
+        )[0]
+        if group == "evaluate":
+            candidates = []
+            if flags.has_derivative:
+                candidates.append(ops.EVAL_DIFF)
+            if flags.has_integral:
+                candidates.append(ops.EVAL_INT)
+            if not candidates:
+                return None
+            return candidates[rng.randrange(len(candidates))]
+        if group == "int_or_diff":
+            return rng.choices((ops.DIFF, ops.INT), weights=(cfg.p_diff_vs_int, 1.0))[0]
+        if group == "renaming":
+            if not flags.has_derived:
+                return None
+            return rng.choices(
+                (ops.RENAME, ops.DEFINE), weights=(cfg.p_renaming, cfg.p_define)
+            )[0]
+        if group == "arith":
+            arith = (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW)
+            return arith[rng.randrange(len(arith))]
+        ext = (ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH)
+        return ext[rng.randrange(len(ext))]
+    if flags.n_steps < 2:
+        return None
+    group = rng.choices(("subs", "add_eq"), weights=(cfg.p_subs, cfg.p_add_eq))[0]
+    if group == "subs":
+        return (ops.SUB_LHS, ops.SUB_RHS)[rng.randrange(2)]
+    return ops.ADD_EQ
+
+
+def recency_pick_by_choices(state, indices):
+    """genalg._recency_pick with rng.choices over the picked steps' weights."""
+    weights = ops.step_weights(len(state.steps), state.cfg.p_history)
+    ws = [weights[i] for i in indices]
+    return state.rng.choices(indices, weights=ws)[0]
+
+
+def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
+    """equation_free_symbols without the per-equation cache."""
+    return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))

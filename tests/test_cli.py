@@ -385,6 +385,21 @@ BAD_INPUT_CASES = {
     "zero-arity2-groups": (lambda d: _generate_with(d / "cfg.json", **ZERO_ARITY2), 2),
     "length-mean-below-min": (lambda d: _generate_with(d / "cfg.json", length_mean=3.4,
                                                        length_sigma=0), 2),
+    # non-finite numbers, and weights whose draws would overflow or divide by zero
+    "config-infinite-weight": (lambda d: _generate_with(d / "cfg.json",
+                                                        p_arity_0=float("inf")), 2),
+    "config-nan-weight": (lambda d: _generate_with(d / "cfg.json", p_arity_1=float("nan")), 2),
+    "config-weight-sum-overflows": (lambda d: _generate_with(d / "cfg.json", p_subs=1e308,
+                                                             p_add_eq=1e308), 2),
+    "config-huge-integer-weight": (lambda d: _generate_with(d / "cfg.json", p_subs=10**400), 2),
+    "config-nan-length-sigma": (lambda d: _generate_with(d / "cfg.json",
+                                                         length_sigma=float("nan")), 2),
+    "config-infinite-length-bound": (lambda d: _generate_with(d / "cfg.json", length_mean=1e308,
+                                                              length_sigma=1e308), 2),
+    "config-infinite-retry-cap": (lambda d: _generate_with(d / "cfg.json",
+                                                           retry_cap=float("inf")), 2),
+    "config-zero-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=0), 2),
+    "config-subnormal-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=5e-324), 2),
     "config-bad-json": (lambda d: ["generate", "--count", 1, "--config",
                                    _file(d / "cfg.json", "{"), "--out", d / "o.jsonl"], 2),
     "config-wrong-type": (lambda d: _generate_with(d / "cfg.json", p_subs="x"), 2),

@@ -3,11 +3,20 @@ extraction, determinism, and the dataset filters."""
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from derivekit import ops
-from derivekit.expr import Equation, Integer, Symbol, applied, func, equation_free_symbols
+from derivekit.expr import (
+    Equation,
+    Integer,
+    Symbol,
+    applied,
+    equation_free_symbols,
+    free_symbols,
+    func,
+)
 from derivekit.genalg import (
     Applicability,
     GenConfig,
@@ -25,12 +34,20 @@ from derivekit.genalg import (
     sample_length,
     try_step,
     _GenState,
+    _recency_pick,
 )
 from derivekit.latex import count_lexemes, equation_to_latex, parse_equation, to_latex
 from derivekit.ops import ROLE_PREMISE, Step, dag_coherent, duplicate_free, replay
 from derivekit.prompts import build_prompt
 from derivekit.records import derivation_record_to_json
 from derivekit.vocab import SymbolEntry, SymbolTable, load_symbol_table
+from helpers import (
+    equation_free_symbols_by_walk,
+    parse_derivation,
+    recency_pick_by_choices,
+    sample_action_by_choices,
+)
+from reference_derivations import DERIVATIONS
 
 
 def test_config_validation():
@@ -142,6 +159,37 @@ def test_sample_action_zero_weight_never_drawn():
     for _ in range(5000):
         action = sample_action(flags, cfg, rng)
         assert action not in (ops.SUB_LHS, ops.SUB_RHS, ops.ADD_EQ)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"p_arity_2": 0}, {"p_define": 0}])
+def test_sample_action_matches_the_choices_oracle(overrides):
+    # the cumulative tables give the picks and the rng state of random.choices
+    cfg = GenConfig(**overrides)
+    for seed in (0, 1, 7, 1000):
+        flag_rng = random.Random(seed + 1)
+        flags = [Applicability(flag_rng.randrange(1, 4), *(flag_rng.random() < 0.5
+                                                           for _ in range(3)))
+                 for _ in range(10_000)]
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        drawn = [sample_action(f, cfg, rng) for f in flags]
+        assert drawn == [sample_action_by_choices(f, cfg, oracle_rng) for f in flags]
+        assert rng.getstate() == oracle_rng.getstate()
+        assert len(set(drawn)) >= 15  # most ops, NEW_PREMISE and None
+
+
+def test_recency_pick_matches_the_choices_oracle():
+    subset_rng = random.Random(3)
+    for seed, p_history in enumerate((10.0, 1.5, 0.25, 1e6)):
+        cfg = GenConfig(p_history=p_history)
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for n in range(1, 40):
+            state = SimpleNamespace(steps=[None] * n, cfg=cfg, rng=rng)
+            oracle = SimpleNamespace(steps=[None] * n, cfg=cfg, rng=oracle_rng)
+            for _ in range(50):
+                indices = range(n) if subset_rng.random() < 0.3 else sorted(
+                    subset_rng.sample(range(n), subset_rng.randint(1, n)))
+                assert _recency_pick(state, indices) == recency_pick_by_choices(oracle, indices)
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +331,11 @@ def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
         steps = state.steps
         n = len(steps)
         assert len(state.ancestors[-1]) == len(extract_derivation(steps))
+        names = {c.name for s in steps for c in s.constants}
+        for s in steps:
+            names.update(equation_free_symbols_by_walk(s.equation))
+            names.update(free_symbols(s.operand) if s.operand is not None else ())
+        assert state.used_names == names
         subtrees = [set(ops.subexpression_pool(s.equation)) for s in steps]
         for definition, s in enumerate(steps):
             for pattern in (s.equation.lhs, s.equation.rhs):
@@ -348,3 +401,17 @@ def test_cached_latex_matches_a_fresh_rendering_for_every_op():
         assert equation_to_latex(eq) == fresh
         assert equation_to_latex(eq) is equation_to_latex(eq)  # rendered once
         assert equation_to_latex(Equation(eq.lhs, eq.rhs)) == fresh
+
+
+def test_cached_free_symbols_match_a_fresh_walk():
+    equations = [eq for lines in DERIVATIONS.values() for eq in parse_derivation(lines)]
+    records, _ = generate_dataset(GenConfig(seed=0), 20)
+    # generation fills some caches itself (eval_int reads every step's names)
+    equations += [s.equation for r in records for s in r.derivation.steps]
+    assert any(eq._free is not None for eq in equations)
+    for eq in equations:
+        assert equation_free_symbols(eq) == equation_free_symbols_by_walk(eq)
+        assert equation_free_symbols(eq) is equation_free_symbols(eq)  # walked once
+        fresh = Equation(eq.lhs, eq.rhs)
+        assert fresh._free is None
+        assert fresh == eq and eq == fresh and hash(fresh) == hash(eq)

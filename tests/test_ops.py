@@ -1,10 +1,14 @@
 """Operation registry tests: application semantics, inverse pairs, operand
 sampling statistics, replay, and ground-truth derivation replay-by-search."""
+import ast
 import math
 import random
 from dataclasses import replace
+from itertools import accumulate
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from reference_derivations import DERIVATIONS
 from derivekit import ops
@@ -32,6 +36,7 @@ from derivekit.ops import (
     replay,
     sample_operand,
     step_weights,
+    weighted_pick,
 )
 from derivekit.records import (
     DerivationRecord,
@@ -242,6 +247,35 @@ def test_sample_operand_matches_geometric_weights():
         expected = probs[i] * draws
         sigma = math.sqrt(draws * probs[i] * (1 - probs[i]))
         assert abs(counts[i] - expected) <= 3 * sigma, (i, counts, expected)
+
+
+_WEIGHT = st.one_of(st.just(0), st.integers(0, 100), st.floats(0, 1e6))
+
+
+@given(st.lists(_WEIGHT, min_size=1, max_size=30), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_weighted_pick_matches_random_choices(weights, seed):
+    # the same picks and the same rng state as random.choices, zeros included
+    assume(sum(weights) > 0)
+    population = range(len(weights))
+    cum = list(accumulate(weights))
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert weighted_pick(population, cum, rng) == oracle.choices(population, weights)[0]
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_no_module_calls_random_choices():
+    # every weighted draw goes through weighted_pick over a cumulative table
+    src = Path(ops.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "choices"
+    ]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
