@@ -34,6 +34,7 @@ from .records import (
     op_tags_from_json,
     prompt_record_from_json,
     prompt_record_to_json,
+    string_field,
     write_atomic,
     write_jsonl,
 )
@@ -144,15 +145,12 @@ def cmd_score(args) -> int:
 
     from . import metrics as metrics_mod
 
-    alias = {}
-    if args.pairs:
-        # explicit pair list: perturbed row id -> its static family id
-        alias = load_keyed(args.pairs, lambda row: (
-            (row["id"], row.get("perturbation")), row["static_id"]))
+    # explicit pair list: perturbed row id -> its static family id
+    alias = load_keyed(args.pairs, lambda row: (
+        (row["id"], row.get("perturbation")), row["static_id"])) if args.pairs else {}
 
     def key_of(row_id, perturbation):
-        sid = alias.get((row_id, perturbation), row_id)
-        return (sid, perturbation)
+        return (alias.get((row_id, perturbation), row_id), perturbation)
 
     def ref_entry(row):
         record = prompt_record_from_json(row)
@@ -163,11 +161,16 @@ def cmd_score(args) -> int:
         return key_of(row["id"] if alias else row.get("static_id") or row["id"],
                       row.get("perturbation"))
 
+    def bleurt_entry(row):
+        score = row["score"]
+        # a finite JSON number: no string, bool, NaN, infinity or int past the float range
+        if type(score) not in (int, float) or not abs(score) <= sys.float_info.max:
+            raise RecordError(f"score must be a finite number: {score!r}")
+        return row_key(row), float(score)
+
     refs = load_keyed(args.ref, ref_entry)
-    preds = load_keyed(args.pred, lambda row: (row_key(row), row["completion"]))
-    bleurt = {}
-    if args.bleurt:
-        bleurt = load_keyed(args.bleurt, lambda row: (row_key(row), float(row["score"])))
+    preds = load_keyed(args.pred, lambda row: (row_key(row), string_field(row, "completion")))
+    bleurt = load_keyed(args.bleurt, bleurt_entry) if args.bleurt else {}
     report, rows = metrics_mod.build_score_report(
         preds, refs, rouge_order=args.rouge_order, bleurt_scores=bleurt
     )

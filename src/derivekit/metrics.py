@@ -14,8 +14,10 @@ matches per order. The n-gram totals follow from the token count
 one hits vector; `rouge`, `bleu` and `gleu` are thin wrappers over the same
 helpers, and `rouge` profiles only its own order. Every count is an integer,
 so each value is exactly the one that counting every order on its own gives
-(the tests compare them with `==` against a brute-force oracle). No profile
-outlives the call that made it.
+(the tests compare them with `==` against a brute-force oracle).
+`score_all` takes an optional `{string: profile}` memo; `build_score_report`
+keeps one per family (a static id and its perturbed rows), so each distinct
+string of a family is profiled once and no profile outlives its family.
 """
 from __future__ import annotations
 
@@ -68,11 +70,16 @@ def _hits(cand: Counter, ref: Counter, max_n: int) -> list[int]:
 
 
 def _pair(
-    candidate: str, reference: str, max_n: int, min_n: int = 1
+    candidate: str, reference: str, max_n: int, min_n: int = 1, profiles: Optional[dict] = None
 ) -> tuple[int, int, list[int]]:
-    """Token counts of both strings and their hits over orders min_n..max_n."""
-    c, cand = _profile(candidate, max_n, min_n)
-    r, ref = (c, cand) if reference == candidate else _profile(reference, max_n, min_n)
+    """Token counts of both strings and their hits over orders min_n..max_n.
+    `profiles` memoizes `_profile` for one (max_n, min_n); the strings it
+    lacks are profiled into it."""
+    profiles = {} if profiles is None else profiles
+    for text in (candidate, reference):
+        if text not in profiles:
+            profiles[text] = _profile(text, max_n, min_n)
+    (c, cand), (r, ref) = profiles[candidate], profiles[reference]
     return c, r, _hits(cand, ref, max_n)
 
 
@@ -155,13 +162,16 @@ def gleu(candidate: str, reference: str, max_n: int = BLEU_MAX_N) -> float:
     return _gleu(*_pair(candidate, reference, _check_order(max_n, "max_n")), max_n)
 
 
-def score_all(candidate: str, reference: str, rouge_order="2") -> dict[str, float]:
+def score_all(
+    candidate: str, reference: str, rouge_order="2", profiles: Optional[dict] = None
+) -> dict[str, float]:
     """rouge_order: n-gram order ("1"/"2"/int) or "L" for LCS-based ROUGE.
     Both strings are profiled once and their hits counted once for all three
-    metrics."""
+    metrics. `profiles` is the memo of `_pair`; share one only between calls
+    with the same rouge_order."""
     lcs = str(rouge_order).upper() == "L"
     order = 0 if lcs else _check_order(int(rouge_order))
-    c, r, hits = _pair(candidate, reference, max(BLEU_MAX_N, order))
+    c, r, hits = _pair(candidate, reference, max(BLEU_MAX_N, order), profiles=profiles)
     return {
         "rouge": rouge_l(candidate, reference) if lcs else _rouge_n(c, r, hits, order),
         "bleu": _bleu(c, r, hits, BLEU_MAX_N),
@@ -288,60 +298,45 @@ def build_score_report(
 
     Ratios compare the drift of predictions M(s_hat, p_hat) to the drift of
     references M(s, p); rows whose reference pair scores zero are excluded
-    from ratio aggregates and counted.
+    from ratio aggregates and counted. One loop runs over the families (an
+    id's static row and its perturbed rows) in id order, with one profile
+    memo per family; each bucket list still fills in (kind, id) order.
     """
     bleurt_scores = bleurt_scores or {}
-    rows: list[ScoredRow] = []
-    keys = sorted(
-        (k for k in predictions if k in references),
-        key=lambda k: (k[1] or "", k[0]),
-    )
+    keys = sorted((k for k in predictions if k in references), key=lambda k: (k[1] or "", k[0]))
     missing = sorted(str(k) for k in predictions.keys() ^ references.keys())
+    families: dict[str, list[tuple[str, Optional[str]]]] = {}
     for key in keys:
-        rid, perturbation = key
-        row = ScoredRow(
-            rid,
-            perturbation,
-            score_all(predictions[key], references[key], rouge_order),
-            bleurt=bleurt_scores.get(key),
-        )
-        rows.append(row)
-    by_key = {(r.id, r.perturbation): r for r in rows}
-
+        families.setdefault(key[0], []).append(key)
+    by_key: dict[tuple[str, Optional[str]], ScoredRow] = {}
     pairwise: dict[str, dict] = {}
-    for row in rows:
-        if row.perturbation is None:
-            continue
-        static_key = (row.id, None)
-        static_row = by_key.get(static_key)
-        if static_row is None:
-            continue
-        bucket = pairwise.setdefault(
-            row.perturbation,
-            {"pairs": 0, "diff": {m: [] for m in METRIC_NAMES},
-             "ratio": {m: [] for m in METRIC_NAMES}, "ratio_excluded": 0},
-        )
-        bucket["pairs"] += 1
-        for m in METRIC_NAMES:
-            bucket["diff"][m].append(perf_difference(static_row.scores[m], row.scores[m]))
-        pred_pair = score_all(
-            predictions[static_key], predictions[(row.id, row.perturbation)], rouge_order
-        )
-        truth_pair = score_all(
-            references[static_key], references[(row.id, row.perturbation)], rouge_order
-        )
-        excluded = False
-        for m in METRIC_NAMES:
-            try:
-                ratio = perturbation_ratio(pred_pair[m], truth_pair[m])
-            except ZeroDenominator:
-                row.ratios[m] = None
-                excluded = True
+    for rid, family in sorted(families.items()):
+        profiles: dict[str, tuple[int, Counter]] = {}
+        for key in family:
+            scores = score_all(predictions[key], references[key], rouge_order, profiles)
+            by_key[key] = ScoredRow(rid, key[1], scores, bleurt=bleurt_scores.get(key))
+        static = (rid, None)
+        for key in family:
+            if key == static or static not in by_key:
                 continue
-            row.ratios[m] = ratio
-            bucket["ratio"][m].append(ratio)
-        if excluded:
-            bucket["ratio_excluded"] += 1
+            row = by_key[key]
+            bucket = pairwise.setdefault(
+                key[1],
+                {"pairs": 0, "diff": {m: [] for m in METRIC_NAMES},
+                 "ratio": {m: [] for m in METRIC_NAMES}, "ratio_excluded": 0},
+            )
+            bucket["pairs"] += 1
+            pred_pair = score_all(predictions[static], predictions[key], rouge_order, profiles)
+            truth_pair = score_all(references[static], references[key], rouge_order, profiles)
+            for m in METRIC_NAMES:
+                bucket["diff"][m].append(perf_difference(by_key[static].scores[m], row.scores[m]))
+                try:
+                    row.ratios[m] = perturbation_ratio(pred_pair[m], truth_pair[m])
+                    bucket["ratio"][m].append(row.ratios[m])
+                except ZeroDenominator:
+                    row.ratios[m] = None
+            bucket["ratio_excluded"] += int(None in row.ratios.values())
+    rows = [by_key[key] for key in keys]
 
     report = {
         "config": {
@@ -351,14 +346,8 @@ def build_score_report(
             "tokenization": "whitespace",
         },
         "rows": [
-            {
-                "id": r.id,
-                "perturbation": r.perturbation,
-                "rouge": r.scores["rouge"],
-                "bleu": r.scores["bleu"],
-                "gleu": r.scores["gleu"],
-                "external_bleurt": r.bleurt,
-            }
+            {"id": r.id, "perturbation": r.perturbation,
+             **{m: r.scores[m] for m in METRIC_NAMES}, "external_bleurt": r.bleurt}
             for r in rows
         ],
         "aggregates": dict(

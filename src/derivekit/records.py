@@ -79,6 +79,14 @@ def _op(payload: dict) -> Optional[str]:
     return op
 
 
+def string_field(payload: dict, name: str) -> str:
+    """payload[name], which must be a string."""
+    value = payload[name]
+    if type(value) is not str:
+        raise RecordError(f"{name} must be a string: {value!r}")
+    return value
+
+
 def _steps(payload: dict) -> list:
     steps = payload["steps"]
     if type(steps) is not list or not steps:
@@ -141,8 +149,7 @@ def op_tags_from_json(payload: dict) -> tuple[str, ...]:
     for step in _steps(payload):
         op = _op(step)
         _parents(step)
-        if type(step["latex"]) is not str:
-            raise RecordError(f"latex must be a string: {step['latex']!r}")
+        string_field(step, "latex")
         step["role"]
         tags.append(PREMISE if op is None else op)
     return tuple(tags)
@@ -164,8 +171,8 @@ def prompt_record_from_json(payload: dict) -> PromptRecord:
         id=payload["id"],
         static_id=payload["static_id"],
         perturbation=payload.get("perturbation"),
-        prompt=payload["prompt"],
-        target=payload["target"],
+        prompt=string_field(payload, "prompt"),
+        target=string_field(payload, "target"),
     )
 
 

@@ -4,17 +4,22 @@ oracle, real- and complex-valued expression evaluators (the latter for the
 complex-step derivative oracle), a character-by-character LaTeX tokenizer
 that the parser's scanner is checked against, the op tags that `stats`
 reads, readers of command outputs (JSONL rows, prompt equations, the mode
-length and top chain of a `stats` report), and the `random.choices` draws
-and uncached free-symbol walk that generation's tables and caches replace."""
+length and top chain of a `stats` report), the `random.choices` draws
+and uncached free-symbol walk that generation's tables and caches replace,
+the two-loop score report that the one family loop replaces, and a fixed
+reference block for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
 import cmath
+import gc
+import json
 import math
 import re
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
-from typing import Iterator
+from time import perf_counter
+from typing import Iterator, Optional
 
 from derivekit import ops
 from derivekit.expr import (
@@ -44,6 +49,17 @@ from derivekit.expr import (
 )
 from derivekit.genalg import NEW_PREMISE, extract_derivation
 from derivekit.latex import _PUNCT, LatexParseError, parse_equation
+from derivekit.metrics import (
+    BLEU_MAX_N,
+    BLEU_SMOOTHING,
+    METRIC_NAMES,
+    ScoredRow,
+    ZeroDenominator,
+    _mean,
+    perf_difference,
+    perturbation_ratio,
+    score_all,
+)
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
 from derivekit.records import _numbered_rows
 
@@ -417,3 +433,134 @@ def recency_pick_by_choices(state, indices):
 def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
     """equation_free_symbols without the per-equation cache."""
     return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
+
+
+# ---------------------------------------------------------------------------
+# oracle for the score report: a loop that scores every row, then a loop
+# that compares each perturbed row with its static row
+
+def score_report_two_loops(
+    predictions: dict[tuple[str, Optional[str]], str],
+    references: dict[tuple[str, Optional[str]], str],
+    rouge_order="2",
+    bleurt_scores: Optional[dict[tuple[str, Optional[str]], float]] = None,
+) -> tuple[dict, list[ScoredRow]]:
+    """metrics.build_score_report as two loops over the rows in (kind, id)
+    order: one scores every row, one builds the pairwise tables. Every
+    score_all call profiles both of its strings afresh."""
+    bleurt_scores = bleurt_scores or {}
+    rows: list[ScoredRow] = []
+    keys = sorted(
+        (k for k in predictions if k in references),
+        key=lambda k: (k[1] or "", k[0]),
+    )
+    missing = sorted(str(k) for k in predictions.keys() ^ references.keys())
+    for key in keys:
+        rid, perturbation = key
+        row = ScoredRow(
+            rid,
+            perturbation,
+            score_all(predictions[key], references[key], rouge_order),
+            bleurt=bleurt_scores.get(key),
+        )
+        rows.append(row)
+    by_key = {(r.id, r.perturbation): r for r in rows}
+
+    pairwise: dict[str, dict] = {}
+    for row in rows:
+        if row.perturbation is None:
+            continue
+        static_key = (row.id, None)
+        static_row = by_key.get(static_key)
+        if static_row is None:
+            continue
+        bucket = pairwise.setdefault(
+            row.perturbation,
+            {"pairs": 0, "diff": {m: [] for m in METRIC_NAMES},
+             "ratio": {m: [] for m in METRIC_NAMES}, "ratio_excluded": 0},
+        )
+        bucket["pairs"] += 1
+        for m in METRIC_NAMES:
+            bucket["diff"][m].append(perf_difference(static_row.scores[m], row.scores[m]))
+        pred_pair = score_all(
+            predictions[static_key], predictions[(row.id, row.perturbation)], rouge_order
+        )
+        truth_pair = score_all(
+            references[static_key], references[(row.id, row.perturbation)], rouge_order
+        )
+        excluded = False
+        for m in METRIC_NAMES:
+            try:
+                ratio = perturbation_ratio(pred_pair[m], truth_pair[m])
+            except ZeroDenominator:
+                row.ratios[m] = None
+                excluded = True
+                continue
+            row.ratios[m] = ratio
+            bucket["ratio"][m].append(ratio)
+        if excluded:
+            bucket["ratio_excluded"] += 1
+
+    report = {
+        "config": {
+            "rouge_order": str(rouge_order),
+            "bleu_max_n": BLEU_MAX_N,
+            "bleu_smoothing": BLEU_SMOOTHING,
+            "tokenization": "whitespace",
+        },
+        "rows": [
+            {
+                "id": r.id,
+                "perturbation": r.perturbation,
+                "rouge": r.scores["rouge"],
+                "bleu": r.scores["bleu"],
+                "gleu": r.scores["gleu"],
+                "external_bleurt": r.bleurt,
+            }
+            for r in rows
+        ],
+        "aggregates": dict(
+            {"n": len(rows)},
+            **{m: _mean(r.scores[m] for r in rows) for m in METRIC_NAMES},
+        ),
+        "pairwise": {
+            kind: {
+                "pairs": bucket["pairs"],
+                "diff": {m: _mean(bucket["diff"][m]) for m in METRIC_NAMES},
+                "ratio": {m: _mean(bucket["ratio"][m]) for m in METRIC_NAMES},
+                "ratio_excluded": bucket["ratio_excluded"],
+            }
+            for kind, bucket in sorted(pairwise.items())
+        },
+        "unmatched_keys": missing,
+        "schema_version": 1,
+    }
+    return report, rows
+
+
+# ---------------------------------------------------------------------------
+# host speed: a fixed piece of pure-Python work, the same as perfbench's
+# reference block, and the time it takes on the host the bounds were set on
+
+REF_S = 0.010
+
+
+def reference_block() -> float:
+    """Seconds taken by a fixed piece of pure-Python work (fractions,
+    tuple-keyed dicts, sorting, JSON) that is independent of derivekit, with
+    the cyclic garbage collector off."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = perf_counter()
+        acc = Fraction(0)
+        table = {}
+        for i in range(1, 1500):
+            acc += Fraction(i % 97, i)
+            table[(i % 113, str(i))] = [i, i * 2]
+        rows = sorted(table.items(), key=lambda kv: (kv[0][1], kv[1][0]))
+        json.loads(json.dumps([list(k) + v for k, v in rows]))
+        return perf_counter() - start
+    finally:
+        if was_enabled:
+            gc.enable()

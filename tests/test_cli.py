@@ -256,7 +256,7 @@ def test_score_with_bleurt_scores(tmp_path):
             for p, t in ((None, "x y z"), ("VR", "x y q"))]
     preds = [{"id": "s1", "perturbation": p, "completion": "x y z"} for p in (None, "VR")]
     bleurt = [{"id": "s1", "perturbation": None, "score": 0.25},
-              {"id": "s1", "static_id": "s1", "perturbation": "VR", "score": "0.75"}]
+              {"id": "s1", "static_id": "s1", "perturbation": "VR", "score": 0.75}]
     for name, rows in (("refs", refs), ("preds", preds), ("bleurt", bleurt)):
         write_jsonl(tmp_path / f"{name}.jsonl", rows)
     report, features = tmp_path / "rep.json", tmp_path / "features.csv"
@@ -284,6 +284,17 @@ def _stored(path, latex, parents=(), **fields):
     step = {"latex": latex, "op": "premise", "parents": list(parents),
             "operand_latex": None, "role": "premise", **fields}
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
+
+
+def _score(d, completion="x", target="x = y", bleurt=None):
+    """score of one completion against one reference; `bleurt`, when given, is
+    the raw JSON text of the score of one BLEURT row."""
+    argv = ["score", "--out", d / "o.json",
+            "--pred", _file(d / "p.jsonl", json.dumps({"id": "d0", "completion": completion})),
+            "--ref", _file(d / "r.jsonl", json.dumps(dict(PROMPT_ROW, target=target)))]
+    if bleurt is not None:
+        argv += ["--bleurt", _file(d / "b.jsonl", f'{{"id": "d0", "score": {bleurt}}}')]
+    return argv
 
 
 def _ag_with_parent(d, parent):
@@ -362,6 +373,16 @@ BAD_INPUT_CASES = {
         "score", "--pred", _file(d / "p.jsonl", '{"id": "d0", "completion": "x"}\n'),
         "--ref", _file(d / "r.jsonl", (json.dumps(PROMPT_ROW) + "\n") * 2),
         "--out", d / "o.json"], 3),
+    # completions and targets must be strings, BLEURT scores finite JSON numbers
+    "score-integer-completion": (lambda d: _score(d, completion=5), 3),
+    "score-null-completion": (lambda d: _score(d, completion=None), 3),
+    "score-integer-target": (lambda d: _score(d, target=7), 3),
+    "score-bleurt-nan-string": (lambda d: _score(d, bleurt='"nan"'), 3),
+    "score-bleurt-nan-literal": (lambda d: _score(d, bleurt="NaN"), 3),
+    "score-bleurt-overflowing-float": (lambda d: _score(d, bleurt="1e400"), 3),
+    "score-bleurt-huge-integer": (lambda d: _score(d, bleurt="1" + "0" * 400), 3),
+    "score-bleurt-numeric-string": (lambda d: _score(d, bleurt='"0.5"'), 3),
+    "score-bleurt-bool": (lambda d: _score(d, bleurt="true"), 3),
     "perturb-ag-forward-parent": (lambda d: _ag_with_parent(d, 1), 3),
     "perturb-ag-negative-parent": (lambda d: _ag_with_parent(d, -1), 3),
     "prompt-huge-integer": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
@@ -416,6 +437,22 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("io error: " if code == 3 else "config error: ")
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES
+                                         if c.startswith("score-") and "duplicate" not in c))
+def test_score_names_the_malformed_row_and_writes_nothing(case, tmp_path, capsys):
+    assert run(BAD_INPUT_CASES[case][0](tmp_path)) == 3
+    name = "b" if "bleurt" in case else "r" if "target" in case else "p"
+    assert f"{tmp_path / name}.jsonl:1: malformed row" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_score_accepts_integer_and_float_bleurt_scores(tmp_path):
+    for raw, value in (("1", 1.0), ("-0.5", -0.5), ("1e308", 1e308)):
+        assert run(_score(tmp_path, bleurt=raw)) == 0
+        row = json.loads((tmp_path / "o.json").read_text())["rows"][0]
+        assert row["external_bleurt"] == value
 
 
 @pytest.mark.parametrize("parent", [1, 2, -1])

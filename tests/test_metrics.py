@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivekit import metrics
 from derivekit.metrics import (
     ErrorAnnotation,
     MetricError,
@@ -25,6 +26,8 @@ from derivekit.metrics import (
     rouge_l,
     score_all,
 )
+
+from helpers import score_report_two_loops
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +354,91 @@ def test_score_all_rouge_variants():
     assert score_all(cand, ref, "1")["rouge"] == pytest.approx(rouge(cand, ref, 1))
     assert score_all(cand, ref, "2")["rouge"] == pytest.approx(rouge(cand, ref, 2))
     assert score_all(cand, ref, "L")["rouge"] == pytest.approx(rouge_l(cand, ref))
+
+
+# ---------------------------------------------------------------------------
+# the one family loop against the two-loop oracle, and its profile count
+
+KINDS = (None, "VR", "EE", "AG", "SR")
+
+
+def random_score_inputs(rng):
+    """Predictions, references and BLEURT scores over a few families: keys
+    are dropped from either side at random (unmatched keys, families with no
+    static row), and strings come from a small shared pool as well as fresh
+    draws, so equal strings and empty completions meet within and across
+    families."""
+    pool = ["", "a", "a b", "a b c d", "b a b a", "c d a b c"]
+
+    def text():
+        if rng.random() < 0.4:
+            return rng.choice(pool)
+        return " ".join(rng.choice("abcd") for _ in range(rng.randrange(8)))
+
+    predictions, references, bleurt = {}, {}, {}
+    for i in range(rng.randrange(1, 7)):
+        for kind in KINDS:
+            key = (f"d{i}", kind)
+            if rng.random() < 0.85:
+                predictions[key] = text()
+            if rng.random() < 0.85:
+                references[key] = text()
+            if rng.random() < 0.3:
+                bleurt[key] = rng.random()
+    return predictions, references, bleurt
+
+
+def test_build_score_report_equals_the_two_loop_oracle():
+    seen = {"no static row": 0, "unmatched": 0, "ratio excluded": 0, "bleurt": 0,
+            "empty completion": 0, "equal strings": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        predictions, references, bleurt = random_score_inputs(rng)
+        order = ("1", "2", "L")[seed % 3]
+        scores = bleurt if seed % 2 else None
+        report, rows = score_report_two_loops(predictions, references, order, scores)
+        assert build_score_report(predictions, references, order, scores) == (report, rows)
+        ids = {rid for rid, _ in predictions.keys() & references.keys()}
+        seen["no static row"] += any((rid, None) not in predictions.keys() & references.keys()
+                                     for rid in ids)
+        seen["unmatched"] += bool(report["unmatched_keys"])
+        seen["ratio excluded"] += any(b["ratio_excluded"] for b in report["pairwise"].values())
+        seen["bleurt"] += any(r["external_bleurt"] is not None for r in report["rows"])
+        seen["empty completion"] += "" in predictions.values()
+        texts = [*predictions.values(), *references.values()]
+        seen["equal strings"] += len(set(texts)) < len(texts)
+    assert all(seen.values()), seen
+
+
+def _count_profiles(monkeypatch):
+    calls = []
+    profile = metrics._profile
+    monkeypatch.setattr(metrics, "_profile",
+                        lambda text, *a: calls.append(text) or profile(text, *a))
+    return calls
+
+
+def test_build_score_report_profiles_each_string_once_per_family(monkeypatch):
+    calls = _count_profiles(monkeypatch)
+    predictions = {("d0", kind): f"p {kind} x y" for kind in KINDS}
+    references = {("d0", kind): f"r {kind} x y" for kind in KINDS}
+    report, _ = build_score_report(predictions, references)
+    assert len(report["pairwise"]) == 4
+    # 10 distinct strings, where scoring each pair afresh profiles 26 times
+    assert len(calls) == 10
+    # a second family with the same strings profiles them again: no memo
+    # outlives its family
+    calls.clear()
+    predictions.update({("d1", kind): f"p {kind} x y" for kind in KINDS})
+    references.update({("d1", kind): f"r {kind} x y" for kind in KINDS})
+    build_score_report(predictions, references)
+    assert len(calls) == 20
+
+
+def test_score_all_with_a_memo_equals_score_all_without(monkeypatch):
+    calls = _count_profiles(monkeypatch)
+    profiles = {}
+    for cand, ref in (("a b c", "a b d"), ("a b d", "a b c"), ("a b c", "a b c")):
+        assert score_all(cand, ref, "2", profiles) == score_all(cand, ref, "2")
+    # the memo profiled "a b c" and "a b d" once; the calls without it, 5 times
+    assert len(calls) == 2 + 5
