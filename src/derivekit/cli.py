@@ -35,6 +35,7 @@ from .records import (
     prompt_record_from_json,
     prompt_record_to_json,
     string_field,
+    string_or_null,
     write_atomic,
     write_jsonl,
 )
@@ -145,9 +146,13 @@ def cmd_score(args) -> int:
 
     from . import metrics as metrics_mod
 
+    def perturbation_of(row):
+        return string_or_null("perturbation", row.get("perturbation"))
+
     # explicit pair list: perturbed row id -> its static family id
     alias = load_keyed(args.pairs, lambda row: (
-        (row["id"], row.get("perturbation")), row["static_id"])) if args.pairs else {}
+        (string_field(row, "id"), perturbation_of(row)), string_field(row, "static_id"))
+    ) if args.pairs else {}
 
     def key_of(row_id, perturbation):
         return (alias.get((row_id, perturbation), row_id), perturbation)
@@ -158,8 +163,9 @@ def cmd_score(args) -> int:
                 record.target)
 
     def row_key(row):  # a completion or BLEURT row
-        return key_of(row["id"] if alias else row.get("static_id") or row["id"],
-                      row.get("perturbation"))
+        row_id = string_field(row, "id")
+        static_id = string_or_null("static_id", row.get("static_id"))
+        return key_of(row_id if alias else static_id or row_id, perturbation_of(row))
 
     def bleurt_entry(row):
         score = row["score"]

@@ -16,7 +16,7 @@ import random
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import ops
 from .expr import (
@@ -194,8 +194,7 @@ _EXT1_OPS = (ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH)
 NEW_PREMISE = "new_premise"
 
 
-@dataclass(frozen=True)
-class Applicability:
+class Applicability(NamedTuple):
     n_steps: int
     has_derivative: bool
     has_integral: bool
@@ -256,6 +255,9 @@ class _GenState:
         self.derived_indices: list[int] = []
         # subexpression -> ascending indices of the steps containing it
         self.containing: dict[Expr, list[int]] = {}
+        # sides[i]: the containing lists of step i's lhs and rhs; both hold i
+        self.sides: list[tuple[list[int], list[int]]] = []
+        self.flags = Applicability(0, False, False, False)
         # ancestors[i]: step i and every step it descends from
         self.ancestors: list[set[int]] = []
         # (op, parents) -> the step ops.apply made, or None if it failed
@@ -286,6 +288,10 @@ class _GenState:
             self.integral_indices.append(index)
         if step.role != ROLE_PREMISE:
             self.derived_indices.append(index)
+        eq = step.equation
+        self.sides.append((self.containing[eq.lhs], self.containing[eq.rhs]))
+        self.flags = Applicability(index + 1, bool(self.derivative_indices),
+                                   bool(self.integral_indices), bool(self.derived_indices))
 
     def constant_pool(self) -> list[str]:
         pool = [
@@ -293,7 +299,7 @@ class _GenState:
             for n in self.vocab.names("constant") + self.vocab.names("variable")
             if n not in self.used_names
         ]
-        self.rng.shuffle(pool)
+        ops.shuffle(pool, self.rng)
         return pool
 
     def apply_once(self, op: str, parents: tuple[int, ...], **kwargs) -> Optional[Step]:
@@ -328,29 +334,24 @@ def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
     recency-weighted target whose matching side contains one of the
     definition's sides (the "relevant equation elements" pre-search of the
     step procedure)."""
-    cfg, rng, steps = state.cfg, state.rng, state.steps
-    n = len(steps)
-    weights = ops.step_weights(n, cfg.p_history)
-    def_order = _weighted_order(list(range(n)), weights, rng)
-    for definition in def_order:
-        def_eq = steps[definition].equation
-        pattern = def_eq.lhs if op == ops.SUB_LHS else def_eq.rhs
-        targets = [j for j in state.containing.get(pattern, ()) if j != definition]
-        if not targets:
-            continue
+    weights = ops.step_weights(len(state.steps), state.cfg.p_history)
+    side = 0 if op == ops.SUB_LHS else 1
+    # exponential-sort order: one rng.random() per step, in index order; keys only
+    # for definitions with a target, another step in their side's containing list
+    draw = state.rng.random
+    keyed = []
+    for i, sides in enumerate(state.sides):
+        u = draw()
+        if len(sides[side]) > 1:
+            keyed.append((u ** (1.0 / weights[i]), i))
+    keyed.sort(reverse=True)
+    for _, definition in keyed:
+        targets = [j for j in state.sides[definition][side] if j != definition]
         target = _recency_pick(state, targets)
         candidate = state.apply_once(op, (definition, target))
         if candidate is not None:
             return candidate
     return None
-
-
-def _weighted_order(indices: list[int], weights, rng: random.Random) -> list[int]:
-    """Weighted order without replacement (exponential-sort sampling)."""
-    keyed = sorted(
-        ((rng.random() ** (1.0 / weights[i]), i) for i in indices), reverse=True
-    )
-    return [i for _, i in keyed]
 
 
 def apply_action(
@@ -418,13 +419,7 @@ def apply_action(
 
 def try_step(state: _GenState) -> Optional[Step]:
     """One stochastic step draw; None counts as a failed attempt."""
-    flags = Applicability(
-        len(state.steps),
-        bool(state.derivative_indices),
-        bool(state.integral_indices),
-        bool(state.derived_indices),
-    )
-    action = sample_action(flags, state.cfg, state.rng)
+    action = sample_action(state.flags, state.cfg, state.rng)
     candidate = None if action is None else apply_action(state, action)
     if candidate is None:
         return None

@@ -322,13 +322,28 @@ def step_weights(n: int, p_history: float) -> tuple[float, ...]:
 
 
 def subexpression_pool(eq: Equation) -> tuple[Expr, ...]:
-    """Deduplicated subtrees of both sides, in deterministic order."""
+    """Deduplicated subtrees of both sides, in first-occurrence preorder. A
+    repeated node is not walked again: its first occurrence walked its subtree."""
     seen: dict[Expr, None] = {}
-    for side in (eq.lhs, eq.rhs):
-        for node in side.subtrees():
-            if node not in seen:
-                seen[node] = None
+    stack = [eq.rhs, eq.lhs]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen[node] = None
+            stack.extend(reversed(node.children()))
     return tuple(seen)
+
+
+def shuffle(x: list, rng) -> None:
+    """rng.shuffle(x) with random.shuffle's rejection draws made inline: the
+    same getrandbits calls, so the same order and the same end state."""
+    getrandbits = rng.getrandbits
+    for n in range(len(x), 1, -1):  # swap x[n - 1] with x[j], j drawn below n
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[n - 1], x[j] = x[j], x[n - 1]
 
 
 def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:

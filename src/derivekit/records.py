@@ -70,13 +70,17 @@ def _parents(payload: dict) -> tuple[int, ...]:
     return parents
 
 
+def string_or_null(name: str, value) -> Optional[str]:
+    """value, the field `name` of a row, which must be a string or null."""
+    if value is not None and type(value) is not str:
+        raise RecordError(f"{name} must be a string or null: {value!r}")
+    return value
+
+
 def _op(payload: dict) -> Optional[str]:
     """A step's op, checked with its operand_latex: each is a string or null."""
-    op, operand = payload["op"], payload.get("operand_latex")
-    for name, value in (("op", op), ("operand_latex", operand)):
-        if value is not None and type(value) is not str:
-            raise RecordError(f"{name} must be a string or null: {value!r}")
-    return op
+    string_or_null("operand_latex", payload.get("operand_latex"))
+    return string_or_null("op", payload["op"])
 
 
 def string_field(payload: dict, name: str) -> str:
@@ -168,9 +172,9 @@ def prompt_record_to_json(record: PromptRecord) -> dict:
 
 def prompt_record_from_json(payload: dict) -> PromptRecord:
     return PromptRecord(
-        id=payload["id"],
-        static_id=payload["static_id"],
-        perturbation=payload.get("perturbation"),
+        id=string_field(payload, "id"),
+        static_id=string_field(payload, "static_id"),
+        perturbation=string_or_null("perturbation", payload.get("perturbation")),
         prompt=string_field(payload, "prompt"),
         target=string_field(payload, "target"),
     )

@@ -4,8 +4,9 @@ oracle, real- and complex-valued expression evaluators (the latter for the
 complex-step derivative oracle), a character-by-character LaTeX tokenizer
 that the parser's scanner is checked against, the op tags that `stats`
 reads, readers of command outputs (JSONL rows, prompt equations, the mode
-length and top chain of a `stats` report), the `random.choices` draws
-and uncached free-symbol walk that generation's tables and caches replace,
+length and top chain of a `stats` report), the `random.choices` draws,
+full sort, full subtree walk and uncached free-symbol walk that
+generation's tables, pruning and caches replace,
 the two-loop score report that the one family loop replaces, and a fixed
 reference block for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
@@ -47,7 +48,7 @@ from derivekit.expr import (
     rebuild,
     sub,
 )
-from derivekit.genalg import NEW_PREMISE, extract_derivation
+from derivekit.genalg import NEW_PREMISE, _recency_pick, extract_derivation
 from derivekit.latex import _PUNCT, LatexParseError, parse_equation
 from derivekit.metrics import (
     BLEU_MAX_N,
@@ -433,6 +434,42 @@ def recency_pick_by_choices(state, indices):
 def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
     """equation_free_symbols without the per-equation cache."""
     return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
+
+
+def substitution_draw_by_full_sort(state, op):
+    """genalg._substitution_draw with a sort key for every step, each
+    definition's targets looked up in the containing index."""
+    steps = state.steps
+    weights = ops.step_weights(len(steps), state.cfg.p_history)
+    for definition in weighted_order(list(range(len(steps))), weights, state.rng):
+        def_eq = steps[definition].equation
+        pattern = def_eq.lhs if op == ops.SUB_LHS else def_eq.rhs
+        targets = [j for j in state.containing.get(pattern, ()) if j != definition]
+        if not targets:
+            continue
+        target = _recency_pick(state, targets)
+        candidate = state.apply_once(op, (definition, target))
+        if candidate is not None:
+            return candidate
+    return None
+
+
+def weighted_order(indices: list[int], weights, rng) -> list[int]:
+    """Weighted order without replacement (exponential-sort sampling)."""
+    keyed = sorted(
+        ((rng.random() ** (1.0 / weights[i]), i) for i in indices), reverse=True
+    )
+    return [i for _, i in keyed]
+
+
+def subexpression_pool_by_full_walk(eq: Equation) -> tuple[Expr, ...]:
+    """ops.subexpression_pool walking every subtree, repeats included."""
+    seen: dict[Expr, None] = {}
+    for side in (eq.lhs, eq.rhs):
+        for node in side.subtrees():
+            if node not in seen:
+                seen[node] = None
+    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

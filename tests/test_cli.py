@@ -286,14 +286,20 @@ def _stored(path, latex, parents=(), **fields):
     return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
 
 
-def _score(d, completion="x", target="x = y", bleurt=None):
+def _score(d, completion="x", target="x = y", bleurt=None, pred=(), ref=(), pairs=None):
     """score of one completion against one reference; `bleurt`, when given, is
-    the raw JSON text of the score of one BLEURT row."""
+    the raw JSON text of the score of one BLEURT row. `pred` and `ref` hold
+    fields that replace those of the completion and reference rows, and
+    `pairs`, when given, is the one row of a --pairs file."""
+    pred_row = {"id": "d0", "completion": completion, **dict(pred)}
     argv = ["score", "--out", d / "o.json",
-            "--pred", _file(d / "p.jsonl", json.dumps({"id": "d0", "completion": completion})),
-            "--ref", _file(d / "r.jsonl", json.dumps(dict(PROMPT_ROW, target=target)))]
+            "--pred", _file(d / "p.jsonl", json.dumps(pred_row)),
+            "--ref", _file(d / "r.jsonl", json.dumps({**PROMPT_ROW, "target": target,
+                                                      **dict(ref)}))]
     if bleurt is not None:
         argv += ["--bleurt", _file(d / "b.jsonl", f'{{"id": "d0", "score": {bleurt}}}')]
+    if pairs is not None:
+        argv += ["--pairs", _file(d / "a.jsonl", json.dumps(pairs))]
     return argv
 
 
@@ -383,6 +389,18 @@ BAD_INPUT_CASES = {
     "score-bleurt-huge-integer": (lambda d: _score(d, bleurt="1" + "0" * 400), 3),
     "score-bleurt-numeric-string": (lambda d: _score(d, bleurt='"0.5"'), 3),
     "score-bleurt-bool": (lambda d: _score(d, bleurt="true"), 3),
+    # ids are strings and a perturbation tag a string or null, in every score input
+    "score-pred-integer-id": (lambda d: _score(d, pred={"id": 5}), 3),
+    "score-pred-integer-static-id": (lambda d: _score(d, pred={"static_id": 5}), 3),
+    "score-pred-integer-perturbation": (lambda d: _score(d, pred={"perturbation": 7}), 3),
+    "score-ref-integer-id": (lambda d: _score(d, ref={"id": 5}), 3),
+    "score-ref-integer-static-id": (lambda d: _score(d, ref={"static_id": 5}), 3),
+    "score-ref-integer-perturbation": (lambda d: _score(d, ref={"perturbation": 7}), 3),
+    "score-pairs-integer-id": (lambda d: _score(d, pairs={"id": 5, "static_id": "d0"}), 3),
+    "score-pairs-integer-static-id": (lambda d: _score(
+        d, pairs={"id": "d0", "perturbation": "VR", "static_id": 5}), 3),
+    "score-pairs-integer-perturbation": (lambda d: _score(
+        d, pairs={"id": "d0", "perturbation": 7, "static_id": "d0"}), 3),
     "perturb-ag-forward-parent": (lambda d: _ag_with_parent(d, 1), 3),
     "perturb-ag-negative-parent": (lambda d: _ag_with_parent(d, -1), 3),
     "prompt-huge-integer": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
@@ -443,7 +461,8 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
                                          if c.startswith("score-") and "duplicate" not in c))
 def test_score_names_the_malformed_row_and_writes_nothing(case, tmp_path, capsys):
     assert run(BAD_INPUT_CASES[case][0](tmp_path)) == 3
-    name = "b" if "bleurt" in case else "r" if "target" in case else "p"
+    name = next((file for part, file in (("bleurt", "b"), ("target", "r"), ("-ref-", "r"),
+                                         ("-pairs-", "a")) if part in case), "p")
     assert f"{tmp_path / name}.jsonl:1: malformed row" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
 

@@ -9,7 +9,9 @@ import pytest
 
 from derivekit import ops
 from derivekit.expr import (
+    Derivative,
     Equation,
+    Integral,
     Integer,
     Symbol,
     applied,
@@ -35,6 +37,7 @@ from derivekit.genalg import (
     try_step,
     _GenState,
     _recency_pick,
+    _substitution_draw,
 )
 from derivekit.latex import count_lexemes, equation_to_latex, parse_equation, to_latex
 from derivekit.ops import ROLE_PREMISE, Step, dag_coherent, duplicate_free, replay
@@ -46,6 +49,7 @@ from helpers import (
     parse_derivation,
     recency_pick_by_choices,
     sample_action_by_choices,
+    substitution_draw_by_full_sort,
 )
 from reference_derivations import DERIVATIONS
 
@@ -319,9 +323,10 @@ def _fresh_pool(state: _GenState, rng: random.Random) -> list[str]:
 def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
     """After every step an attempt accepts: the inverted index yields the
     substitution targets of a full scan in the same order, the ancestor set
-    has the size of the extracted derivation, every memoized ops.apply result
-    is what ops.apply computes now, and an eval_int failure still fails with
-    a freshly drawn pool."""
+    has the size of the extracted derivation, the applicability flags are
+    those a scan of the steps gives, every memoized ops.apply result is what
+    ops.apply computes now, and an eval_int failure still fails with a
+    freshly drawn pool."""
     note = _GenState.note
     pool_rng = random.Random(5)
     counts = Counter()
@@ -342,6 +347,9 @@ def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
                 scanned = [j for j in range(n) if j != definition and pattern in subtrees[j]]
                 indexed = [j for j in state.containing.get(pattern, ()) if j != definition]
                 assert indexed == scanned
+        node_types = {type(node) for pool in subtrees for node in pool}
+        assert state.flags == Applicability(n, Derivative in node_types, Integral in node_types,
+                                            any(s.role != ROLE_PREMISE for s in steps))
         for (op, parents), memo in state.applied.items():
             if op == ops.EVAL_INT:
                 assert memo is None
@@ -363,6 +371,34 @@ def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
     assert counts["notes"] > 200
     assert all(counts[key] > 0 for key in (
         "eval_int failures", ops.EVAL_DIFF, ops.SUB_LHS, ops.SUB_RHS))
+
+
+def test_substitution_draw_matches_the_full_sort_oracle(monkeypatch):
+    """After every step an attempt accepts, each substitution draw returns the
+    step that sorting every definition returns, and leaves the rng in the same
+    state; the attempt then goes on from the state before the draws."""
+    note = _GenState.note
+    counts = Counter()
+
+    def note_and_draw(state, step):
+        note(state, step)
+        before = state.rng.getstate()
+        for op, side in ((ops.SUB_LHS, 0), (ops.SUB_RHS, 1)):
+            state.rng.setstate(before)
+            drawn = _substitution_draw(state, op)
+            after = state.rng.getstate()
+            state.rng.setstate(before)
+            assert drawn == substitution_draw_by_full_sort(state, op)
+            assert state.rng.getstate() == after
+            with_target = sum(len(sides[side]) > 1 for sides in state.sides)
+            counts["no step" if drawn is None else "step"] += 1
+            counts["some without a target"] += 0 < with_target < len(state.steps)
+        state.rng.setstate(before)
+
+    monkeypatch.setattr(_GenState, "note", note_and_draw)
+    for seed in (0, 1, 2, 1000):
+        generate_dataset(GenConfig(seed=seed), 3)
+    assert all(counts[key] > 50 for key in ("no step", "step", "some without a target"))
 
 
 def _one_step_per_op() -> list[Step]:

@@ -8,7 +8,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from reference_derivations import DERIVATIONS
 from derivekit import ops
@@ -19,7 +19,9 @@ from derivekit.expr import (
     Symbol,
     add,
     applied,
+    derivative,
     func,
+    integral,
     mul,
     pow_,
 )
@@ -43,7 +45,7 @@ from derivekit.records import (
     derivation_record_from_json,
     derivation_record_to_json,
 )
-from helpers import infer_derivation, parse_derivation
+from helpers import infer_derivation, parse_derivation, subexpression_pool_by_full_walk
 
 x = Symbol("x")
 
@@ -263,6 +265,45 @@ def test_weighted_pick_matches_random_choices(weights, seed):
     for _ in range(20):
         assert weighted_pick(population, cum, rng) == oracle.choices(population, weights)[0]
     assert rng.getstate() == oracle.getstate()
+
+
+# few symbols and small numbers, so that subtrees repeat within and across sides
+_SYMBOLS = st.sampled_from((Symbol("x"), Symbol("y")))
+_EXPRS = st.recursive(
+    st.one_of(_SYMBOLS, st.integers(-2, 3).map(Integer), st.just(applied("f", [Symbol("x")]))),
+    lambda inner: st.one_of(
+        st.builds(add, inner, inner),
+        st.builds(mul, inner, inner),
+        st.builds(pow_, inner, st.integers(2, 3).map(Integer)),
+        st.builds(func, st.sampled_from(("sin", "exp")), inner),
+        st.builds(derivative, inner, _SYMBOLS),
+        st.builds(integral, inner, _SYMBOLS),
+    ),
+    max_leaves=12,
+)
+_SIN = func("sin", add(x, Symbol("y")))
+
+
+@given(_EXPRS, _EXPRS)
+@example(mul(_SIN, derivative(_SIN, x)), add(_SIN, integral(mul(_SIN, x), x)))
+@settings(max_examples=300, deadline=None)
+def test_subexpression_pool_matches_the_full_walk(lhs, rhs):
+    # the pool skips a repeated node's children; the full walk visits them again
+    eq = Equation(lhs, rhs)
+    assert ops.subexpression_pool(eq) == subexpression_pool_by_full_walk(eq)
+
+
+def test_shuffle_matches_random_shuffle():
+    # sizes at and around powers of two change the bit count of each draw
+    for seed in range(300):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for size in (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+                     110, 127, 128, 129, 1000):
+            drawn, expected = list(range(size)), list(range(size))
+            ops.shuffle(drawn, rng)
+            oracle.shuffle(expected)
+            assert drawn == expected
+            assert rng.getstate() == oracle.getstate()
 
 
 def test_no_module_calls_random_choices():
