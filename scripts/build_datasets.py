@@ -6,19 +6,54 @@ Full-scale sizes (tens of thousands of records) take a while; the defaults build
 small but fully structured mirror of the pipeline. Example:
 
     python scripts/build_datasets.py --out data_build --train 600 --static 200
+
+Every command runs in this process, so a file that several commands read is
+parsed once. With --process-per-command each command runs as its own
+`python -m derivekit.cli` process instead; both builds write the same bytes.
 """
 import argparse
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import derivekit
 from derivekit.cli import main as cli
 
 
-def run(args):
-    code = cli([str(a) for a in args])
-    if code != 0:
-        sys.exit(code)
+def commands(out: Path, train: int, static: int, seed: int) -> list[list[str]]:
+    """The derivekit command lines of the build, in the order they run."""
+    argvs = [
+        # disjoint seeds give disjoint training and held-out static splits
+        ["generate", "--count", train, "--seed", seed, "--out", out / "train.jsonl"],
+        ["generate", "--count", static, "--seed", seed + 1, "--out", out / "static.jsonl"],
+        ["prompt", "--mode", "finetune", "--in", out / "train.jsonl",
+         "--out", out / "train_prompts.jsonl"],
+        ["prompt", "--mode", "finetune", "--in", out / "static.jsonl",
+         "--out", out / "static_prompts.jsonl"],
+    ]
+    for kind in ("vr", "ee", "ag", "sr"):
+        argvs.append(["perturb", "--kind", kind, "--seed", seed,
+                      "--in", out / "static.jsonl",
+                      "--out", out / f"{kind}.jsonl",
+                      "--prompts-out", out / f"{kind}_prompts.jsonl"])
+    for name in ("static", "vr", "ee", "ag", "sr"):
+        argvs.append(["prompt", "--mode", "fewshot", "--in", out / f"{name}_prompts.jsonl",
+                      "--train", out / "train_prompts.jsonl", "--seed", seed,
+                      "--out", out / f"{name}_fewshot.jsonl"])
+    argvs.append(["verify", "--in", out / "train.jsonl"])
+    argvs.append(["stats", "--in", out / "train.jsonl", "--out", out / "train_stats.json"])
+    return [[str(a) for a in argv] for argv in argvs]
+
+
+def run_in_own_process(argv: list[str]) -> int:
+    """Run one command as `python -m derivekit.cli`, importing the derivekit
+    this script imported."""
+    src = str(Path(derivekit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "derivekit.cli", *argv], env=env).returncode
 
 
 def main():
@@ -27,38 +62,17 @@ def main():
     parser.add_argument("--train", type=int, default=600)
     parser.add_argument("--static", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--process-per-command", action="store_true",
+                        help="run each command in a new interpreter")
     opts = parser.parse_args()
 
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    # disjoint seeds give disjoint training and held-out static splits
-    run(["generate", "--count", opts.train, "--seed", opts.seed,
-         "--out", out / "train.jsonl"])
-    run(["generate", "--count", opts.static, "--seed", opts.seed + 1,
-         "--out", out / "static.jsonl"])
-
-    run(["prompt", "--mode", "finetune", "--in", out / "train.jsonl",
-         "--out", out / "train_prompts.jsonl"])
-    run(["prompt", "--mode", "finetune", "--in", out / "static.jsonl",
-         "--out", out / "static_prompts.jsonl"])
-
-    for kind in ("vr", "ee", "ag", "sr"):
-        run(["perturb", "--kind", kind, "--seed", opts.seed,
-             "--in", out / "static.jsonl",
-             "--out", out / f"{kind}.jsonl",
-             "--prompts-out", out / f"{kind}_prompts.jsonl"])
-
-    run(["prompt", "--mode", "fewshot", "--in", out / "static_prompts.jsonl",
-         "--train", out / "train_prompts.jsonl", "--seed", opts.seed,
-         "--out", out / "static_fewshot.jsonl"])
-    for kind in ("vr", "ee", "ag", "sr"):
-        run(["prompt", "--mode", "fewshot", "--in", out / f"{kind}_prompts.jsonl",
-             "--train", out / "train_prompts.jsonl", "--seed", opts.seed,
-             "--out", out / f"{kind}_fewshot.jsonl"])
-
-    run(["verify", "--in", out / "train.jsonl"])
-    run(["stats", "--in", out / "train.jsonl", "--out", out / "train_stats.json"])
+    run = run_in_own_process if opts.process_per_command else cli
+    for argv in commands(out, opts.train, opts.static, opts.seed):
+        code = run(argv)
+        if code != 0:
+            sys.exit(code)
 
     sizes = {p.name: sum(1 for _ in open(p)) for p in sorted(out.glob("*.jsonl"))}
     print(json.dumps(sizes, indent=1))

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import random
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import prompts as prompts_mod
@@ -32,6 +31,7 @@ from .records import (
     load_prompt_records,
     load_rows,
     op_tags_from_json,
+    open_text,
     prompt_record_from_json,
     prompt_record_to_json,
     string_field,
@@ -51,9 +51,12 @@ def load_config(path: Optional[str], overrides: dict) -> GenConfig:
     payload = {}
     if path is not None:
         try:
-            payload = json.loads(Path(path).read_text("utf-8"))
+            with open_text(path) as fh:
+                payload = json.loads(fh.read())
         except json.JSONDecodeError as exc:
             raise GenerationError(f"{path}: bad JSON: {exc}") from exc
+        except RecordError as exc:  # not UTF-8
+            raise GenerationError(str(exc)) from exc
         if not isinstance(payload, dict):
             raise GenerationError("config file must hold a JSON object")
     payload.pop("schema_version", None)

@@ -8,8 +8,10 @@ ends with "schema_version".
 """
 from __future__ import annotations
 
+import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
@@ -203,8 +205,33 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
         json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def _numbered_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
+@contextmanager
+def open_text(path: str | Path, data: Optional[bytes] = None) -> Iterator[TextIO]:
+    r"""The file at `path`, or its bytes `data` when given, open as text as
+    open(path, encoding="utf-8") opens it: lines end at "\n", "\r\n" or "\r"
+    (str.splitlines would also split at characters such as "\x85" and
+    "\u2028", which a JSON string may hold). A read of bytes that are not
+    UTF-8 raises RecordError naming the file and the first line that holds
+    one."""
+    with (open(path, encoding="utf-8") if data is None
+          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            if data is None and os.path.isfile(path):  # a pipe would wait for a new writer
+                data = Path(path).read_bytes()
+            for lineno, raw in enumerate(data.splitlines() if data else (), 1):
+                try:  # lines split at b"\n", b"\r\n" and b"\r", as above
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise RecordError(f"{path}:{lineno}: not UTF-8 ({bad.reason})") from exc
+            raise RecordError(f"{path}: not UTF-8") from exc
+
+
+def _numbered_rows(path: str | Path, data: Optional[bytes] = None) -> Iterator[tuple[int, dict]]:
+    """The JSON object on each non-blank line of a file; `data`, when given,
+    is the file's bytes, already read."""
+    with open_text(path, data) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -222,8 +249,9 @@ def _numbered_rows(path: str | Path) -> Iterator[tuple[int, dict]]:
 _MALFORMED = (RecordError, KeyError, TypeError, ValueError, LatexParseError, ExprError)
 
 
-def _converted(path: str | Path, convert: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
-    for lineno, row in _numbered_rows(path):
+def _converted(path: str | Path, convert: Callable[[dict], T],
+               data: Optional[bytes] = None) -> Iterator[tuple[int, T]]:
+    for lineno, row in _numbered_rows(path, data):
         try:
             item = convert(row)
         except _MALFORMED as exc:
@@ -253,8 +281,26 @@ def load_keyed(path: str | Path, convert: Callable[[dict], tuple[K, V]]) -> dict
     return out
 
 
+# The bytes and the records of the last derivation file loaded. The dataset
+# build loads one static split in five commands of one process; records and
+# their trees are immutable, so every load of the same bytes can share them.
+_last_load: Optional[tuple[bytes, tuple[DerivationRecord, ...]]] = None
+
+
 def load_derivation_records(path: str | Path) -> list[DerivationRecord]:
-    return load_rows(path, derivation_record_from_json)
+    """load_rows of derivation records. A file whose bytes equal those of
+    the last file loaded is not parsed again: the list holds that file's
+    records. Only one file's records are kept, and none after a load that
+    raises."""
+    global _last_load
+    kept, _last_load = _last_load, None
+    data = Path(path).read_bytes()
+    if kept is None or kept[0] != data:
+        kept = None  # dropped before the parse, so two files are never held
+        rows = _converted(path, derivation_record_from_json, data)
+        kept = (data, tuple(item for _, item in rows))
+    _last_load = kept
+    return list(kept[1])
 
 
 def load_prompt_records(path: str | Path) -> list[PromptRecord]:

@@ -15,6 +15,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+from .records import RecordError, open_text
+
 KINDS = ("variable", "function-name", "constant")
 
 GREEK_POOL_DEFAULT = (
@@ -70,7 +72,11 @@ def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
     if path is None:
         text = resources.files("derivekit.data").joinpath("vocabulary.json").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        try:
+            with open_text(path) as fh:
+                text = fh.read()
+        except RecordError as exc:  # not UTF-8
+            raise VocabularyError(str(exc)) from exc
     try:
         payload = json.loads(text)
         entries = tuple(SymbolEntry(item["name"], item["kind"]) for item in payload["symbols"])

@@ -7,7 +7,8 @@ reads, readers of command outputs (JSONL rows, prompt equations, the mode
 length and top chain of a `stats` report), the `random.choices` draws,
 full sort, full subtree walk and uncached free-symbol walk that
 generation's tables, pruning and caches replace,
-the two-loop score report that the one family loop replaces, and a fixed
+the two-loop score report that the one family loop replaces, the
+line-by-line file reader that the one decode step replaces, and a fixed
 reference block for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ from derivekit.metrics import (
     score_all,
 )
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
-from derivekit.records import _numbered_rows
+from derivekit.records import _MALFORMED, RecordError, _numbered_rows
 
 
 class EvalError(ExprError):
@@ -470,6 +471,31 @@ def subexpression_pool_by_full_walk(eq: Equation) -> tuple[Expr, ...]:
             if node not in seen:
                 seen[node] = None
     return tuple(seen)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the record reader: a file opened as text, read line by line
+
+def load_rows_by_open(path: str | Path, convert) -> list:
+    """records.load_rows as a loop over open(path): the same rows, and the
+    same RecordError for a bad line."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise RecordError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(row, dict):
+                raise RecordError(f"{path}:{lineno}: row is not a JSON object")
+            try:
+                out.append(convert(row))
+            except _MALFORMED as exc:
+                raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ def workdir(tmp_path_factory):
     return base
 
 
+@pytest.fixture(scope="module")
+def static_prompts(workdir):
+    """The fine-tuning prompts of the static split, for the tests that score
+    or collect them."""
+    path = workdir / "static_prompts.jsonl"
+    assert main(["prompt", "--mode", "finetune", "--in", str(workdir / "static.jsonl"),
+                 "--out", str(path)]) == 0
+    return path
+
+
 def run(args) -> int:
     return main([str(a) for a in args])
 
@@ -159,8 +169,8 @@ def test_prompt_finetune_and_fewshot(workdir):
     assert all(r["prompt"].count("Derivation: ") == 5 for r in rows)
 
 
-def test_score_and_features(workdir, tmp_path):
-    prompts = workdir / "prompts.jsonl"
+def test_score_and_features(static_prompts, tmp_path):
+    prompts = static_prompts
     preds = tmp_path / "preds.jsonl"
     rows = []
     for record in load_prompt_records(prompts):
@@ -189,7 +199,7 @@ def test_missing_input_is_io_error(tmp_path):
     assert run(["stats", "--in", tmp_path / "absent.jsonl"]) == 3
 
 
-def test_collect_against_mock_server(workdir, tmp_path, monkeypatch):
+def test_collect_against_mock_server(static_prompts, tmp_path, monkeypatch):
     server = HTTPServer(("127.0.0.1", 0), MockChatHandler)
     server.plan = ["500", "echo"]
     server.requests = []
@@ -200,7 +210,7 @@ def test_collect_against_mock_server(workdir, tmp_path, monkeypatch):
     errs = tmp_path / "errors.jsonl"
     try:
         code = run([
-            "collect", "--in", workdir / "prompts.jsonl", "--out", out,
+            "collect", "--in", static_prompts, "--out", out,
             "--errors-out", errs,
             "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
             "--model", "mock", "--token-env", "DERIVEKIT_TEST_TOKEN",
@@ -211,7 +221,7 @@ def test_collect_against_mock_server(workdir, tmp_path, monkeypatch):
     assert code == 0
     rows = list(read_jsonl(out))
     assert len(rows) == 150
-    prompts = load_prompt_records(workdir / "prompts.jsonl")
+    prompts = load_prompt_records(static_prompts)
     assert rows[0]["completion"] == prompts[0].prompt
     assert all(req["body"]["temperature"] == 0.0 for req in server.requests)
     assert not errs.exists() or not errs.read_text().strip()
@@ -271,12 +281,18 @@ def test_score_with_bleurt_scores(tmp_path):
 
 BAD_JSONL = '{"id": "d0", "steps": [\n'
 NO_STEPS = '{"id": "d0", "seed": 0, "steps": []}\n'
+NOT_UTF8 = b'\n{"id": "d\xff1"}\n'
 PROMPT_ROW = {"id": "d0", "static_id": "d0", "perturbation": None,
               "prompt": "Given $x = y$, then obtain $y = x$", "target": "x = y and y = x"}
 
 
 def _file(path, text):
     path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _not_utf8(path):
+    path.write_bytes(NOT_UTF8)
     return path
 
 
@@ -405,6 +421,23 @@ BAD_INPUT_CASES = {
     "perturb-ag-negative-parent": (lambda d: _ag_with_parent(d, -1), 3),
     "prompt-huge-integer": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
         d / "in.jsonl", "x = 7^{4000} 5^{4000}"), "--out", d / "o.jsonl"], 3),
+    # a byte that is not UTF-8, in every kind of input file
+    "not-utf8-verify": (lambda d: ["verify", "--in", _not_utf8(d / "in.jsonl")], 3),
+    "not-utf8-stats": (lambda d: ["stats", "--in", _not_utf8(d / "in.jsonl")], 3),
+    "not-utf8-prompt": (lambda d: ["prompt", "--mode", "finetune", "--in",
+                                   _not_utf8(d / "in.jsonl"), "--out", d / "o.jsonl"], 3),
+    "not-utf8-fewshot-train": (lambda d: [
+        "prompt", "--mode", "fewshot", "--in", _file(d / "in.jsonl", json.dumps(PROMPT_ROW)),
+        "--train", _not_utf8(d / "t.jsonl"), "--out", d / "o.jsonl"], 3),
+    "not-utf8-perturb": (lambda d: ["perturb", "--kind", "sr", "--in",
+                                    _not_utf8(d / "in.jsonl"), "--out", d / "o.jsonl"], 3),
+    "not-utf8-score-pred": (lambda d: [
+        "score", "--pred", _not_utf8(d / "p.jsonl"),
+        "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW)), "--out", d / "o.json"], 3),
+    "not-utf8-config": (lambda d: ["generate", "--count", 1, "--config",
+                                   _not_utf8(d / "cfg.json"), "--out", d / "o.jsonl"], 2),
+    "not-utf8-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
+                                       _not_utf8(d / "v.json"), "--out", d / "o.jsonl"], 2),
     "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
                                                d / "missing.json", "--out", d / "o.jsonl"], 3),
     "vocabulary-non-string-name": (lambda d: [
@@ -465,6 +498,14 @@ def test_score_names_the_malformed_row_and_writes_nothing(case, tmp_path, capsys
                                          ("-pairs-", "a")) if part in case), "p")
     assert f"{tmp_path / name}.jsonl:1: malformed row" in capsys.readouterr().err
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES if c.startswith("not-utf8-")))
+def test_input_that_is_not_utf8_names_the_file_and_line(case, tmp_path, capsys):
+    assert run(BAD_INPUT_CASES[case][0](tmp_path)) == BAD_INPUT_CASES[case][1]
+    name = {"fewshot-train": "t.jsonl", "score-pred": "p.jsonl", "config": "cfg.json",
+            "vocabulary": "v.json"}.get(case.removeprefix("not-utf8-"), "in.jsonl")
+    assert f"{tmp_path / name}:2: not UTF-8 (invalid start byte)" in capsys.readouterr().err
 
 
 def test_score_accepts_integer_and_float_bleurt_scores(tmp_path):
