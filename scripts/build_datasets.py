@@ -8,17 +8,13 @@ small but fully structured mirror of the pipeline. Example:
     python scripts/build_datasets.py --out data_build --train 600 --static 200
 
 Every command runs in this process, so a file that several commands read is
-parsed once. With --process-per-command each command runs as its own
-`python -m derivekit.cli` process instead; both builds write the same bytes.
+parsed once.
 """
 import argparse
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
-import derivekit
 from derivekit.cli import main as cli
 
 
@@ -47,30 +43,18 @@ def commands(out: Path, train: int, static: int, seed: int) -> list[list[str]]:
     return [[str(a) for a in argv] for argv in argvs]
 
 
-def run_in_own_process(argv: list[str]) -> int:
-    """Run one command as `python -m derivekit.cli`, importing the derivekit
-    this script imported."""
-    src = str(Path(derivekit.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "derivekit.cli", *argv], env=env).returncode
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="data_build")
     parser.add_argument("--train", type=int, default=600)
     parser.add_argument("--static", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--process-per-command", action="store_true",
-                        help="run each command in a new interpreter")
     opts = parser.parse_args()
 
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
-    run = run_in_own_process if opts.process_per_command else cli
     for argv in commands(out, opts.train, opts.static, opts.seed):
-        code = run(argv)
+        code = cli(argv)
         if code != 0:
             sys.exit(code)
 

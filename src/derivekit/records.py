@@ -213,14 +213,12 @@ def open_text(path: str | Path, data: Optional[bytes] = None) -> Iterator[TextIO
     "\u2028", which a JSON string may hold). A read of bytes that are not
     UTF-8 raises RecordError naming the file and the first line that holds
     one."""
-    with (open(path, encoding="utf-8") if data is None
-          else io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")) as fh:
+    data = Path(path).read_bytes() if data is None else data
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            if data is None and os.path.isfile(path):  # a pipe would wait for a new writer
-                data = Path(path).read_bytes()
-            for lineno, raw in enumerate(data.splitlines() if data else (), 1):
+            for lineno, raw in enumerate(data.splitlines(), 1):
                 try:  # lines split at b"\n", b"\r\n" and b"\r", as above
                     raw.decode("utf-8")
                 except UnicodeDecodeError as bad:

@@ -2,6 +2,7 @@
 line splitting as a file opened as text splits it, and input that is not
 UTF-8."""
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -203,9 +204,9 @@ def test_bytes_that_are_not_utf8_name_the_file_and_line(data, tmp_path):
             read(path)
 
 
-def test_a_pipe_that_is_not_utf8_is_read_once(tmp_path):
-    # the line of the bad byte is found by reading a regular file again;
-    # a pipe would wait for a new writer, so its error names no line
+def test_a_pipe_that_is_not_utf8_names_the_line(tmp_path):
+    # a pipe is read once, like a regular file; a second read would wait
+    # for a new writer
     fifo = tmp_path / "in.jsonl"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_bytes, args=(b"\n\xff\n",), daemon=True)
@@ -223,17 +224,24 @@ def test_a_pipe_that_is_not_utf8_is_read_once(tmp_path):
     reader.join(timeout=30)
     writer.join(timeout=30)
     assert not reader.is_alive() and not writer.is_alive()
-    assert errors == [f"{fifo}: not UTF-8"]
+    assert errors == [f"{fifo}:2: not UTF-8 (invalid start byte)"]
 
 
 def test_dataset_build_in_one_process_matches_one_process_per_command(tmp_path):
     # commands of one process share the records of the last file loaded;
     # a process per command parses every file itself
+    spec = importlib.util.spec_from_file_location(
+        "build_datasets", ROOT / "scripts" / "build_datasets.py")
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    for name, flags in (("one", []), ("each", ["--process-per-command"])):
-        subprocess.run([sys.executable, str(ROOT / "scripts" / "build_datasets.py"),
-                        "--train", "40", "--static", "20", "--out", str(tmp_path / name),
-                        *flags], env=env, check=True, capture_output=True)
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "build_datasets.py"),
+                    "--train", "40", "--static", "20", "--out", str(tmp_path / "one")],
+                   env=env, check=True, capture_output=True)
+    (tmp_path / "each").mkdir()
+    for argv in build.commands(tmp_path / "each", 40, 20, 0):
+        subprocess.run([sys.executable, "-m", "derivekit.cli", *argv],
+                       env=env, check=True, capture_output=True)
     one = sorted(p.name for p in (tmp_path / "one").iterdir())
     assert len(one) == 18
     assert sorted(p.name for p in (tmp_path / "each").iterdir()) == one
