@@ -7,12 +7,17 @@ small but fully structured mirror of the pipeline. Example:
 
     python scripts/build_datasets.py --out data_build --train 600 --static 200
 
-Every command runs in this process, so a file that several commands read is
-parsed once.
+Every command runs in this process, so a derivation file that several
+commands read is parsed once: the process keeps the records of the last two
+derivation files it loaded, which holds both splits while the commands on
+the static split run between the training split's prompts and its verify.
+Each command's wall time goes to stderr as `<seconds> <command
+line>`; stdout holds each command's own output, then the record counts.
 """
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from derivekit.cli import main as cli
@@ -54,7 +59,9 @@ def main():
     out = Path(opts.out)
     out.mkdir(parents=True, exist_ok=True)
     for argv in commands(out, opts.train, opts.static, opts.seed):
+        start = time.perf_counter()
         code = cli(argv)
+        print(f"{time.perf_counter() - start:.3f} {' '.join(argv)}", file=sys.stderr)
         if code != 0:
             sys.exit(code)
 

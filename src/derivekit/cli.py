@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 from typing import Optional
@@ -71,6 +72,16 @@ def load_config(path: Optional[str], overrides: dict) -> GenConfig:
         raise GenerationError(f"bad config value: {exc}") from exc
 
 
+class OptionError(Exception):
+    pass
+
+
+def check_option(name: str, value, ok: bool, want: str) -> None:
+    """Raise OptionError unless `ok`, the range check of option `name` (NaN fails it)."""
+    if not ok:
+        raise OptionError(f"{name} must be {want}: {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # commands: each raises its errors, and main maps them to exit codes
 
@@ -80,11 +91,13 @@ def cmd_generate(args) -> int:
     write_jsonl(args.out, (derivation_record_to_json(r) for r in records))
     print(json.dumps(summary.as_dict()))
     if summary.produced < summary.requested:
+        stop = ("" if summary.attempts >= cfg.attempt_factor * summary.requested else
+                f"; stopped: {cfg.attempt_factor} attempts in a row kept nothing")
         print(
             f"shortfall: produced {summary.produced}/{summary.requested} "
             f"(retry_exhausted={summary.retry_exhausted}, "
             f"char_filtered={summary.char_filtered}, "
-            f"token_filtered={summary.token_filtered})",
+            f"token_filtered={summary.token_filtered}){stop}",
             file=sys.stderr,
         )
     return EXIT_OK
@@ -133,12 +146,12 @@ def cmd_prompt(args) -> int:
         if args.train is None:
             raise prompts_mod.PromptError("--mode fewshot needs --train")
         evals = load_prompt_records(args.infile)
-        train = load_prompt_records(args.train)
+        pool = prompts_mod.fewshot_pool(load_prompt_records(args.train))
         rows = []
         for record in evals:
             rng = random.Random(derive_seed(args.seed, f"fewshot:{record.static_id}"))
             payload = prompt_record_to_json(record)
-            payload["prompt"] = prompts_mod.build_fewshot(record, train, rng)
+            payload["prompt"] = prompts_mod.build_fewshot(record, pool, rng)
             rows.append(payload)
     write_jsonl(args.out, rows)
     return EXIT_OK
@@ -195,6 +208,7 @@ def cmd_score(args) -> int:
 def cmd_stats(args) -> int:
     from . import stats as stats_mod
 
+    check_option("--top", args.top, args.top >= 0, ">= 0")
     op_tags = load_rows(args.infile, op_tags_from_json)
     summary = stats_mod.build_stats(op_tags, top_per_length=args.top)
     text = json.dumps(summary, indent=1)
@@ -233,6 +247,9 @@ def cmd_verify(args) -> int:
 def cmd_collect(args) -> int:
     from . import client as client_mod
 
+    check_option("--temperature", args.temperature, 0 <= args.temperature < math.inf, "in [0, inf)")
+    check_option("--timeout", args.timeout, 0 < args.timeout < math.inf, "in (0, inf)")
+    check_option("--max-retries", args.max_retries, args.max_retries >= 0, ">= 0")
     cfg = client_mod.EndpointConfig(
         base_url=args.base_url,
         model=args.model,
@@ -344,7 +361,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, RecordError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (GenerationError, VocabularyError, prompts_mod.PromptError) as exc:
+    except (GenerationError, VocabularyError, prompts_mod.PromptError, OptionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

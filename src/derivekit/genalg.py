@@ -505,9 +505,10 @@ def passes_token_filter(prompt: str, target: str, cfg: GenConfig) -> bool:
 
 
 def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], GenerationSummary]:
-    """Generate n records passing both dataset filters. Records carry the
-    per-attempt stream seed, so output is deterministic regardless of how
-    attempts are scheduled."""
+    """Generate n records passing both dataset filters, in at most
+    attempt_factor * n attempts, stopping once attempt_factor in a row have
+    kept nothing. Records carry the per-attempt stream seed, so output is
+    deterministic regardless of how attempts are scheduled."""
     from .prompts import build_prompt
 
     if n < 1:
@@ -516,8 +517,8 @@ def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], Ge
     summary = GenerationSummary(requested=n)
     records: list[DerivationRecord] = []
     max_attempts = cfg.attempt_factor * n
-    attempt = 0
-    while len(records) < n and attempt < max_attempts:
+    attempt = last_kept = 0
+    while len(records) < n and attempt < min(max_attempts, last_kept + cfg.attempt_factor):
         stream_seed = derive_seed(cfg.seed, attempt)
         rng = random.Random(stream_seed)
         attempt += 1
@@ -536,4 +537,5 @@ def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], Ge
             continue
         records.append(record)
         summary.produced += 1
+        last_kept = attempt
     return records, summary

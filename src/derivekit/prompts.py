@@ -8,10 +8,11 @@ joined by " and " (no dollar signs).
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Optional, Sequence
 
 from .latex import equation_to_latex
-from .ops import RENAME_FAMILY, Derivation
+from .ops import RENAME_FAMILY, Derivation, shuffle
 from .records import PromptRecord
 
 FEWSHOT_HEADER = (
@@ -96,28 +97,32 @@ def qualifies_for_fewshot(record: PromptRecord) -> bool:
     return THEN_DERIVE in record.prompt and " and $" in record.prompt
 
 
+def fewshot_pool(records: Sequence[PromptRecord]) -> list[tuple[PromptRecord, bool]]:
+    """build_fewshot's pool: each record paired with qualifies_for_fewshot."""
+    return [(p, qualifies_for_fewshot(p)) for p in records]
+
+
 def build_fewshot(
-    record: PromptRecord, pool: Sequence[PromptRecord], rng: random.Random
+    record: PromptRecord, pool: Sequence[tuple[PromptRecord, bool]], rng: random.Random
 ) -> str:
-    """Five pool examples (at least two qualifying), then the evaluation
-    prompt. Pool records matching the evaluation record's static family are
-    never sampled."""
-    candidates = [p for p in pool if p.static_id != record.static_id]
-    qualifying = [p for p in candidates if qualifies_for_fewshot(p)]
-    if len(candidates) < 5 or len(qualifying) < 2:
+    """Five examples of a fewshot_pool (at least two qualifying), then the
+    evaluation prompt. Pool records matching the evaluation record's static
+    family are never sampled."""
+    candidates = [entry for entry in pool if entry[0].static_id != record.static_id]
+    qualifying = sum(q for _, q in candidates)
+    if len(candidates) < 5 or qualifying < 2:
         raise InsufficientPool(
             f"need >= 5 pool prompts with >= 2 qualifying, have {len(candidates)}"
-            f"/{len(qualifying)}"
+            f"/{qualifying}"
         )
-    shuffled = list(candidates)
-    rng.shuffle(shuffled)
-    picked = [p for p in shuffled if qualifies_for_fewshot(p)][:2]
-    for p in shuffled:
+    shuffle(candidates, rng)
+    picked = list(islice((p for p, qualifies in candidates if qualifies), 2))
+    for p, _ in candidates:
         if len(picked) == 5:
             break
         if p not in picked:
             picked.append(p)
-    order = {id(p): i for i, p in enumerate(shuffled)}
+    order = {id(p): i for i, (p, _) in enumerate(candidates)}
     picked.sort(key=lambda p: order[id(p)])
     blocks = [f"Prompt: {p.prompt}\nDerivation: {p.target}" for p in picked]
     return (

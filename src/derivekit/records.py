@@ -279,26 +279,27 @@ def load_keyed(path: str | Path, convert: Callable[[dict], tuple[K, V]]) -> dict
     return out
 
 
-# The bytes and the records of the last derivation file loaded. The dataset
-# build loads one static split in five commands of one process; records and
-# their trees are immutable, so every load of the same bytes can share them.
-_last_load: Optional[tuple[bytes, tuple[DerivationRecord, ...]]] = None
+# The bytes and the records of the last two derivation files loaded, the most
+# recently used first: the dataset build reads both splits in turn in one
+# process, and records and their trees are immutable, so loads can share them.
+_kept: list[tuple[bytes, tuple[DerivationRecord, ...]]] = []
 
 
 def load_derivation_records(path: str | Path) -> list[DerivationRecord]:
     """load_rows of derivation records. A file whose bytes equal those of
-    the last file loaded is not parsed again: the list holds that file's
-    records. Only one file's records are kept, and none after a load that
-    raises."""
-    global _last_load
-    kept, _last_load = _last_load, None
+    one of the last two files loaded is not parsed again: the list holds
+    that file's records. Only two files' records are kept, and none after a
+    load that raises."""
+    global _kept
+    kept, _kept = _kept, []
     data = Path(path).read_bytes()
-    if kept is None or kept[0] != data:
-        kept = None  # dropped before the parse, so two files are never held
+    hit = next((entry for entry in kept if entry[0] == data), None)
+    if hit is None:
+        del kept[1:]  # the older file is dropped before the parse, so three are never held
         rows = _converted(path, derivation_record_from_json, data)
-        kept = (data, tuple(item for _, item in rows))
-    _last_load = kept
-    return list(kept[1])
+        hit = (data, tuple(item for _, item in rows))
+    _kept = [hit, *(entry for entry in kept if entry is not hit)]
+    return list(hit[1])
 
 
 def load_prompt_records(path: str | Path) -> list[PromptRecord]:

@@ -63,6 +63,12 @@ from derivekit.metrics import (
     score_all,
 )
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
+from derivekit.prompts import (
+    FEWSHOT_HEADER,
+    FEWSHOT_INSTRUCTION,
+    InsufficientPool,
+    qualifies_for_fewshot,
+)
 from derivekit.records import _MALFORMED, RecordError, _numbered_rows
 
 
@@ -496,6 +502,43 @@ def load_rows_by_open(path: str | Path, convert) -> list:
             except _MALFORMED as exc:
                 raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle for the few-shot builder: the pool qualified again for every
+# evaluation record, and random.shuffle
+
+def build_fewshot_by_full_scan(record, pool, rng) -> str:
+    """prompts.build_fewshot as it was before the pool came qualified: over
+    a plain list of prompt records, with the same text, the same draws and
+    the same InsufficientPool message."""
+    candidates = [p for p in pool if p.static_id != record.static_id]
+    qualifying = [p for p in candidates if qualifies_for_fewshot(p)]
+    if len(candidates) < 5 or len(qualifying) < 2:
+        raise InsufficientPool(
+            f"need >= 5 pool prompts with >= 2 qualifying, have {len(candidates)}"
+            f"/{len(qualifying)}"
+        )
+    shuffled = list(candidates)
+    rng.shuffle(shuffled)
+    picked = [p for p in shuffled if qualifies_for_fewshot(p)][:2]
+    for p in shuffled:
+        if len(picked) == 5:
+            break
+        if p not in picked:
+            picked.append(p)
+    order = {id(p): i for i, p in enumerate(shuffled)}
+    picked.sort(key=lambda p: order[id(p)])
+    blocks = [f"Prompt: {p.prompt}\nDerivation: {p.target}" for p in picked]
+    return (
+        FEWSHOT_HEADER
+        + "\n\n"
+        + "\n\n".join(blocks)
+        + "\n\n"
+        + FEWSHOT_INSTRUCTION
+        + "\n\n"
+        + f"Prompt: {record.prompt}"
+    )
 
 
 # ---------------------------------------------------------------------------

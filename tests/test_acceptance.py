@@ -38,7 +38,7 @@ from derivekit.perturb import (
     remove_steps,
     rename_variables,
 )
-from derivekit.prompts import build_fewshot, build_prompt, qualifies_for_fewshot
+from derivekit.prompts import build_fewshot, build_prompt, fewshot_pool, qualifies_for_fewshot
 from derivekit.records import step_to_json
 from derivekit.stats import build_stats, relative_frequency
 from derivekit.vocab import GREEK_POOL_DEFAULT
@@ -326,10 +326,11 @@ def test_criterion_8_prompt_fidelity(thousand_records):
     prompts = [build_prompt(r.derivation, r.id) for r in thousand_records]
     qualifying_total = sum(1 for p in prompts if qualifies_for_fewshot(p))
     assert qualifying_total >= 10
+    pool = fewshot_pool(prompts)
     checked = 0
     for idx, p in enumerate(prompts):
         rng = random.Random(derive_seed(8008, idx))
-        text = build_fewshot(p, prompts, rng)
+        text = build_fewshot(p, pool, rng)
         blocks = [b for b in text.split("\n\n") if b.startswith("Prompt: ") and "\nDerivation: " in b]
         assert len(blocks) == 5
         qualifying = sum(

@@ -342,6 +342,13 @@ def _generate_with(path, **fields):
             "--out", path.parent / "out.jsonl"]
 
 
+def _collect_with(d, option, value):
+    """collect of one prompt with one option set; nothing listens on the URL."""
+    return ["collect", "--in", _file(d / "in.jsonl", json.dumps(PROMPT_ROW)),
+            "--out", d / "o.jsonl", "--base-url", "http://127.0.0.1:9", "--model", "m",
+            option, value]
+
+
 ZERO_ARITY = {"p_arity_0": 0, "p_arity_1": 0, "p_arity_2": 0}
 ZERO_ARITY1 = {"p_evaluate": 0, "p_int_or_diff": 0, "p_renaming": 0, "p_define": 0,
                "p_arith": 0, "p_extension": 0}
@@ -472,6 +479,17 @@ BAD_INPUT_CASES = {
                                                            retry_cap=float("inf")), 2),
     "config-zero-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=0), 2),
     "config-subnormal-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=5e-324), 2),
+    # numeric options out of range, each named in its message
+    "option-collect-negative-timeout": (lambda d: _collect_with(d, "--timeout", -1), 2),
+    "option-collect-nan-timeout": (lambda d: _collect_with(d, "--timeout", "nan"), 2),
+    "option-collect-zero-timeout": (lambda d: _collect_with(d, "--timeout", 0), 2),
+    "option-collect-infinite-timeout": (lambda d: _collect_with(d, "--timeout", "inf"), 2),
+    "option-collect-negative-max-retries": (lambda d: _collect_with(d, "--max-retries", -1), 2),
+    "option-collect-nan-temperature": (lambda d: _collect_with(d, "--temperature", "nan"), 2),
+    "option-collect-infinite-temperature": (lambda d: _collect_with(d, "--temperature", "inf"), 2),
+    "option-collect-negative-temperature": (lambda d: _collect_with(d, "--temperature", -1), 2),
+    "option-stats-negative-top": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", "x = y"),
+                                             "--top", -1], 2),
     "config-bad-json": (lambda d: ["generate", "--count", 1, "--config",
                                    _file(d / "cfg.json", "{"), "--out", d / "o.jsonl"], 2),
     "config-wrong-type": (lambda d: _generate_with(d / "cfg.json", p_subs="x"), 2),
@@ -508,6 +526,15 @@ def test_input_that_is_not_utf8_names_the_file_and_line(case, tmp_path, capsys):
     assert f"{tmp_path / name}:2: not UTF-8 (invalid start byte)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES if c.startswith("option-")))
+def test_an_option_out_of_range_is_named_and_nothing_runs(case, tmp_path, capsys):
+    argv = [str(a) for a in BAD_INPUT_CASES[case][0](tmp_path)]
+    assert run(argv) == 2
+    option, value = argv[-2:]
+    assert capsys.readouterr().err.startswith(f"config error: {option} must be ")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 def test_score_accepts_integer_and_float_bleurt_scores(tmp_path):
     for raw, value in (("1", 1.0), ("-0.5", -0.5), ("1e308", 1e308)):
         assert run(_score(tmp_path, bleurt=raw)) == 0
@@ -531,6 +558,23 @@ def test_generate_reports_a_shortfall(tmp_path, capsys):
     summary = json.loads(captured.out)
     assert (summary["produced"], summary["attempts"]) == (0, 2)
     assert captured.err.startswith("shortfall: produced 0/1 (")
+
+
+def test_generate_stops_after_attempt_factor_attempts_in_a_row_keep_nothing(tmp_path, capsys):
+    # no derivation of 60 steps passes the filters, so no attempt keeps one
+    argv = _generate_with(tmp_path / "cfg.json", length_mean=60, length_sigma=0,
+                          attempt_factor=2)
+    argv[argv.index("--count") + 1] = 100_000
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert (summary["produced"], summary["attempts"]) == (0, 2)
+    assert captured.err == (
+        f"shortfall: produced 0/100000 (retry_exhausted={summary['retry_exhausted']}, "
+        f"char_filtered={summary['char_filtered']}, "
+        f"token_filtered={summary['token_filtered']}); "
+        "stopped: 2 attempts in a row kept nothing\n")
+    assert (tmp_path / "out.jsonl").read_bytes() == b""
 
 
 def _premises(path, *latex):

@@ -3,6 +3,8 @@ and the few-shot builder contracts."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from derivekit.expr import Equation, Symbol, applied, func
 from derivekit.latex import equation_to_latex
@@ -13,13 +15,14 @@ from derivekit.prompts import (
     FEWSHOT_INSTRUCTION,
     RoleMissing,
     build_fewshot,
+    fewshot_pool,
     build_prompt,
     build_target,
     prompt_premise_indices,
     qualifies_for_fewshot,
 )
 from derivekit.records import PromptRecord
-from helpers import parse_prompt_equations, prompt_example_derivation
+from helpers import build_fewshot_by_full_scan, parse_prompt_equations, prompt_example_derivation
 
 GOLDEN_PROMPT = (
     "Given $q{(a)} = e^{a}$ and $G{(a)} = - e^{a} + \\frac{d}{d a} q{(a)}$"
@@ -128,7 +131,7 @@ EVAL_RECORD = PromptRecord(
 
 def test_fewshot_structure_and_counts():
     pool = _pool(4, 8)
-    text = build_fewshot(EVAL_RECORD, pool, random.Random(0))
+    text = build_fewshot(EVAL_RECORD, fewshot_pool(pool), random.Random(0))
     assert text.startswith(FEWSHOT_HEADER)
     assert FEWSHOT_INSTRUCTION in text
     assert text.count("Prompt: ") == 6  # five examples plus the evaluation prompt
@@ -157,13 +160,13 @@ def test_fewshot_template_exact_wording():
 
 def test_fewshot_insufficient_pool():
     with pytest.raises(InsufficientPool):
-        build_fewshot(EVAL_RECORD, _pool(1, 8), random.Random(0))
+        build_fewshot(EVAL_RECORD, fewshot_pool(_pool(1, 8)), random.Random(0))
     with pytest.raises(InsufficientPool):
-        build_fewshot(EVAL_RECORD, _pool(2, 1), random.Random(0))
+        build_fewshot(EVAL_RECORD, fewshot_pool(_pool(2, 1)), random.Random(0))
 
 
 def test_fewshot_same_examples_for_static_and_perturbed():
-    pool = _pool(5, 10)
+    pool = fewshot_pool(_pool(5, 10))
     perturbed = PromptRecord(
         id="e0", static_id="e0", perturbation="EE",
         prompt="Given $e^{a} = q{(a)}$, then obtain $0 = a$", target="T2",
@@ -180,8 +183,55 @@ def test_fewshot_excludes_same_family():
     pool = _pool(4, 8)
     twin = PromptRecord(id="q0", static_id="q0", perturbation="VR",
                         prompt="Given $x = y$, then obtain $y = x$", target="W")
-    text = build_fewshot(twin, pool, random.Random(5))
+    text = build_fewshot(twin, fewshot_pool(pool), random.Random(5))
     assert "eq0" not in text  # the q0 family is never sampled for itself
+
+
+def _fewshot_or_error(build, record, pool, rng):
+    try:
+        return build(record, pool, rng)
+    except InsufficientPool as exc:
+        return f"InsufficientPool: {exc}"
+
+
+def _assert_fewshot_matches_the_full_scan(record, pool, seed):
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    expected = _fewshot_or_error(build_fewshot_by_full_scan, record, pool, expected_rng)
+    assert _fewshot_or_error(build_fewshot, record, fewshot_pool(pool), rng) == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+# a pool entry: (static family, qualifies, target); records with the same
+# three are equal, and the pool can hold one record object more than once
+POOL_SPECS = st.lists(st.tuples(st.integers(0, 5), st.booleans(), st.integers(0, 2)),
+                      max_size=16)
+
+
+@given(POOL_SPECS, st.data())
+@settings(max_examples=400, deadline=None)
+def test_fewshot_matches_the_full_scan_over_random_pools(specs, data):
+    records = [
+        PromptRecord(
+            id=f"r{family}.{target}", static_id=f"s{family}", perturbation=None,
+            prompt=(f"Given $x = {family}$ and $y = {target}$, then derive $z = 1$, "
+                    f"then obtain $w = 2$" if qualifies else f"Given $x = {family}$, "
+                    f"then obtain $w = {target}$"),
+            target=f"t{target}",
+        )
+        for family, qualifies, target in specs
+    ]
+    repeats = data.draw(st.lists(st.sampled_from(records), max_size=4)) if records else []
+    pool = data.draw(st.permutations(records + repeats))
+    family = data.draw(st.integers(0, 6))  # 6 is a family no pool record has
+    record = PromptRecord(id="e", static_id=f"s{family}", perturbation=data.draw(
+        st.sampled_from([None, "VR"])), prompt="Given $a = b$, then obtain $b = a$", target="T")
+    _assert_fewshot_matches_the_full_scan(record, pool, data.draw(st.integers(0, 2**64)))
+
+
+def test_fewshot_matches_the_full_scan_over_generated_prompts(small_dataset):
+    prompts = [build_prompt(r.derivation, r.id) for r in small_dataset[1]]
+    for i, record in enumerate(prompts[:40]):
+        _assert_fewshot_matches_the_full_scan(record, prompts + prompts[:i], i)
 
 
 def test_qualifies_predicate():

@@ -1,4 +1,4 @@
-"""Reading stored records: the last-file memo of load_derivation_records,
+"""Reading stored records: the two-file memo of load_derivation_records,
 line splitting as a file opened as text splits it, and input that is not
 UTF-8."""
 import gc
@@ -43,7 +43,7 @@ def parses(monkeypatch):
         return parse_equation(text, sides)
 
     monkeypatch.setattr(records, "parse_equation", counted)
-    monkeypatch.setattr(records, "_last_load", None)
+    monkeypatch.setattr(records, "_kept", [])
     return calls
 
 
@@ -72,31 +72,53 @@ def test_a_second_load_of_the_same_bytes_parses_nothing(rows, parses, tmp_path):
 
 
 def test_a_rewritten_file_is_parsed_again(rows, parses, tmp_path):
-    texts = ("\n".join(rows) + "\n", "\n".join(rows[:2]) + "\n", "\n".join(rows) + "\n")
+    # the fourth text is the second again, still kept; the fifth is the first
+    # again, dropped when the third was loaded
+    texts = [("\n".join(rows[:n]) + "\n") for n in (6, 2, 3, 2, 6)]
     expected = [[derivation_record_from_json(json.loads(row)) for row in text.splitlines()]
                 for text in texts]
     path = tmp_path / "a.jsonl"
-    for text, records_of_text in zip(texts, expected):
+    for text, records_of_text, parses_it in zip(texts, expected, (True, True, True, False, True)):
         parsed = len(parses)
         _write(path, text)
         assert load_derivation_records(path) == records_of_text
-        assert len(parses) > parsed
+        assert (len(parses) > parsed) == parses_it
 
 
-def test_a_load_of_other_bytes_drops_the_kept_records_before_it_parses(rows, parses, tmp_path,
-                                                                         monkeypatch):
-    kept = weakref.ref(load_derivation_records(_write(tmp_path / "a.jsonl", rows[0]))[0])
+def _parses_of(parses, *paths):
+    """Whether each load of `paths`, in order, parsed its file."""
+    parsed = []
+    for path in paths:
+        before = len(parses)
+        load_derivation_records(path)
+        parsed.append(len(parses) > before)
+    return parsed
+
+
+def test_the_last_two_files_are_kept(rows, parses, tmp_path):
+    a, b, c = (_write(tmp_path / f"{name}.jsonl", row) for name, row in zip("abc", rows))
+    assert _parses_of(parses, a, b, a, b, a) == [True, True, False, False, False]
+    # c drops b, the file used least recently, and a is still kept
+    assert _parses_of(parses, c, a, c, b) == [True, False, False, True]
+    # b dropped a, the file used least recently of c and a
+    assert _parses_of(parses, c, b, a) == [False, False, True]
+
+
+def test_a_third_file_drops_the_oldest_records_before_it_parses(rows, parses, tmp_path,
+                                                                monkeypatch):
+    oldest, newest = (weakref.ref(load_derivation_records(_write(tmp_path / name, row))[0])
+                      for name, row in (("a.jsonl", rows[0]), ("b.jsonl", rows[1])))
     alive = []
     parse = records.parse_equation
 
     def parse_and_look(text, sides=None):
         gc.collect()
-        alive.append(kept() is not None)
+        alive.append((oldest() is not None, newest() is not None))
         return parse(text, sides)
 
     monkeypatch.setattr(records, "parse_equation", parse_and_look)
-    load_derivation_records(_write(tmp_path / "b.jsonl", rows[1]))
-    assert alive and not any(alive)
+    load_derivation_records(_write(tmp_path / "c.jsonl", rows[2]))
+    assert alive and set(alive) == {(False, True)}
 
 
 def test_a_failed_load_keeps_nothing(rows, parses, tmp_path):
@@ -228,7 +250,7 @@ def test_a_pipe_that_is_not_utf8_names_the_line(tmp_path):
 
 
 def test_dataset_build_in_one_process_matches_one_process_per_command(tmp_path):
-    # commands of one process share the records of the last file loaded;
+    # commands of one process share the records of the last two files loaded;
     # a process per command parses every file itself
     spec = importlib.util.spec_from_file_location(
         "build_datasets", ROOT / "scripts" / "build_datasets.py")
