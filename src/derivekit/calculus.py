@@ -22,9 +22,11 @@ from .expr import (
     Integer,
     Integral,
     Mul,
+    ONE,
     Pow,
     Rational,
     Symbol,
+    ZERO,
     add,
     derivative,
     div,
@@ -41,20 +43,9 @@ from .expr import (
     sub,
 )
 
-ZERO = Integer(0)
-ONE = Integer(1)
-
 
 class CalculusError(Exception):
     pass
-
-
-class NoDerivativePresent(CalculusError):
-    """The equation has no derivative node that evaluation would change."""
-
-
-class NoIntegralPresent(CalculusError):
-    """The equation has no integral node that evaluation could touch."""
 
 
 def _depends_on(e: Expr, v: Symbol) -> bool:
@@ -237,11 +228,11 @@ def evaluate_derivatives(eq: Equation) -> Equation:
     """Evaluate every reducible Derivative node on both sides.
 
     Derivatives of bare unknown-function applications are fixed points and
-    stay symbolic. Raises NoDerivativePresent when nothing changes.
+    stay symbolic. Raises CalculusError when nothing changes.
     """
     new = Equation(_map_derivative_nodes(eq.lhs), _map_derivative_nodes(eq.rhs))
     if new == eq:
-        raise NoDerivativePresent("no evaluable derivative in equation")
+        raise CalculusError("no evaluable derivative in equation")
     return new
 
 
@@ -286,7 +277,7 @@ def evaluate_integrals(
     """Evaluate every concrete Integral node, one fresh constant per node.
 
     Integrals over unknown-function applications stay symbolic. Returns None
-    when some concrete integrand has no table rule; raises NoIntegralPresent
+    when some concrete integrand has no table rule; raises CalculusError
     when there is no concrete integral to evaluate at all.
     """
     ev = _IntegralEvaluator(set(used_symbols), tuple(constant_pool))
@@ -295,8 +286,8 @@ def evaluate_integrals(
     if ev.miss:
         return None
     if not ev.saw_integral:
-        raise NoIntegralPresent("no integral node in equation")
+        raise CalculusError("no integral node in equation")
     new = Equation(lhs, rhs)
     if new == eq:
-        raise NoIntegralPresent("no concrete integral to evaluate")
+        raise CalculusError("no concrete integral to evaluate")
     return new, tuple(ev.constants)

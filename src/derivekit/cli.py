@@ -106,7 +106,7 @@ def cmd_generate(args) -> int:
 def cmd_perturb(args) -> int:
     from . import perturb as perturb_mod
 
-    kind = args.kind.upper()
+    kind = args.kind
     cfg = load_config(args.config, {"seed": args.seed})
     vocab = cfg.load_vocabulary() if kind == perturb_mod.AG else None
     records = load_derivation_records(args.infile)
@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("perturb", help="apply a perturbation to a derivation file")
-    p.add_argument("--kind", required=True, choices=["vr", "ee", "ag", "sr", "VR", "EE", "AG", "SR"])
+    p.add_argument("--kind", required=True, type=str.upper, choices=["VR", "EE", "AG", "SR"])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--prompts-out", default=None)

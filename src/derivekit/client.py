@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -82,11 +81,10 @@ def query_model(cfg: EndpointConfig, prompt: str) -> str:
                 continue
             raise ClientError(f"HTTP {exc.code}") from exc
         except urllib.error.URLError as exc:
-            if isinstance(exc.reason, (socket.timeout, TimeoutError)):
+            if isinstance(exc.reason, TimeoutError):
                 raise ModelTimeout(f"request timed out after {cfg.timeout_s}s") from exc
             last_error = exc
-            continue
-        except (socket.timeout, TimeoutError) as exc:
+        except TimeoutError as exc:
             raise ModelTimeout(f"request timed out after {cfg.timeout_s}s") from exc
     raise ServerError(f"no response after {cfg.max_retries + 1} attempts: {last_error}")
 

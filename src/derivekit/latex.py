@@ -47,29 +47,19 @@ __all__ = [
     "parse_latex",
     "parse_equation",
     "count_lexemes",
-    "LatexError",
     "LatexParseError",
-    "UnknownLatexCommand",
     "RenderError",
 ]
 
 
-class LatexError(Exception):
-    pass
-
-
-class RenderError(LatexError):
+class RenderError(Exception):
     """An expression cannot be rendered (unresolvable name)."""
 
 
-class LatexParseError(LatexError):
+class LatexParseError(Exception):
     def __init__(self, message: str, pos: int):
         super().__init__(f"{message} (at position {pos})")
         self.pos = pos
-
-
-class UnknownLatexCommand(LatexParseError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +438,8 @@ class _Parser:
                 self.i = j + 1
                 self.expect("LBRACE")
                 fname = self.raw_braced_content()
+                if not fname:  # the position of the closing brace
+                    raise LatexParseError("empty \\operatorname name", self.pos(self.i - 1))
                 args = self.application_args()
                 if args is None:
                     self.fail("\\operatorname must be applied to arguments")
@@ -530,7 +522,7 @@ class _Parser:
             elif cmd in _RESERVED_CMDS:
                 raise LatexParseError(f"reserved command \\{cmd} cannot name a symbol", self.pos(j))
             else:
-                raise UnknownLatexCommand(f"unknown command {text!r}", self.pos(j))
+                raise LatexParseError(f"unknown command {text!r}", self.pos(j))
         else:
             raise LatexParseError(f"expected a symbol, found {text!r}", self.pos(j))
         return base + self.name_suffixes()

@@ -42,14 +42,6 @@ class OpError(Exception):
     pass
 
 
-class ArityMismatch(OpError):
-    pass
-
-
-class InapplicableOp(OpError):
-    pass
-
-
 # Operation identifiers. The first twelve form the core set; the rest
 # are documented extension ops behind registry flags.
 ADD = "add"
@@ -160,6 +152,22 @@ class ValidityReport:
     failures: tuple[tuple[int, str], ...] = ()
 
 
+# ops that run one function on both sides: side(expr, operand); the operand
+# is None for the ops that take none
+_BOTH_SIDES = {
+    ADD: add,
+    SUB: sub,
+    MUL: mul,
+    DIV: div,
+    POW: pow_,
+    DIFF: derivative,
+    INT: integral,
+    NEGATE: lambda e, _: neg(e),
+    EXP_BOTH: lambda e, _: func("exp", e),
+    LOG_BOTH: lambda e, _: func("log", e),
+}
+
+
 def apply(
     op: str,
     steps: Sequence[Step],
@@ -179,125 +187,82 @@ def apply(
     if info is None:
         raise OpError(f"unknown op {op!r}")
     if len(parents) != info.arity:
-        raise ArityMismatch(f"{op} expects {info.arity} parents, got {len(parents)}")
+        raise OpError(f"{op} expects {info.arity} parents, got {len(parents)}")
     if info.needs_operand and operand is None:
-        raise ArityMismatch(f"{op} requires an operand")
+        raise OpError(f"{op} requires an operand")
     if operand is not None and not info.needs_operand and op not in (SUB_LHS, SUB_RHS):
-        raise ArityMismatch(f"{op} does not take an operand")
+        raise OpError(f"{op} does not take an operand")
     for p in parents:
         if not 0 <= p < len(steps):
             raise OpError(f"parent index {p} out of range")
     eqs = [steps[p].equation for p in parents]
-
     try:
-        return _apply_dispatch(op, steps, parents, eqs, operand, fresh_name, constants,
-                               constant_pool)
-    except ExprError as exc:
-        raise InapplicableOp(str(exc)) from exc
+        side = _BOTH_SIDES.get(op)
+        if side is not None:
+            if op == DIV and is_zero(operand):
+                raise OpError("division by syntactic zero")
+            if op in (DIFF, INT) and not isinstance(operand, Symbol):
+                raise OpError(f"{op} operand must be a variable symbol")
+            lhs, rhs = eqs[0].lhs, eqs[0].rhs
+            return Step(Equation(side(lhs, operand), side(rhs, operand)), op, parents, operand)
 
+        if op == EVAL_DIFF:
+            return Step(calculus.evaluate_derivatives(eqs[0]), op, parents)
 
-# ops that run one function on both sides: side(expr, operand); the operand
-# is None for the ops that take none
-_BOTH_SIDES = {
-    ADD: add,
-    SUB: sub,
-    MUL: mul,
-    DIV: div,
-    POW: pow_,
-    DIFF: derivative,
-    INT: integral,
-    NEGATE: lambda e, _: neg(e),
-    EXP_BOTH: lambda e, _: func("exp", e),
-    LOG_BOTH: lambda e, _: func("log", e),
-}
-
-
-def _apply_dispatch(
-    op: str,
-    steps: Sequence[Step],
-    parents: tuple[int, ...],
-    eqs: list[Equation],
-    operand: Optional[Expr],
-    fresh_name: Optional[str],
-    constants: Optional[Sequence[Symbol]],
-    constant_pool: Iterable[str],
-) -> Step:
-
-    side = _BOTH_SIDES.get(op)
-    if side is not None:
-        if op == DIV and is_zero(operand):
-            raise InapplicableOp("division by syntactic zero")
-        if op in (DIFF, INT) and not isinstance(operand, Symbol):
-            raise InapplicableOp(f"{op} operand must be a variable symbol")
-        lhs, rhs = eqs[0].lhs, eqs[0].rhs
-        return Step(Equation(side(lhs, operand), side(rhs, operand)), op, parents, operand)
-
-    if op == EVAL_DIFF:
-        try:
-            eq = calculus.evaluate_derivatives(eqs[0])
-        except calculus.NoDerivativePresent as exc:
-            raise InapplicableOp(str(exc)) from exc
-        return Step(eq, op, parents)
-
-    if op == EVAL_INT:
-        used = set().union(*(equation_free_symbols(s.equation) for s in steps))
-        if constants is not None:
-            pool: Iterable[str] = [c.name for c in constants]
-            used -= {c.name for c in constants}
-        else:
-            pool = constant_pool
-        try:
+        if op == EVAL_INT:
+            used = set().union(*(equation_free_symbols(s.equation) for s in steps))
+            if constants is not None:
+                pool: Iterable[str] = [c.name for c in constants]
+                used -= {c.name for c in constants}
+            else:
+                pool = constant_pool
             out = calculus.evaluate_integrals(eqs[0], used, pool)
-        except calculus.NoIntegralPresent as exc:
-            raise InapplicableOp(str(exc)) from exc
-        except calculus.CalculusError as exc:
-            raise OpError(str(exc)) from exc
-        if out is None:
-            raise InapplicableOp("integrand outside the integral table")
-        eq, drawn = out
-        if constants is not None and tuple(drawn) != tuple(constants):
-            raise OpError("recorded integration constants do not replay")
-        return Step(eq, op, parents, constants=tuple(drawn))
+            if out is None:
+                raise OpError("integrand outside the integral table")
+            eq, drawn = out
+            if constants is not None and tuple(drawn) != tuple(constants):
+                raise OpError("recorded integration constants do not replay")
+            return Step(eq, op, parents, constants=tuple(drawn))
 
-    if op in (SUB_LHS, SUB_RHS):
-        # S_L replaces the definition's LHS by its RHS throughout the target
-        # (both sides); S_R substitutes the definition's RHS by its LHS.
-        if parents[0] == parents[1]:
-            raise InapplicableOp("substitution needs two distinct parents")
-        definition, target = eqs
-        pattern = definition.lhs if op == SUB_LHS else definition.rhs
-        replacement = definition.rhs if op == SUB_LHS else definition.lhs
-        if operand is not None and operand != pattern:
-            raise OpError("recorded operand is not the substituted definition side")
-        new_lhs = substitute(target.lhs, pattern, replacement)
-        new_rhs = substitute(target.rhs, pattern, replacement)
-        if new_lhs == target.lhs and new_rhs == target.rhs:
-            raise InapplicableOp("definition side does not occur in the target")
-        return Step(Equation(new_lhs, new_rhs), op, parents, pattern)
+        if op in (SUB_LHS, SUB_RHS):
+            # S_L replaces the definition's LHS by its RHS throughout the target
+            # (both sides); S_R substitutes the definition's RHS by its LHS.
+            if parents[0] == parents[1]:
+                raise OpError("substitution needs two distinct parents")
+            definition, target = eqs
+            pattern = definition.lhs if op == SUB_LHS else definition.rhs
+            replacement = definition.rhs if op == SUB_LHS else definition.lhs
+            if operand is not None and operand != pattern:
+                raise OpError("recorded operand is not the substituted definition side")
+            new_lhs = substitute(target.lhs, pattern, replacement)
+            new_rhs = substitute(target.rhs, pattern, replacement)
+            if new_lhs == target.lhs and new_rhs == target.rhs:
+                raise OpError("definition side does not occur in the target")
+            return Step(Equation(new_lhs, new_rhs), op, parents, pattern)
 
-    if op in RENAME_FAMILY:
-        assert operand is not None
-        if fresh_name is None:
-            raise OpError(f"{op} requires a fresh function name")
-        source = eqs[0]
-        if not (contains(source.lhs, operand) or contains(source.rhs, operand)):
-            raise InapplicableOp("named expression must occur in its source equation")
-        # the named expression's distinct symbols, in first-occurrence
-        # order (derivative/integral variables first)
-        args = symbol_nodes(operand)
-        if not args:
-            raise InapplicableOp("cannot name an expression with no variables")
-        eq = Equation(applied(fresh_name, args), operand)
-        return Step(eq, op, parents, operand)
+        if op in RENAME_FAMILY:
+            if fresh_name is None:
+                raise OpError(f"{op} requires a fresh function name")
+            source = eqs[0]
+            if not (contains(source.lhs, operand) or contains(source.rhs, operand)):
+                raise OpError("named expression must occur in its source equation")
+            # the named expression's distinct symbols, in first-occurrence
+            # order (derivative/integral variables first)
+            args = symbol_nodes(operand)
+            if not args:
+                raise OpError("cannot name an expression with no variables")
+            eq = Equation(applied(fresh_name, args), operand)
+            return Step(eq, op, parents, operand)
 
-    if op == SWAP:
-        return Step(eqs[0].swapped(), op, parents)
-    if op == ADD_EQ:
-        a, b = eqs
-        if parents[0] == parents[1]:
-            raise InapplicableOp("add_eq needs two distinct parents")
-        return Step(Equation(add(a.lhs, b.lhs), add(a.rhs, b.rhs)), op, parents)
-
+        if op == SWAP:
+            return Step(eqs[0].swapped(), op, parents)
+        if op == ADD_EQ:
+            a, b = eqs
+            if parents[0] == parents[1]:
+                raise OpError("add_eq needs two distinct parents")
+            return Step(Equation(add(a.lhs, b.lhs), add(a.rhs, b.rhs)), op, parents)
+    except (ExprError, calculus.CalculusError) as exc:
+        raise OpError(str(exc)) from exc
     raise OpError(f"unhandled op {op!r}")  # pragma: no cover
 
 

@@ -12,7 +12,7 @@ from itertools import islice
 from typing import Optional, Sequence
 
 from .latex import equation_to_latex
-from .ops import RENAME_FAMILY, Derivation, shuffle
+from .ops import RENAME_FAMILY, ROLE_PREMISE, Derivation, shuffle
 from .records import PromptRecord
 
 FEWSHOT_HEADER = (
@@ -32,14 +32,6 @@ class PromptError(Exception):
     pass
 
 
-class RoleMissing(PromptError):
-    pass
-
-
-class InsufficientPool(PromptError):
-    pass
-
-
 def prompt_premise_indices(derivation: Derivation) -> tuple[int, ...]:
     """Steps rendered as Given/and clauses: introduced premises plus
     renaming definitions (both state equations the model cannot derive)."""
@@ -47,7 +39,7 @@ def prompt_premise_indices(derivation: Derivation) -> tuple[int, ...]:
     return tuple(
         i
         for i, s in enumerate(derivation.steps)
-        if i != last and (s.role == "premise" or s.op in RENAME_FAMILY)
+        if i != last and (s.role == ROLE_PREMISE or s.op in RENAME_FAMILY)
     ) or ((0,) if len(derivation) else ())
 
 
@@ -75,7 +67,7 @@ def build_prompt(
     perturbation: Optional[str] = None,
 ) -> PromptRecord:
     if not len(derivation):
-        raise RoleMissing("empty derivation has no goal")
+        raise PromptError("empty derivation has no goal")
     eqs = [equation_to_latex(s.equation) for s in derivation.steps]
     prompt = render_prompt_text(
         [eqs[i] for i in prompt_premise_indices(derivation)],
@@ -111,7 +103,7 @@ def build_fewshot(
     candidates = [entry for entry in pool if entry[0].static_id != record.static_id]
     qualifying = sum(q for _, q in candidates)
     if len(candidates) < 5 or qualifying < 2:
-        raise InsufficientPool(
+        raise PromptError(
             f"need >= 5 pool prompts with >= 2 qualifying, have {len(candidates)}"
             f"/{qualifying}"
         )

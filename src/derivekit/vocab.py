@@ -2,10 +2,10 @@
 
 The training vocabulary is a configurable JSON file; the packaged default
 carries 155 physics-flavoured symbols. A symbol's ``name`` doubles as its
-LaTeX form. Bare ``e`` and ``d`` are reserved by the grammar (Euler's number
-and differential markers) and may not appear as vocabulary names, and the
-out-of-distribution Greek pool used by variable renaming must stay disjoint
-from the vocabulary.
+LaTeX form, so each name of a vocabulary file must parse back to itself (a
+function name applied to one variable), which rules out bare ``e`` and ``d``,
+and the out-of-distribution Greek pool used by variable renaming must stay
+disjoint from the vocabulary.
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
+from .expr import Symbol, applied
+from .latex import LatexParseError, RenderError, parse_latex, to_latex
 from .records import RecordError, open_text
 
 KINDS = ("variable", "function-name", "constant")
@@ -24,11 +26,18 @@ GREEK_POOL_DEFAULT = (
     "\\nu", "\\xi", "\\tau", "\\upsilon", "\\chi",
 )
 
-_RESERVED = ("e", "d")
-
 
 class VocabularyError(Exception):
     pass
+
+
+def _reads_back(name: str, kind: str) -> bool:
+    """Whether the LaTeX of `name`, used as a symbol of `kind`, parses back to it."""
+    tree = applied(name, [Symbol("x")]) if kind == "function-name" else Symbol(name)
+    try:
+        return parse_latex(to_latex(tree)) == tree
+    except (LatexParseError, RenderError):
+        return False
 
 
 @dataclass(frozen=True)
@@ -49,8 +58,6 @@ class SymbolTable:
                 raise VocabularyError(f"unknown kind {entry.kind!r} for {entry.name!r}")
             if entry.name in seen:
                 raise VocabularyError(f"duplicate symbol name {entry.name!r}")
-            if entry.name in _RESERVED:
-                raise VocabularyError(f"{entry.name!r} is reserved by the LaTeX grammar")
             if "," in entry.name:
                 raise VocabularyError(f"symbol name {entry.name!r} may not contain a comma")
             if entry.name in GREEK_POOL_DEFAULT:
@@ -80,6 +87,11 @@ def load_symbol_table(path: Optional[str | Path] = None) -> SymbolTable:
     try:
         payload = json.loads(text)
         entries = tuple(SymbolEntry(item["name"], item["kind"]) for item in payload["symbols"])
-        return SymbolTable(entries)
+        table = SymbolTable(entries)
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise VocabularyError(f"malformed vocabulary file: {exc}") from exc
+    if path is not None:  # a test checks the packaged names, so loading them parses nothing
+        for entry in entries:
+            if not _reads_back(entry.name, entry.kind):
+                raise VocabularyError(f"symbol name {entry.name!r} does not read back from LaTeX")
+    return table

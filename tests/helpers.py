@@ -66,7 +66,7 @@ from derivekit.ops import Derivation, ROLE_PREMISE, Step
 from derivekit.prompts import (
     FEWSHOT_HEADER,
     FEWSHOT_INSTRUCTION,
-    InsufficientPool,
+    PromptError,
     qualifies_for_fewshot,
 )
 from derivekit.records import _MALFORMED, RecordError, _numbered_rows
@@ -511,11 +511,11 @@ def load_rows_by_open(path: str | Path, convert) -> list:
 def build_fewshot_by_full_scan(record, pool, rng) -> str:
     """prompts.build_fewshot as it was before the pool came qualified: over
     a plain list of prompt records, with the same text, the same draws and
-    the same InsufficientPool message."""
+    the same PromptError message."""
     candidates = [p for p in pool if p.static_id != record.static_id]
     qualifying = [p for p in candidates if qualifies_for_fewshot(p)]
     if len(candidates) < 5 or len(qualifying) < 2:
-        raise InsufficientPool(
+        raise PromptError(
             f"need >= 5 pool prompts with >= 2 qualifying, have {len(candidates)}"
             f"/{len(qualifying)}"
         )

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derivekit.calculus import (
-    NoDerivativePresent,
-    NoIntegralPresent,
+    CalculusError,
     antiderivative,
     differentiate,
     evaluate_derivatives,
@@ -124,9 +123,9 @@ def test_evaluate_derivatives_golden():
 
 def test_evaluate_derivatives_already_evaluated_raises():
     eq = Equation(derivative(applied("f", [x]), x), func("cos", x))
-    with pytest.raises(NoDerivativePresent):
+    with pytest.raises(CalculusError, match="no evaluable derivative in equation"):
         evaluate_derivatives(eq)
-    with pytest.raises(NoDerivativePresent):
+    with pytest.raises(CalculusError, match="no evaluable derivative in equation"):
         evaluate_derivatives(Equation(x, y))
 
 
@@ -155,11 +154,11 @@ def test_evaluate_integrals_table_miss_is_absent():
 
 
 def test_evaluate_integrals_errors():
-    with pytest.raises(NoIntegralPresent):
+    with pytest.raises(CalculusError, match="no integral node in equation"):
         evaluate_integrals(Equation(x, y), set(), POOL)
     # only a stuck (unknown-function) integral present: nothing to evaluate
     eq = Equation(integral(applied("u", [x]), x), y)
-    with pytest.raises(NoIntegralPresent):
+    with pytest.raises(CalculusError, match="no concrete integral to evaluate"):
         evaluate_integrals(eq, set(), POOL)
 
 

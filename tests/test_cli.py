@@ -109,6 +109,41 @@ def test_verify_reports_incoherent_and_duplicate_records(tmp_path):
     ]
 
 
+# a premise, then one hand-broken step, and the problem line verify reports
+BROKEN_STEPS = {
+    "wrong-parent-count": ("x = y", {"latex": "y = x", "op": "swap", "parents": [0, 0]},
+                           "swap expects 1 parents, got 2"),
+    "operand-on-swap": ("x = y", {"latex": "y = x", "op": "swap", "operand_latex": "x"},
+                        "swap does not take an operand"),
+    "division-by-zero": ("x = y", {"latex": "2 x = 2 y", "op": "div", "operand_latex": "0"},
+                         "division by syntactic zero"),
+    "eval-diff-nothing-to-evaluate": ("x = y", {"latex": "y = x", "op": "eval_diff"},
+                                      "no evaluable derivative in equation"),
+    "eval-int-extra-constant": (r"x = \int y dy", {
+        "latex": r"x = \frac{1}{2} y^{2} + C", "op": "eval_int", "operand_latex": "C,D"},
+        "recorded integration constants do not replay"),
+    "eval-int-no-constant": (r"x = \int y dy", {
+        "latex": r"x = \frac{1}{2} y^{2} + C", "op": "eval_int", "operand_latex": ""},
+        "constant pool exhausted"),
+    "constructor-error": ("x = 0", {"latex": "x^{2} = 0", "op": "pow", "operand_latex": "-1"},
+                          "zero to a negative power"),
+}
+
+
+def test_verify_report_names_each_replay_error(tmp_path):
+    rows = []
+    for name, (premise, step, _) in BROKEN_STEPS.items():
+        steps = [{"latex": premise, "op": "premise", "parents": [], "operand_latex": None,
+                  "role": "premise"},
+                 {"parents": [0], "operand_latex": None, "role": "goal", **step}]
+        rows.append(json.dumps({"id": name, "seed": 0, "steps": steps}))
+    infile, report = _file(tmp_path / "in.jsonl", "\n".join(rows) + "\n"), tmp_path / "r.json"
+    assert run(["verify", "--in", infile, "--report", report]) == 1
+    assert json.loads(report.read_text())["failures"] == [
+        {"id": name, "problems": [f"step 1: replay error: {message}"]}
+        for name, (_, _, message) in BROKEN_STEPS.items()]
+
+
 @pytest.mark.parametrize("kind", ["vr", "ee", "ag", "sr"])
 def test_perturb_kinds(workdir, kind):
     out = workdir / f"{kind}.jsonl"
@@ -388,6 +423,10 @@ BAD_INPUT_CASES = {
                                            _stored(d / "in.jsonl", r"x = \frac{1}{0}")], 3),
     "verify-unparsable-latex": (lambda d: ["verify", "--in",
                                            _stored(d / "in.jsonl", "x = y +")], 3),
+    "verify-empty-function-name": (lambda d: ["verify", "--in", _stored(
+        d / "in.jsonl", r"\operatorname{}{(x)} = y")], 3),
+    "prompt-empty-function-name": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
+        d / "in.jsonl", r"\operatorname{ }{(x)} = y"), "--out", d / "o.jsonl"], 3),
     "verify-deep-tower": (lambda d: ["verify", "--in", _stored(
         d / "in.jsonl", "x = " + "x^{" * 700 + "x" + "}" * 700)], 3),
     "score-pred-missing-completion": (lambda d: [
@@ -456,6 +495,10 @@ BAD_INPUT_CASES = {
     "vocabulary-reserved-name": (lambda d: _with_vocabulary(d, ("e", "constant")), 2),
     "vocabulary-comma-in-name": (lambda d: _with_vocabulary(d, ("a,b", "variable")), 2),
     "vocabulary-greek-pool-name": (lambda d: _with_vocabulary(d, ("\\alpha", "variable")), 2),
+    # a name whose LaTeX does not parse back to it
+    "vocabulary-empty-function-name": (lambda d: _with_vocabulary(d, ("", "function-name")), 2),
+    "vocabulary-name-with-a-space": (lambda d: _with_vocabulary(d, ("a b", "variable")), 2),
+    "vocabulary-name-with-a-quote": (lambda d: _with_vocabulary(d, ("x'", "variable")), 2),
     "fewshot-without-train": (lambda d: ["prompt", "--mode", "fewshot", "--in",
                                          _file(d / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
                                          "--out", d / "o.jsonl"], 2),

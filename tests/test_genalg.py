@@ -3,6 +3,7 @@ extraction, determinism, and the dataset filters."""
 import math
 import random
 from collections import Counter
+from importlib import resources
 from types import SimpleNamespace
 
 import pytest
@@ -108,6 +109,13 @@ def test_generate_premise_shape():
         seen_names.append(eq.lhs.name)
         used.update(equation_free_symbols(eq))
     assert len(set(seen_names)) == len(seen_names)  # no reused function names
+
+
+def test_packaged_vocabulary_passes_the_checks_of_a_vocabulary_file():
+    # loading the packaged default skips the check that each name reads back
+    path = resources.files("derivekit.data").joinpath("vocabulary.json")
+    assert len(load_symbol_table(str(path)).entries) == 155
+    assert load_symbol_table(str(path)) == load_symbol_table()
 
 
 def test_generate_premise_exhaustion():

@@ -24,7 +24,6 @@ from derivekit.latex import (
     LatexParseError,
     RenderError,
     _Parser,
-    UnknownLatexCommand,
     count_lexemes,
     equation_to_latex,
     parse_equation,
@@ -134,6 +133,8 @@ def test_whitespace_tolerance():
 PARSE_ERRORS = [
     (r"\operatorname{ab}", "must be applied to arguments"),
     (r"\operatorname{ab", "unterminated brace group"),
+    (r"\operatorname{}{(x)}", r"empty \\operatorname name \(at position 14\)"),
+    (r"\operatorname{ }{(x)}", r"empty \\operatorname name \(at position 15\)"),
     (r"\int x d2", "expected a symbol"),
     ("x_+", "bad subscript"),
     (r"\frac{d^{0}}{d x^{0}} y", "order must be a positive integer"),
@@ -304,7 +305,7 @@ def test_side_memo_matches_the_full_parse(lhs, rhs):
 
 
 def test_unknown_command_error():
-    with pytest.raises(UnknownLatexCommand):
+    with pytest.raises(LatexParseError, match=r"unknown command '\\\\sqrt'"):
         parse_latex(r"\sqrt{2}")
 
 

@@ -27,9 +27,7 @@ from derivekit.expr import (
 )
 from derivekit.latex import equation_to_latex, parse_equation, to_latex
 from derivekit.ops import (
-    ArityMismatch,
     Derivation,
-    InapplicableOp,
     OpError,
     ROLE_PREMISE,
     Step,
@@ -75,7 +73,7 @@ def test_div_by_one_is_identity():
 
 def test_div_by_zero_inapplicable():
     steps = [premise(r"q{(a)} = e^{a}")]
-    with pytest.raises(InapplicableOp):
+    with pytest.raises(OpError, match="division by syntactic zero"):
         ops.apply(ops.DIV, steps, (0,), Integer(0))
 
 
@@ -103,54 +101,49 @@ def test_substitution_replaces_both_sides():
 
 def test_substitution_without_occurrence_inapplicable():
     steps = [premise(r"f{(x)} = x"), premise(r"g{(y)} = y")]
-    with pytest.raises(InapplicableOp):
+    with pytest.raises(OpError, match="definition side does not occur in the target"):
         ops.apply(ops.SUB_LHS, steps, (0, 1))
 
 
 def test_arity_mismatch():
     steps = [premise(r"f{(x)} = x")]
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(OpError, match="diff expects 1 parents, got 2"):
         ops.apply(ops.DIFF, steps, (0, 0), x)
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(OpError, match="add requires an operand"):
         ops.apply(ops.ADD, steps, (0,))  # missing operand
 
 
 def test_eval_int_without_integral_inapplicable():
     steps = [premise(r"f{(x)} = x")]
-    with pytest.raises(InapplicableOp):
+    with pytest.raises(OpError, match="no integral node in equation"):
         ops.apply(ops.EVAL_INT, steps, (0,), constant_pool=["n"])
 
 
-# calls ops.apply rejects, on the steps q(a) = a^2, f(x) = 0 and
-# g(x) = \int x dx: (op, parents, operand, keyword arguments, error, message)
+# calls ops.apply rejects with OpError, on the steps q(a) = a^2, f(x) = 0 and
+# g(x) = \int x dx: (op, parents, operand, keyword arguments, message)
 BAD_APPLY_CASES = {
-    "unknown-op": ("frobnicate", (0,), None, {}, OpError, "unknown op"),
-    "operand-on-swap": (ops.SWAP, (0,), x, {}, ArityMismatch, "does not take an operand"),
-    "diff-by-a-number": (ops.DIFF, (0,), Integer(2), {}, InapplicableOp, "variable symbol"),
-    "int-by-a-function": (ops.INT, (0,), func("sin", x), {}, InapplicableOp, "variable symbol"),
-    "zero-to-a-negative-power": (ops.POW, (1,), Integer(-1), {}, InapplicableOp,
-                                 "zero to a negative power"),
-    "substitution-on-one-parent": (ops.SUB_RHS, (0, 0), None, {}, InapplicableOp,
-                                   "two distinct parents"),
-    "add-eq-on-one-parent": (ops.ADD_EQ, (1, 1), None, {}, InapplicableOp,
-                             "two distinct parents"),
-    "wrong-recorded-operand": (ops.SUB_LHS, (0, 1), x, {}, OpError, "recorded operand"),
-    "rename-without-a-name": (ops.RENAME, (0,), Symbol("a"), {}, OpError,
-                              "fresh function name"),
+    "unknown-op": ("frobnicate", (0,), None, {}, "unknown op"),
+    "operand-on-swap": (ops.SWAP, (0,), x, {}, "does not take an operand"),
+    "diff-by-a-number": (ops.DIFF, (0,), Integer(2), {}, "variable symbol"),
+    "int-by-a-function": (ops.INT, (0,), func("sin", x), {}, "variable symbol"),
+    "zero-to-a-negative-power": (ops.POW, (1,), Integer(-1), {}, "zero to a negative power"),
+    "substitution-on-one-parent": (ops.SUB_RHS, (0, 0), None, {}, "two distinct parents"),
+    "add-eq-on-one-parent": (ops.ADD_EQ, (1, 1), None, {}, "two distinct parents"),
+    "wrong-recorded-operand": (ops.SUB_LHS, (0, 1), x, {}, "recorded operand"),
+    "rename-without-a-name": (ops.RENAME, (0,), Symbol("a"), {}, "fresh function name"),
     "constants-do-not-replay": (ops.EVAL_INT, (2,), None,
-                                {"constants": [Symbol("n"), Symbol("m")]}, OpError,
-                                "do not replay"),
-    "constant-pool-exhausted": (ops.EVAL_INT, (2,), None, {"constant_pool": ["x"]}, OpError,
+                                {"constants": [Symbol("n"), Symbol("m")]}, "do not replay"),
+    "constant-pool-exhausted": (ops.EVAL_INT, (2,), None, {"constant_pool": ["x"]},
                                 "pool exhausted"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_APPLY_CASES))
 def test_apply_rejects_bad_input(case):
-    op, parents, operand, kwargs, error, message = BAD_APPLY_CASES[case]
+    op, parents, operand, kwargs, message = BAD_APPLY_CASES[case]
     steps = [premise(r"q{(a)} = a^{2}"), premise(r"f{(x)} = 0"),
              premise(r"g{(x)} = \int x dx")]
-    with pytest.raises(error, match=message):
+    with pytest.raises(OpError, match=message):
         ops.apply(op, steps, parents, operand, **kwargs)
 
 

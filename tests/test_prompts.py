@@ -10,10 +10,9 @@ from derivekit.expr import Equation, Symbol, applied, func
 from derivekit.latex import equation_to_latex
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
 from derivekit.prompts import (
-    InsufficientPool,
     FEWSHOT_HEADER,
     FEWSHOT_INSTRUCTION,
-    RoleMissing,
+    PromptError,
     build_fewshot,
     fewshot_pool,
     build_prompt,
@@ -70,7 +69,7 @@ def test_prompt_round_trip_equations():
 
 
 def test_prompt_requires_goal():
-    with pytest.raises(RoleMissing):
+    with pytest.raises(PromptError, match="empty derivation has no goal"):
         build_prompt(Derivation(()), "empty")
 
 
@@ -159,9 +158,9 @@ def test_fewshot_template_exact_wording():
 
 
 def test_fewshot_insufficient_pool():
-    with pytest.raises(InsufficientPool):
+    with pytest.raises(PromptError, match="with >= 2 qualifying, have 9/1"):
         build_fewshot(EVAL_RECORD, fewshot_pool(_pool(1, 8)), random.Random(0))
-    with pytest.raises(InsufficientPool):
+    with pytest.raises(PromptError, match="with >= 2 qualifying, have 3/2"):
         build_fewshot(EVAL_RECORD, fewshot_pool(_pool(2, 1)), random.Random(0))
 
 
@@ -190,8 +189,8 @@ def test_fewshot_excludes_same_family():
 def _fewshot_or_error(build, record, pool, rng):
     try:
         return build(record, pool, rng)
-    except InsufficientPool as exc:
-        return f"InsufficientPool: {exc}"
+    except PromptError as exc:
+        return f"PromptError: {exc}"
 
 
 def _assert_fewshot_matches_the_full_scan(record, pool, seed):
