@@ -36,12 +36,14 @@ class ExprError(Exception):
 
 
 class Expr:
-    """Base class for all expression nodes. Instances are immutable."""
+    """Base class for all expression nodes. Instances are immutable, so ``_key``
+    and ``_tex`` keep the node's ``sort_key`` and ``latex.to_latex`` once computed."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_tex")
 
     _hash: int
     _key: Optional[tuple]
+    _tex: Optional[str]
 
     def sort_key(self) -> tuple:
         key = self._key
@@ -79,7 +81,7 @@ class Integer(Expr):
     def __init__(self, value: int):
         self.value = int(value)
         self._hash = hash(("i", self.value))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, self.value)
@@ -99,7 +101,7 @@ class Rational(Expr):
         self.num = num
         self.den = den
         self._hash = hash(("r", num, den))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, Fraction(self.num, self.den))
@@ -116,7 +118,7 @@ class Symbol(Expr):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("s", name))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_SYMBOL, self.name)
@@ -133,7 +135,7 @@ class Add(Expr):
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
         self._hash = hash(("+",) + tuple(map(hash, terms)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_ADD,) + tuple(t.sort_key() for t in self.terms)
@@ -153,7 +155,7 @@ class Mul(Expr):
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
         self._hash = hash(("*",) + tuple(map(hash, factors)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_MUL,) + tuple(f.sort_key() for f in self.factors)
@@ -174,7 +176,7 @@ class Pow(Expr):
         self.base = base
         self.exp = exp
         self._hash = hash(("^", hash(base), hash(exp)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_POW, self.base.sort_key(), self.exp.sort_key())
@@ -197,7 +199,7 @@ class Func(Expr):
         self.kind = kind
         self.arg = arg
         self._hash = hash(("f", kind, hash(arg)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_FUNC, self.kind, self.arg.sort_key())
@@ -220,7 +222,7 @@ class AppliedFunction(Expr):
         self.name = name
         self.args = args
         self._hash = hash(("a", name) + tuple(map(hash, args)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_APPLIED, self.name) + tuple(a.sort_key() for a in self.args)
@@ -248,7 +250,7 @@ class Derivative(Expr):
         self.var = var
         self.order = order
         self._hash = hash(("d", hash(body), hash(var), order))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_DERIVATIVE, self.var.sort_key(), self.order, self.body.sort_key())
@@ -278,7 +280,7 @@ class Integral(Expr):
         self.body = body
         self.var = var
         self._hash = hash(("I", hash(body), hash(var)))
-        self._key = None
+        self._key = self._tex = None
 
     def _make_key(self) -> tuple:
         return (_R_INTEGRAL, self.var.sort_key(), self.body.sort_key())

@@ -14,6 +14,7 @@ import hashlib
 import math
 import random
 import sys
+from bisect import bisect
 from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -35,8 +36,9 @@ from .expr import (
     mul,
     pow_,
 )
-from .latex import count_lexemes, equation_to_latex
+from .latex import equation_to_latex
 from .ops import Derivation, ROLE_GOAL, ROLE_INTERMEDIATE, ROLE_PREMISE, Step
+from .prompts import prompt_lexemes
 from .records import DerivationRecord
 from .vocab import SymbolTable, load_symbol_table
 
@@ -203,30 +205,32 @@ class Applicability(NamedTuple):
 
 def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> Optional[str]:
     """Draw the next action (an op id or NEW_PREMISE) through the arity gate
-    hierarchy. Returns None when the drawn group has no applicable member."""
-    pick = ops.weighted_pick
-    arity = pick((0, 1, 2), cfg._arity_cum, rng)
+    hierarchy. Returns None when the drawn group has no applicable member.
+    The arity and group draws are ops.weighted_pick's bisect, made inline; a
+    float times an int total is a float times float(total), as with + 0.0."""
+    pick, draw = ops.weighted_pick, rng.random
+    arity = bisect(cfg._arity_cum, draw() * cfg._arity_cum[-1], 0, 2)
     if arity == 0:
         return NEW_PREMISE
     if arity == 1:
-        group = pick(("evaluate", "int_or_diff", "renaming", "arith", "ext"), cfg._arity1_cum, rng)
-        if group == "evaluate":
+        # evaluate, int_or_diff, renaming, arith, ext
+        group = bisect(cfg._arity1_cum, draw() * cfg._arity1_cum[-1], 0, 4)
+        if group == 0:
             candidates = [op for op, ok in ((ops.EVAL_DIFF, flags.has_derivative),
                                             (ops.EVAL_INT, flags.has_integral)) if ok]
             return candidates[rng.randrange(len(candidates))] if candidates else None
-        if group == "int_or_diff":
+        if group == 1:
             return pick((ops.DIFF, ops.INT), cfg._diff_int_cum, rng)
-        if group == "renaming":
+        if group == 2:
             if not flags.has_derived:
                 return None
             return pick((ops.RENAME, ops.DEFINE), cfg._rename_cum, rng)
-        if group == "arith":
+        if group == 3:
             return _ARITH_OPS[rng.randrange(len(_ARITH_OPS))]
         return _EXT1_OPS[rng.randrange(len(_EXT1_OPS))]
     if flags.n_steps < 2:
         return None
-    group = pick(("subs", "add_eq"), cfg._arity2_cum, rng)
-    if group == "subs":
+    if bisect(cfg._arity2_cum, draw() * cfg._arity2_cum[-1], 0, 1) == 0:  # subs, else add_eq
         return (ops.SUB_LHS, ops.SUB_RHS)[rng.randrange(2)]
     return ops.ADD_EQ
 
@@ -278,13 +282,20 @@ class _GenState:
         for p in step.parents:
             ancestors |= self.ancestors[p]
         self.ancestors.append(ancestors)
-        nodes = ops.subexpression_pool(step.equation)
-        self.used_names.update(n.name for n in nodes if type(n) in (Symbol, AppliedFunction))
-        for node in nodes:
-            self.containing.setdefault(node, []).append(index)
-        if any(type(n) is Derivative for n in nodes):
+        containing, used = self.containing, self.used_names
+        has_derivative = has_integral = False
+        for node in ops.subexpression_pool(step.equation):
+            containing.setdefault(node, []).append(index)
+            t = type(node)
+            if t is Symbol or t is AppliedFunction:
+                used.add(node.name)
+            elif t is Derivative:
+                has_derivative = True
+            elif t is Integral:
+                has_integral = True
+        if has_derivative:
             self.derivative_indices.append(index)
-        if any(type(n) is Integral for n in nodes):
+        if has_integral:
             self.integral_indices.append(index)
         if step.role != ROLE_PREMISE:
             self.derived_indices.append(index)
@@ -500,8 +511,8 @@ def passes_char_filter(d: Derivation, cfg: GenConfig) -> bool:
     return all(len(equation_to_latex(s.equation)) <= cfg.max_latex_chars for s in d.steps)
 
 
-def passes_token_filter(prompt: str, target: str, cfg: GenConfig) -> bool:
-    return count_lexemes(prompt + " " + target) <= cfg.max_prompt_tokens
+def passes_token_filter(derivation: Derivation, cfg: GenConfig) -> bool:
+    return prompt_lexemes(derivation) <= cfg.max_prompt_tokens
 
 
 def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], GenerationSummary]:
@@ -509,8 +520,6 @@ def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], Ge
     attempt_factor * n attempts, stopping once attempt_factor in a row have
     kept nothing. Records carry the per-attempt stream seed, so output is
     deterministic regardless of how attempts are scheduled."""
-    from .prompts import build_prompt
-
     if n < 1:
         raise GenerationError("record count must be >= 1")
     vocab = cfg.load_vocabulary()
@@ -530,12 +539,10 @@ def generate_dataset(cfg: GenConfig, n: int) -> tuple[list[DerivationRecord], Ge
         if not passes_char_filter(derivation, cfg):
             summary.char_filtered += 1
             continue
-        record = DerivationRecord(f"d{attempt - 1:06d}", stream_seed, derivation)
-        prompt = build_prompt(derivation, record.id)
-        if not passes_token_filter(prompt.prompt, prompt.target, cfg):
+        if not passes_token_filter(derivation, cfg):
             summary.token_filtered += 1
             continue
-        records.append(record)
+        records.append(DerivationRecord(f"d{attempt - 1:06d}", stream_seed, derivation))
         summary.produced += 1
         last_kept = attempt
     return records, summary

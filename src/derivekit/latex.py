@@ -175,6 +175,15 @@ def _body_str(body: Expr) -> str:
 
 
 def to_latex(e: Expr) -> str:
+    """The LaTeX of e, rendered once per node: substituted and both-sides
+    trees reuse their parents' subtrees, and with them their text."""
+    text = e._tex
+    if text is None:
+        text = e._tex = _render(e)
+    return text
+
+
+def _render(e: Expr) -> str:
     t = type(e)
     if t is Integer:
         return str(e.value)

@@ -113,6 +113,7 @@ ROLE_PREMISE = "premise"
 ROLE_INTERMEDIATE = "intermediate"
 ROLE_ORDINARY = "ordinary"
 ROLE_GOAL = "goal"
+ROLES = (ROLE_PREMISE, ROLE_ORDINARY, ROLE_INTERMEDIATE, ROLE_GOAL)
 
 
 @dataclass(frozen=True)

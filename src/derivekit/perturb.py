@@ -53,7 +53,7 @@ def perturb(
         prompt = remove_steps(prompt)
         if prompt is None:
             raise Skipped("no intermediates")
-    elif kind == VR and not passes_token_filter(prompt.prompt, prompt.target, cfg):
+    elif kind == VR and not passes_token_filter(derivation, cfg):
         raise Skipped("token limit")
     return DerivationRecord(record.id, record.seed, derivation, tag, family), prompt
 

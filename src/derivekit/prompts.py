@@ -11,7 +11,7 @@ import random
 from itertools import islice
 from typing import Optional, Sequence
 
-from .latex import equation_to_latex
+from .latex import count_lexemes, equation_to_latex
 from .ops import RENAME_FAMILY, ROLE_PREMISE, Derivation, shuffle
 from .records import PromptRecord
 
@@ -58,6 +58,18 @@ def render_prompt_text(
         text += f", {THEN_DERIVE} ${eq}$"
     text += f", then obtain ${goal_eq}$"
     return text
+
+
+def prompt_lexemes(derivation: Derivation) -> int:
+    """count_lexemes(prompt + " " + target) of build_prompt(derivation),
+    without building either text: the template's "$", "," and spaces never
+    join an equation's lexemes, so each equation counts alone."""
+    counts = [count_lexemes(equation_to_latex(s.equation)) for s in derivation.steps]
+    premises, derived = prompt_premise_indices(derivation), derivation.intermediates()
+    # 3 for each "Given $.$" or "and $.$", 5 for each ", then derive $.$" and
+    # for ", then obtain $.$", and one "and" between two equations of the target
+    return (sum(counts[i] + 3 for i in premises) + sum(counts[i] + 5 for i in derived)
+            + counts[-1] + 5 + sum(counts) + len(counts) - 1)
 
 
 def build_prompt(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .expr import Expr, ExprError, Symbol
 from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
-from .ops import EVAL_INT, PREMISE, Derivation, Step
+from .ops import EVAL_INT, PREMISE, ROLES, Derivation, Step
 
 SCHEMA_VERSION = 1
 
@@ -93,6 +93,25 @@ def string_field(payload: dict, name: str) -> str:
     return value
 
 
+def _step_fields(payload: dict) -> tuple[Optional[str], tuple[int, ...], str]:
+    """A step's op, parents and role, each checked, after a check of its latex."""
+    string_field(payload, "latex")
+    role = payload["role"]
+    if role not in ROLES:
+        raise RecordError(f"role must be one of {', '.join(ROLES)}: {role!r}")
+    return _op(payload), _parents(payload), role
+
+
+def _row_fields(payload: dict) -> dict:
+    """A derivation row's id, seed, perturbation and static_id, checked."""
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:  # a bool is not a seed
+        raise RecordError(f"seed must be an integer: {seed!r}")
+    return {"id": string_field(payload, "id"), "seed": seed,
+            "perturbation": string_or_null("perturbation", payload.get("perturbation")),
+            "static_id": string_or_null("static_id", payload.get("static_id"))}
+
+
 def _steps(payload: dict) -> list:
     steps = payload["steps"]
     if type(steps) is not list or not steps:
@@ -103,7 +122,7 @@ def _steps(payload: dict) -> list:
 def step_from_json(payload: dict, sides: Optional[dict[str, Expr]] = None) -> Step:
     """`sides` is the parse memo of latex.parse_equation, shared by the steps
     of one record: a derivation repeats most of its parents' sides."""
-    op = _op(payload)
+    op, parents, role = _step_fields(payload)
     operand = None
     constants: tuple[Symbol, ...] = ()
     raw_operand = payload.get("operand_latex")
@@ -112,13 +131,12 @@ def step_from_json(payload: dict, sides: Optional[dict[str, Expr]] = None) -> St
             constants = tuple(Symbol(name) for name in raw_operand.split(","))
     elif raw_operand is not None:
         operand = parse_latex(raw_operand, sides)
-    parents = _parents(payload)
     return Step(
         equation=parse_equation(payload["latex"], sides),
         op=None if op == PREMISE else op,
         parents=parents,
         operand=operand,
-        role=payload["role"],
+        role=role,
         constants=constants,
     )
 
@@ -139,26 +157,16 @@ def derivation_record_to_json(record: DerivationRecord) -> dict:
 def derivation_record_from_json(payload: dict) -> DerivationRecord:
     sides: dict[str, Expr] = {}
     return DerivationRecord(
-        id=payload["id"],
-        seed=payload.get("seed", 0),
+        **_row_fields(payload),
         derivation=Derivation(tuple(step_from_json(s, sides) for s in _steps(payload))),
-        perturbation=payload.get("perturbation"),
-        static_id=payload.get("static_id"),
     )
 
 
 def op_tags_from_json(payload: dict) -> tuple[str, ...]:
     """Each step's Step.op_tag(), from a row checked as
     derivation_record_from_json checks it, except that no LaTeX is parsed."""
-    payload["id"]  # a missing field raises the KeyError the full conversion raises
-    tags = []
-    for step in _steps(payload):
-        op = _op(step)
-        _parents(step)
-        string_field(step, "latex")
-        step["role"]
-        tags.append(PREMISE if op is None else op)
-    return tuple(tags)
+    _row_fields(payload)
+    return tuple(PREMISE if op is None else op for op, _, _ in map(_step_fields, _steps(payload)))
 
 
 def prompt_record_to_json(record: PromptRecord) -> dict:

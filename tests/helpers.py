@@ -8,7 +8,8 @@ length and top chain of a `stats` report), the `random.choices` draws,
 full sort, full subtree walk and uncached free-symbol walk that
 generation's tables, pruning and caches replace,
 the two-loop score report that the one family loop replaces, the
-line-by-line file reader that the one decode step replaces, and a fixed
+line-by-line file reader that the one decode step replaces, the printer
+that renders every node again that the per-node text replaces, and a fixed
 reference block for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
@@ -27,11 +28,13 @@ from derivekit import ops
 from derivekit.expr import (
     Add,
     AppliedFunction,
+    Derivative,
     Equation,
     Expr,
     ExprError,
     Func,
     Integer,
+    Integral,
     Mul,
     Number,
     Pow,
@@ -42,15 +45,17 @@ from derivekit.expr import (
     derivative,
     div,
     equation_free_symbols,
+    exact_value,
     free_symbols,
     func,
     neg,
     num_from_exact,
     rebuild,
     sub,
+    symbol_nodes,
 )
 from derivekit.genalg import NEW_PREMISE, _recency_pick, extract_derivation
-from derivekit.latex import _PUNCT, LatexParseError, parse_equation
+from derivekit.latex import _PUNCT, LatexParseError, RenderError, _is_simple_head, parse_equation
 from derivekit.metrics import (
     BLEU_MAX_N,
     BLEU_SMOOTHING,
@@ -642,6 +647,147 @@ def score_report_two_loops(
         "schema_version": 1,
     }
     return report, rows
+
+
+# ---------------------------------------------------------------------------
+# oracle for the printer: latex.to_latex as it was before each node kept its
+# text, rendering every subtree on every call
+
+def _signed_uncached(e: Expr) -> tuple[bool, str]:
+    q = exact_value(e)
+    if q is not None:
+        return q < 0, _number_str(abs(q))
+    if type(e) is Mul:
+        return _mul_str_uncached(e)
+    return False, to_latex_uncached(e)
+
+
+def _number_str(q) -> str:
+    if q.denominator == 1:
+        return str(q.numerator)
+    return f"\\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+
+def _mul_operand_uncached(f: Expr) -> str:
+    s = to_latex_uncached(f)
+    return f"({s})" if type(f) is Add else s
+
+
+def _mul_str_uncached(e: Mul) -> tuple[bool, str]:
+    coeff = 1
+    num_factors: list[Expr] = []
+    den_factors: list = []
+    for f in e.factors:
+        q = exact_value(f)
+        if q is not None:
+            coeff *= q
+            continue
+        if type(f) is Pow:
+            fq = exact_value(f.exp)
+            if fq is not None and fq < 0:
+                den_factors.append((f.base, -fq))
+                continue
+        num_factors.append(f)
+
+    def render_run(items: list[str], exprs: list) -> str:
+        out = []
+        for j, (s, x) in enumerate(zip(items, exprs)):
+            if x is not None and type(x) in (Derivative, Integral) and j < len(items) - 1:
+                out.append(f"({s})")
+            else:
+                out.append(s)
+        return " ".join(out)
+
+    negative, coeff = coeff < 0, abs(coeff)
+    fraction = bool(den_factors) or coeff.denominator != 1
+    if fraction and len(num_factors) == 1 and coeff.numerator == 1:
+        num_parts = [to_latex_uncached(num_factors[0])]
+    else:
+        num_parts = [_mul_operand_uncached(f) for f in num_factors]
+    num_exprs: list = list(num_factors)
+    if fraction and len(den_factors) == 1 and den_factors[0][1] == 1 and coeff.denominator == 1:
+        den_parts = [to_latex_uncached(den_factors[0][0])]
+    else:
+        den_parts = [_mul_operand_uncached(b) if q == 1 else _pow_str_uncached(b, q)
+                     for b, q in den_factors]
+    den_exprs: list = [b if q == 1 else None for b, q in den_factors]
+    if coeff.numerator != 1 or not num_parts:
+        num_parts.insert(0, str(coeff.numerator))
+        num_exprs.insert(0, None)
+    if coeff.denominator != 1:
+        den_parts.insert(0, str(coeff.denominator))
+        den_exprs.insert(0, None)
+    num = render_run(num_parts, num_exprs)
+    if den_parts:
+        return negative, f"\\frac{{{num}}}{{{render_run(den_parts, den_exprs)}}}"
+    return negative, num
+
+
+def _pow_base_str_uncached(base: Expr) -> str:
+    if type(base) is Symbol:
+        return base.name
+    if type(base) is Integer and base.value >= 0:
+        return str(base.value)
+    return f"({to_latex_uncached(base)})"
+
+
+def _pow_str_uncached(base: Expr, exp_q) -> str:
+    if exp_q == 1:
+        return to_latex_uncached(base)
+    return f"{_pow_base_str_uncached(base)}^{{{_number_str(exp_q)}}}"
+
+
+def _body_str_uncached(body: Expr) -> str:
+    negative, s = _signed_uncached(body)
+    if type(body) is Add or negative:
+        return f"({to_latex_uncached(body)})"
+    return s
+
+
+def to_latex_uncached(e: Expr) -> str:
+    """latex.to_latex rendering every subtree again and keeping nothing."""
+    t = type(e)
+    if t is Integer:
+        return str(e.value)
+    if t is Symbol:
+        return e.name
+    if t is Add:
+        parts: list[str] = []
+        for i, term in enumerate(e.terms):
+            negative, body = _signed_uncached(term)
+            if i == 0:
+                parts.append(f"- {body}" if negative else body)
+            else:
+                parts.append(f"- {body}" if negative else f"+ {body}")
+        return " ".join(parts)
+    if t is Mul or t is Rational:
+        negative, body = _signed_uncached(e)
+        return f"- {body}" if negative else body
+    if t is Pow:
+        q = exact_value(e.exp)
+        if q is not None and q < 0:
+            return f"\\frac{{1}}{{{_pow_str_uncached(e.base, -q)}}}"
+        return f"{_pow_base_str_uncached(e.base)}^{{{to_latex_uncached(e.exp)}}}"
+    if t is Func:
+        if e.kind == "exp":
+            return f"e^{{{to_latex_uncached(e.arg)}}}"
+        return f"\\{e.kind}{{({to_latex_uncached(e.arg)})}}"
+    if t is AppliedFunction:
+        if not e.name:
+            raise RenderError("empty function name")
+        head = e.name if _is_simple_head(e.name) else f"\\operatorname{{{e.name}}}"
+        args = ",".join(to_latex_uncached(a) for a in e.args)
+        return f"{head}{{({args})}}"
+    if t is Derivative:
+        marker = "d" if len(symbol_nodes(e.body)) <= 1 else "\\partial"
+        if e.order == 1:
+            head = f"\\frac{{{marker}}}{{{marker} {e.var.name}}}"
+        else:
+            head = f"\\frac{{{marker}^{{{e.order}}}}}{{{marker} {e.var.name}^{{{e.order}}}}}"
+        return f"{head} {_body_str_uncached(e.body)}"
+    if t is Integral:
+        return f"\\int {_body_str_uncached(e.body)} d{e.var.name}"
+    raise RenderError(f"cannot render {t!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -331,10 +331,11 @@ def _not_utf8(path):
     return path
 
 
-def _stored(path, latex, parents=(), **fields):
+def _stored(path, latex, parents=(), row=(), **fields):
+    """A one-step derivation file; `row` holds fields that replace the row's."""
     step = {"latex": latex, "op": "premise", "parents": list(parents),
             "operand_latex": None, "role": "premise", **fields}
-    return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step]}) + "\n")
+    return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": [step], **dict(row)}) + "\n")
 
 
 def _score(d, completion="x", target="x = y", bleurt=None, pred=(), ref=(), pairs=None):
@@ -389,7 +390,34 @@ ZERO_ARITY1 = {"p_evaluate": 0, "p_int_or_diff": 0, "p_renaming": 0, "p_define":
                "p_arith": 0, "p_extension": 0}
 ZERO_ARITY2 = {"p_subs": 0, "p_add_eq": 0}
 
+_READ = {
+    "verify": lambda d, path: ["verify", "--in", path],
+    "stats": lambda d, path: ["stats", "--in", path],
+    "prompt": lambda d, path: ["prompt", "--mode", "finetune", "--in", path, "--out", d / "o.jsonl"],
+    "perturb": lambda d, path: ["perturb", "--kind", "ee", "--in", path, "--out", d / "o.jsonl"],
+}
+
+# a stored derivation row with one field of a wrong type or value, read by one
+# command: case -> (command, the field named, step fields, row fields)
+STORED_FIELD_CASES = {
+    "verify-numeric-role": ("verify", "role", {"role": 5}, {}),
+    "stats-numeric-role": ("stats", "role", {"role": 5}, {}),
+    "prompt-unknown-role": ("prompt", "role", {"role": "bogus"}, {}),
+    "perturb-unknown-role": ("perturb", "role", {"role": "bogus"}, {}),
+    "verify-string-seed": ("verify", "seed", {}, {"seed": "x"}),
+    "stats-bool-seed": ("stats", "seed", {}, {"seed": True}),
+    "prompt-integer-id": ("prompt", "id", {}, {"id": 5}),
+    "perturb-integer-id": ("perturb", "id", {}, {"id": 5}),
+    "verify-integer-static-id": ("verify", "static_id", {}, {"static_id": 5}),
+    "stats-integer-perturbation": ("stats", "perturbation", {}, {"perturbation": 5}),
+    "prompt-numeric-latex": ("prompt", "latex", {"latex": 5}, {}),
+    "perturb-numeric-latex": ("perturb", "latex", {"latex": 5}, {}),
+}
+
 BAD_INPUT_CASES = {
+    **{case: (lambda d, c=command, s=step, r=row: _READ[c](
+        d, _stored(d / "in.jsonl", **{"latex": "x = y", **s}, row=r)), 3)
+       for case, (command, _, step, row) in STORED_FIELD_CASES.items()},
     "verify-bad-json": (lambda d: ["verify", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
     "stats-bad-json": (lambda d: ["stats", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
     "prompt-bad-json": (lambda d: ["prompt", "--mode", "finetune", "--in",
@@ -549,6 +577,15 @@ def test_bad_input_exits_with_one_line(case, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
     assert err.startswith("io error: " if code == 3 else "config error: ")
+
+
+@pytest.mark.parametrize("case", sorted(STORED_FIELD_CASES))
+def test_a_stored_field_of_a_wrong_type_or_value_is_named(case, tmp_path, capsys):
+    assert run(BAD_INPUT_CASES[case][0](tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'in.jsonl'}:1: malformed row: RecordError(" in err
+    assert f"{STORED_FIELD_CASES[case][1]} must be " in err
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES

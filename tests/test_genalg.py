@@ -173,9 +173,16 @@ def test_sample_action_zero_weight_never_drawn():
         assert action not in (ops.SUB_LHS, ops.SUB_RHS, ops.ADD_EQ)
 
 
-@pytest.mark.parametrize("overrides", [{}, {"p_arity_2": 0}, {"p_define": 0}])
+_INT_WEIGHTS = {"p_arity_0": 5, "p_arity_1": 50, "p_arity_2": 100, "p_evaluate": 50,
+                "p_int_or_diff": 1, "p_renaming": 1, "p_define": 0, "p_arith": 1,
+                "p_extension": 1, "p_subs": 5, "p_add_eq": 1}
+
+
+@pytest.mark.parametrize("overrides", [{}, {"p_arity_2": 0}, {"p_define": 0}, _INT_WEIGHTS,
+                                       {"p_subs": 3**40, "p_add_eq": 7}])
 def test_sample_action_matches_the_choices_oracle(overrides):
-    # the cumulative tables give the picks and the rng state of random.choices
+    # the cumulative tables give the picks and the rng state of random.choices,
+    # with float weights and with int weights, exact or rounded to a float
     cfg = GenConfig(**overrides)
     for seed in (0, 1, 7, 1000):
         flag_rng = random.Random(seed + 1)
@@ -307,7 +314,7 @@ def test_generated_records_valid_and_filtered(small_dataset):
         for s in d.steps:
             assert len(equation_to_latex(s.equation)) <= cfg.max_latex_chars
         prompt = build_prompt(d, record.id)
-        assert passes_token_filter(prompt.prompt, prompt.target, cfg)
+        assert passes_token_filter(d, cfg)
         assert count_lexemes(prompt.prompt + " " + prompt.target) <= cfg.max_prompt_tokens
 
 

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derivekit.expr import (
+    FUNCTION_KINDS,
+    Add,
+    AppliedFunction,
     Equation,
+    ExprError,
     Integer,
+    Mul,
     Symbol,
     add,
     applied,
@@ -18,6 +23,8 @@ from derivekit.expr import (
     mul,
     neg,
     pow_,
+    rebuild,
+    substitute,
 )
 from derivekit.latex import (
     MAX_DEPTH,
@@ -30,7 +37,8 @@ from derivekit.latex import (
     parse_latex,
     to_latex,
 )
-from helpers import rational, tokenize
+from derivekit.perturb import rename_leaves
+from helpers import rational, to_latex_uncached, tokenize
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -369,3 +377,87 @@ def test_round_trip_over_generated_equations(small_dataset):
             if step.operand is not None:
                 assert parse_latex(to_latex(step.operand)) == step.operand
     assert checked >= 1000  # 180 records x ~6 equations
+
+
+# ---------------------------------------------------------------------------
+# each node keeps its text: the same strings as rendering every subtree again
+
+_NAMES = ("x", "y", "\\alpha", "A_{x}", "\\hat{b}")
+_SYMBOLS = st.sampled_from(_NAMES).map(Symbol)
+
+
+def _or_first(build):
+    """build(*args), or its first argument where the constructor refuses
+    (a division by zero, a fold past the size limit)."""
+    def safe(*args):
+        try:
+            return build(*args)
+        except ExprError:
+            return args[0]
+    return safe
+
+
+_TREES = st.recursive(
+    st.one_of(_SYMBOLS, st.integers(-12, 12).map(Integer),
+              st.builds(lambda n, d: rational(n, d), st.integers(-9, 9), st.integers(1, 6))),
+    lambda inner: st.one_of(
+        st.builds(_or_first(add), inner, inner),
+        st.builds(_or_first(lambda p, q: add(p, neg(q))), inner, inner),
+        st.builds(_or_first(mul), inner, inner),
+        st.builds(_or_first(div), inner, inner),
+        st.builds(_or_first(lambda p, k: pow_(p, Integer(k))), inner, st.integers(-3, 3)),
+        st.builds(_or_first(pow_), inner, inner),
+        st.builds(lambda k, p: func(k, p), st.sampled_from(FUNCTION_KINDS), inner),
+        st.builds(lambda name, args: applied(name, args),
+                  st.sampled_from(("f", "\\chi", "fn", "é")), st.lists(inner, min_size=1,
+                                                                     max_size=3)),
+        st.builds(lambda p, v, k: derivative(p, v, k), inner, _SYMBOLS, st.integers(1, 2)),
+        st.builds(integral, inner, _SYMBOLS),
+    ),
+    max_leaves=10,
+)
+
+
+def _raw_copy(e):
+    """e rebuilt through the node classes, each sum's and product's operands
+    reversed and the first of them nested in a product with -1: trees the
+    canonical constructors never build, such as a product whose first
+    factor prints with a leading minus but whose own sign is plus."""
+    kids = [_raw_copy(k) for k in e.children()]
+    if type(e) in (Add, Mul):
+        kids.reverse()
+        kids[0] = Mul((Integer(-1), kids[0]))
+    return rebuild(e, kids, raw=True)
+
+
+def _assert_texts_match(e):
+    assert to_latex(e) == to_latex_uncached(e)
+    for node in e.subtrees():  # every text a node keeps is its own
+        assert node._tex is None or node._tex == to_latex_uncached(node)
+
+
+@given(_TREES, _TREES)
+@example(pow_(Symbol("x"), Integer(-1)), Integer(0))
+@settings(max_examples=300, deadline=None)
+def test_kept_node_text_equals_a_fresh_render(e, other):
+    _assert_texts_match(e)
+    assert to_latex(e) == to_latex_uncached(e)  # a second render of the same tree
+    # trees that share subtrees already rendered, and one not yet rendered
+    for shared in (_or_first(add)(e, other), _or_first(mul)(other, e),
+                   Equation(e, other).swapped().lhs):
+        _assert_texts_match(shared)
+    for sub in list(e.subtrees())[:4]:  # substituting 0 into 1/x is refused
+        _assert_texts_match(_or_first(substitute)(e, sub, other))
+    _assert_texts_match(_raw_copy(e))
+    _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}))
+
+
+def test_an_empty_function_name_raises_each_time_and_keeps_no_text():
+    u, v = Symbol("u"), Symbol("v")  # fresh nodes, never rendered
+    empty = AppliedFunction("", (v,))
+    outer = Add((u, Mul((Integer(2), empty))))
+    for _ in range(2):
+        with pytest.raises(RenderError, match="empty function name"):
+            to_latex(outer)
+    # only the term rendered before the error keeps its text
+    assert [n for n in outer.subtrees() if n._tex is not None] == [u]

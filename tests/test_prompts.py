@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivekit import genalg, ops
 from derivekit.expr import Equation, Symbol, applied, func
-from derivekit.latex import equation_to_latex
+from derivekit.genalg import extract_derivation
+from derivekit.latex import count_lexemes, equation_to_latex
 from derivekit.ops import Derivation, ROLE_PREMISE, Step
 from derivekit.prompts import (
     FEWSHOT_HEADER,
@@ -17,6 +19,7 @@ from derivekit.prompts import (
     fewshot_pool,
     build_prompt,
     build_target,
+    prompt_lexemes,
     prompt_premise_indices,
     qualifies_for_fewshot,
 )
@@ -47,8 +50,6 @@ def test_prompt_roles_recorded():
 def test_single_premise_prompt_shape():
     x = Symbol("x")
     steps = [Step(Equation(applied("f", [x]), func("sin", x)), None, role=ROLE_PREMISE)]
-    from derivekit import ops
-
     steps.append(ops.apply(ops.EXP_BOTH, steps, (0,)))
     d = Derivation((steps[0], Step(steps[1].equation, steps[1].op, steps[1].parents,
                                    role="goal")))
@@ -236,3 +237,53 @@ def test_fewshot_matches_the_full_scan_over_generated_prompts(small_dataset):
 def test_qualifies_predicate():
     assert qualifies_for_fewshot(_pool(1, 0)[0])
     assert not qualifies_for_fewshot(_pool(0, 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# prompt_lexemes: the token filter's count without the prompt text
+
+def _lexemes_of_text(d: Derivation) -> int:
+    record = build_prompt(d, "r")
+    return count_lexemes(record.prompt + " " + record.target)
+
+
+def test_prompt_lexemes_of_hand_made_derivations():
+    example = prompt_example_derivation()
+    x = Symbol("x")
+    premise = Step(Equation(applied("f", [x]), func("sin", x)), None, role=ROLE_PREMISE)
+    steps = [premise]
+    steps.append(ops.apply(ops.EXP_BOTH, steps, (0,)))
+    steps.append(ops.apply(ops.NEGATE, steps, (1,)))
+    no_intermediates = extract_derivation(steps)
+    renamed = [premise, ops.apply(ops.RENAME, [premise], (0,), func("sin", x), fresh_name="g")]
+    renamed.append(ops.apply(ops.SUB_RHS, renamed, (1, 0)))
+    cases = {
+        "one step": Derivation((premise,)),
+        "rename premises": extract_derivation(renamed),
+        "no intermediates": no_intermediates,
+        "the prompt example": example,
+    }
+    assert prompt_premise_indices(cases["rename premises"]) == (0, 1)
+    assert not cases["no intermediates"].intermediates()
+    assert cases["the prompt example"].intermediates()
+    for name, d in cases.items():
+        assert prompt_lexemes(d) == _lexemes_of_text(d), name
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1000])
+def test_prompt_lexemes_equal_the_count_of_the_text_on_every_attempt(seed, monkeypatch):
+    # every derivation generate_dataset makes reaches the char filter, kept,
+    # char-filtered or token-filtered
+    seen = []
+    char_filter = genalg.passes_char_filter
+
+    def checked(d, cfg):
+        seen.append((prompt_lexemes(d), _lexemes_of_text(d)))
+        return char_filter(d, cfg)
+
+    monkeypatch.setattr(genalg, "passes_char_filter", checked)
+    cfg = genalg.GenConfig(seed=seed)
+    _, summary = genalg.generate_dataset(cfg, 80)
+    assert len(seen) == summary.attempts - summary.retry_exhausted > 150
+    assert all(fast == text for fast, text in seen)
+    assert sum(text > cfg.max_prompt_tokens for _, text in seen) >= summary.token_filtered > 50
