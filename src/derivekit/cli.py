@@ -19,6 +19,7 @@ import json
 import math
 import random
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import prompts as prompts_mod
@@ -120,8 +121,6 @@ def cmd_perturb(args) -> int:
         except perturb_mod.Skipped as exc:
             report["skipped"].append({"id": record.id, "reason": str(exc)})
             continue
-        except RecordError as exc:
-            raise RecordError(f"{args.infile}: record {record.id}: {exc}") from exc
         out_rows.append(derivation_record_to_json(new))
         prompt_rows.append(prompt_record_to_json(prompt))
         report["written"] += 1
@@ -285,7 +284,10 @@ def cmd_collect(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The entry point's parser, built once per process: parse_args leaves
+    it as it was, and every default it holds is immutable."""
     parser = argparse.ArgumentParser(
         prog="derivekit",
         description="Generate, perturb, prompt, and score synthetic LaTeX equation derivations.",

@@ -18,7 +18,7 @@ from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
 from .genalg import GenConfig, _GenState, apply_action, derive_seed, passes_token_filter
 from .ops import Derivation, ROLE_GOAL, Step
 from .prompts import build_prompt
-from .records import DerivationRecord, PromptRecord, RecordError
+from .records import DerivationRecord, PromptRecord
 from .vocab import GREEK_POOL_DEFAULT, SymbolTable
 
 VR, EE, AG, SR = "VR", "EE", "AG", "SR"
@@ -36,7 +36,7 @@ def perturb(
     record's own stream of cfg.seed: the perturbed record and its prompt.
     AG takes the vocabulary (None loads it from cfg); EE of an EE row gives
     the untagged original back. Raises Skipped for a record the kind leaves
-    out, and RecordError for a malformed one."""
+    out."""
     rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}"))
     derivation, static_id = record.derivation, record.static_id or record.id
     tag, family = kind, static_id
@@ -61,24 +61,45 @@ def perturb(
 # ---------------------------------------------------------------------------
 # variable renaming
 
-def rename_leaves(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Rename symbol and function names without touching tree structure."""
+def rename_leaves(e: Expr, mapping: dict[str, str],
+                  memo: Optional[dict[Expr, Expr]] = None) -> Expr:
+    """Rename symbol and function names without touching tree structure.
+    `memo` maps nodes already renamed to their copies: rename_variables
+    shares one across a derivation's steps, so each distinct node is renamed
+    once and equal copies are one object."""
+    if memo is None:
+        memo = {}
+    out = memo.get(e)
+    if out is not None:
+        return out
     if type(e) is Symbol:
-        return Symbol(mapping.get(e.name, e.name))
-    kids = [rename_leaves(x, mapping) for x in e.children()]
-    if type(e) is AppliedFunction:
-        return AppliedFunction(mapping.get(e.name, e.name), tuple(kids))
-    return rebuild(e, kids, raw=True)
+        out = Symbol(mapping.get(e.name, e.name))
+    else:
+        kids = [rename_leaves(x, mapping, memo) for x in e.children()]
+        if type(e) is AppliedFunction:
+            out = AppliedFunction(mapping.get(e.name, e.name), tuple(kids))
+        else:
+            out = rebuild(e, kids, raw=True)
+    memo[e] = out
+    return out
 
 
 def collect_names(d: Derivation) -> list[str]:
-    """Distinct symbol/function names in first-appearance order."""
+    """Distinct symbol/function names in first-appearance order. A subtree
+    equal to one already walked is skipped: its names are already seen."""
     seen: dict[str, None] = {}
+    walked: set[Expr] = set()
 
     def walk(e: Expr) -> None:
-        for node in e.subtrees():
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if node in walked:
+                continue
+            walked.add(node)
             if type(node) is Symbol or type(node) is AppliedFunction:
                 seen.setdefault(node.name, None)
+            stack.extend(reversed(node.children()))
 
     for s in d.steps:
         walk(s.equation.lhs)
@@ -92,26 +113,28 @@ def collect_names(d: Derivation) -> list[str]:
 
 def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dict[str, str]]:
     """Bijectively map every distinct name to a letter of the
-    out-of-distribution Greek pool; Skipped when the pool is too small."""
+    out-of-distribution Greek pool; Skipped when the pool is too small.
+    Each distinct node is renamed once for the whole derivation."""
     names = collect_names(d)
     if len(names) > len(GREEK_POOL_DEFAULT):
         raise Skipped("too many symbols")
     letters = rng.sample(GREEK_POOL_DEFAULT, len(names))
     mapping = dict(zip(names, letters))
-    steps = []
-    for s in d.steps:
-        steps.append(
-            replace(
-                s,
-                equation=Equation(
-                    rename_leaves(s.equation.lhs, mapping),
-                    rename_leaves(s.equation.rhs, mapping),
-                ),
-                operand=None if s.operand is None else rename_leaves(s.operand, mapping),
-                constants=tuple(Symbol(mapping.get(c.name, c.name)) for c in s.constants),
-            )
+    memo: dict[Expr, Expr] = {}
+
+    def renamed(e: Expr) -> Expr:
+        return rename_leaves(e, mapping, memo)
+
+    steps = tuple(
+        replace(
+            s,
+            equation=Equation(renamed(s.equation.lhs), renamed(s.equation.rhs)),
+            operand=None if s.operand is None else renamed(s.operand),
+            constants=tuple(map(renamed, s.constants)),
         )
-    return Derivation(tuple(steps)), mapping
+        for s in d.steps
+    )
+    return Derivation(steps), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +154,8 @@ def alternative_goal(
     """Replace the final step with a freshly sampled applicable operation on
     the penultimate equation whose result is a new equation; Skipped when
     there is no penultimate equation or no new goal within retry_cap draws.
-    Pass the vocabulary to avoid loading it from ``cfg`` on every call. A
-    kept step whose parent does not precede it raises RecordError."""
+    Pass the vocabulary to avoid loading it from ``cfg`` on every call. Every
+    parent must precede its step, as the loader checks for stored records."""
     if len(d) < 2:
         raise Skipped("fewer than two steps")
     prefix = d.steps[:-1]
@@ -140,10 +163,7 @@ def alternative_goal(
     existing = {s.equation for s in d.steps}
     vocab = vocab if vocab is not None else cfg.load_vocabulary()
     state = _GenState(cfg, vocab, rng)
-    for i, s in enumerate(prefix):
-        for p in s.parents:
-            if not 0 <= p < i:
-                raise RecordError(f"step {i} names parent {p}, which does not precede it")
+    for s in prefix:
         state.note(s)
     penultimate = len(prefix) - 1
     for _ in range(cfg.retry_cap):

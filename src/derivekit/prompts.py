@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .latex import count_lexemes, equation_to_latex
@@ -126,7 +127,8 @@ def build_fewshot(
             break
         if p not in picked:
             picked.append(p)
-    order = {id(p): i for i, (p, _) in enumerate(candidates)}
+    # a record's last position among the candidates, built at C level
+    order = dict(zip(map(id, map(itemgetter(0), candidates)), range(len(candidates))))
     picked.sort(key=lambda p: order[id(p)])
     blocks = [f"Prompt: {p.prompt}\nDerivation: {p.target}" for p in picked]
     return (

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
 
 from .expr import Expr, ExprError, Symbol
 from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
-from .ops import EVAL_INT, PREMISE, ROLES, Derivation, Step
+from .ops import EVAL_INT, PREMISE, REGISTRY, ROLES, Derivation, Step
 
 SCHEMA_VERSION = 1
 
@@ -65,10 +65,14 @@ def step_to_json(step: Step) -> dict:
     }
 
 
-def _parents(payload: dict) -> tuple[int, ...]:
+def _parents(payload: dict, i: int) -> tuple[int, ...]:
+    """Step i's parents: integers, each the index of an earlier step."""
     parents = tuple(payload.get("parents", ()))
     if not all(type(p) is int for p in parents):
         raise RecordError(f"parents must be integers: {parents!r}")
+    for p in parents:
+        if not 0 <= p < i:
+            raise RecordError(f"step {i} names parent {p}, which does not precede it")
     return parents
 
 
@@ -80,9 +84,13 @@ def string_or_null(name: str, value) -> Optional[str]:
 
 
 def _op(payload: dict) -> Optional[str]:
-    """A step's op, checked with its operand_latex: each is a string or null."""
+    """A step's op, checked with its operand_latex: the op is null, premise or
+    a name of ops.REGISTRY, and operand_latex a string or null."""
     string_or_null("operand_latex", payload.get("operand_latex"))
-    return string_or_null("op", payload["op"])
+    op = string_or_null("op", payload["op"])
+    if op is not None and op != PREMISE and op not in REGISTRY:
+        raise RecordError(f"op must be null, {PREMISE} or one of {', '.join(REGISTRY)}: {op!r}")
+    return op
 
 
 def string_field(payload: dict, name: str) -> str:
@@ -93,13 +101,13 @@ def string_field(payload: dict, name: str) -> str:
     return value
 
 
-def _step_fields(payload: dict) -> tuple[Optional[str], tuple[int, ...], str]:
-    """A step's op, parents and role, each checked, after a check of its latex."""
+def _step_fields(payload: dict, i: int) -> tuple[Optional[str], tuple[int, ...], str]:
+    """Step i's op, parents and role, each checked, after a check of its latex."""
     string_field(payload, "latex")
     role = payload["role"]
     if role not in ROLES:
         raise RecordError(f"role must be one of {', '.join(ROLES)}: {role!r}")
-    return _op(payload), _parents(payload), role
+    return _op(payload), _parents(payload, i), role
 
 
 def _row_fields(payload: dict) -> dict:
@@ -119,10 +127,11 @@ def _steps(payload: dict) -> list:
     return steps
 
 
-def step_from_json(payload: dict, sides: Optional[dict[str, Expr]] = None) -> Step:
-    """`sides` is the parse memo of latex.parse_equation, shared by the steps
-    of one record: a derivation repeats most of its parents' sides."""
-    op, parents, role = _step_fields(payload)
+def step_from_json(payload: dict, i: int, sides: Optional[dict[str, Expr]] = None) -> Step:
+    """Step i of a record. `sides` is the parse memo of latex.parse_equation,
+    shared by the steps of one record: a derivation repeats most of its
+    parents' sides."""
+    op, parents, role = _step_fields(payload, i)
     operand = None
     constants: tuple[Symbol, ...] = ()
     raw_operand = payload.get("operand_latex")
@@ -158,7 +167,8 @@ def derivation_record_from_json(payload: dict) -> DerivationRecord:
     sides: dict[str, Expr] = {}
     return DerivationRecord(
         **_row_fields(payload),
-        derivation=Derivation(tuple(step_from_json(s, sides) for s in _steps(payload))),
+        derivation=Derivation(tuple(
+            step_from_json(s, i, sides) for i, s in enumerate(_steps(payload)))),
     )
 
 
@@ -166,7 +176,9 @@ def op_tags_from_json(payload: dict) -> tuple[str, ...]:
     """Each step's Step.op_tag(), from a row checked as
     derivation_record_from_json checks it, except that no LaTeX is parsed."""
     _row_fields(payload)
-    return tuple(PREMISE if op is None else op for op, _, _ in map(_step_fields, _steps(payload)))
+    steps = _steps(payload)
+    return tuple(PREMISE if op is None else op
+                 for op, _, _ in map(_step_fields, steps, range(len(steps))))
 
 
 def prompt_record_to_json(record: PromptRecord) -> dict:
@@ -208,9 +220,12 @@ def write_atomic(path: str | Path, write: Callable[[TextIO], T]) -> T:
     return result
 
 
+# json.dumps(row, ensure_ascii=False) builds an encoder like this one per call
+_encode_row = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    write_atomic(path, lambda fh: fh.writelines(
-        json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    write_atomic(path, lambda fh: fh.writelines(_encode_row(row) + "\n" for row in rows))
 
 
 @contextmanager

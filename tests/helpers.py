@@ -9,8 +9,10 @@ full sort, full subtree walk and uncached free-symbol walk that
 generation's tables, pruning and caches replace,
 the two-loop score report that the one family loop replaces, the
 line-by-line file reader that the one decode step replaces, the printer
-that renders every node again that the per-node text replaces, and a fixed
-reference block for scaling wall-clock bounds to the host's speed."""
+that renders every node again that the per-node text replaces, the
+per-step renaming that VR's one memo per derivation replaces, a wrapper
+for tree strategies whose constructors may refuse, and a fixed reference
+block for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
 import cmath
@@ -18,6 +20,7 @@ import gc
 import json
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -74,7 +77,9 @@ from derivekit.prompts import (
     PromptError,
     qualifies_for_fewshot,
 )
+from derivekit.perturb import Skipped
 from derivekit.records import _MALFORMED, RecordError, _numbered_rows
+from derivekit.vocab import GREEK_POOL_DEFAULT
 
 
 class EvalError(ExprError):
@@ -788,6 +793,61 @@ def to_latex_uncached(e: Expr) -> str:
     if t is Integral:
         return f"\\int {_body_str_uncached(e.body)} d{e.var.name}"
     raise RenderError(f"cannot render {t!r}")
+
+
+def or_first(build):
+    """build(*args), or its first argument where the constructor refuses
+    (a division by zero, a fold past the size limit)."""
+    def safe(*args):
+        try:
+            return build(*args)
+        except ExprError:
+            return args[0]
+    return safe
+
+
+# ---------------------------------------------------------------------------
+# variable renaming that walks and renames each step's trees from scratch
+
+def rename_leaves_per_node(e: Expr, mapping: dict[str, str]) -> Expr:
+    """perturb.rename_leaves with no memo: every node is copied again."""
+    if type(e) is Symbol:
+        return Symbol(mapping.get(e.name, e.name))
+    kids = [rename_leaves_per_node(x, mapping) for x in e.children()]
+    if type(e) is AppliedFunction:
+        return AppliedFunction(mapping.get(e.name, e.name), tuple(kids))
+    return rebuild(e, kids, raw=True)
+
+
+def collect_names_by_full_walk(d: Derivation) -> list[str]:
+    """perturb.collect_names walking every subtree of every step."""
+    seen: dict[str, None] = {}
+    for s in d.steps:
+        for tree in (s.equation.lhs, s.equation.rhs, s.operand):
+            for node in () if tree is None else tree.subtrees():
+                if type(node) is Symbol or type(node) is AppliedFunction:
+                    seen.setdefault(node.name, None)
+        for c in s.constants:
+            seen.setdefault(c.name, None)
+    return list(seen)
+
+
+def rename_variables_per_step(d: Derivation, rng) -> tuple[Derivation, dict[str, str]]:
+    """perturb.rename_variables renaming each step's trees on their own."""
+    names = collect_names_by_full_walk(d)
+    if len(names) > len(GREEK_POOL_DEFAULT):
+        raise Skipped("too many symbols")
+    mapping = dict(zip(names, rng.sample(GREEK_POOL_DEFAULT, len(names))))
+    return Derivation(tuple(
+        replace(
+            s,
+            equation=Equation(rename_leaves_per_node(s.equation.lhs, mapping),
+                              rename_leaves_per_node(s.equation.rhs, mapping)),
+            operand=None if s.operand is None else rename_leaves_per_node(s.operand, mapping),
+            constants=tuple(Symbol(mapping.get(c.name, c.name)) for c in s.constants),
+        )
+        for s in d.steps
+    )), mapping
 
 
 # ---------------------------------------------------------------------------

@@ -414,10 +414,45 @@ STORED_FIELD_CASES = {
     "perturb-numeric-latex": ("perturb", "latex", {"latex": 5}, {}),
 }
 
+
+def _two_step(path, goal):
+    """A file of one derivation, x = y and then its swap; `goal` holds fields
+    that replace those of the swap, the goal step."""
+    steps = [{"latex": "x = y", "op": "premise", "parents": [], "operand_latex": None,
+              "role": "premise"},
+             {"latex": "y = x", "op": "swap", "parents": [0], "operand_latex": None,
+              "role": "goal", **goal}]
+    return _file(path, json.dumps({"id": "d0", "seed": 0, "steps": steps}) + "\n")
+
+
+_READ_EVERY_KIND = {**_READ, **{
+    f"perturb-{kind}": (lambda d, path, k=kind: ["perturb", "--kind", k, "--in", path,
+                                                  "--out", d / "o.jsonl"])
+    for kind in ("vr", "sr", "ag")}}
+
+# the goal step of a stored two-step row with an op no registry holds or a
+# parent that does not precede it, read by every read command:
+# case -> (command, goal step fields, the message)
+GOAL_STEP_CASES = {
+    f"{command}-goal-{case}": (command, goal, message)
+    for command in _READ_EVERY_KIND
+    for case, goal, message in (
+        ("unknown-op", {"op": "frobnicate"}, "op must be null, premise or one of add, "),
+        ("later-parent", {"parents": [7]}, "step 1 names parent 7, which does not precede it"),
+        ("negative-parent", {"parents": [-1]},
+         "step 1 names parent -1, which does not precede it"),
+        ("huge-parent", {"parents": [10**30]},
+         f"step 1 names parent {10**30}, which does not precede it"),
+    )
+}
+
 BAD_INPUT_CASES = {
     **{case: (lambda d, c=command, s=step, r=row: _READ[c](
         d, _stored(d / "in.jsonl", **{"latex": "x = y", **s}, row=r)), 3)
        for case, (command, _, step, row) in STORED_FIELD_CASES.items()},
+    **{case: (lambda d, c=command, g=goal: _READ_EVERY_KIND[c](
+        d, _two_step(d / "in.jsonl", g)), 3)
+       for case, (command, goal, _) in GOAL_STEP_CASES.items()},
     "verify-bad-json": (lambda d: ["verify", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
     "stats-bad-json": (lambda d: ["stats", "--in", _file(d / "in.jsonl", BAD_JSONL)], 3),
     "prompt-bad-json": (lambda d: ["prompt", "--mode", "finetune", "--in",
@@ -588,6 +623,16 @@ def test_a_stored_field_of_a_wrong_type_or_value_is_named(case, tmp_path, capsys
     assert not (tmp_path / "o.jsonl").exists()
 
 
+@pytest.mark.parametrize("case", sorted(GOAL_STEP_CASES))
+def test_an_unknown_op_or_a_parent_that_does_not_precede_its_step_is_named(
+        case, tmp_path, capsys):
+    assert run(BAD_INPUT_CASES[case][0](tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'in.jsonl'}:1: malformed row: RecordError(" in err
+    assert GOAL_STEP_CASES[case][2] in err
+    assert not (tmp_path / "o.jsonl").exists()
+
+
 @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES
                                          if c.startswith("score-") and "duplicate" not in c))
 def test_score_names_the_malformed_row_and_writes_nothing(case, tmp_path, capsys):
@@ -626,7 +671,7 @@ def test_score_accepts_integer_and_float_bleurt_scores(tmp_path):
 def test_perturb_ag_names_the_step_whose_parent_does_not_precede_it(parent, tmp_path, capsys):
     assert run(_ag_with_parent(tmp_path, parent)) == 3
     err = capsys.readouterr().err
-    assert f"record d7: step 1 names parent {parent}, which does not precede it" in err
+    assert f"in.jsonl:1: malformed row: RecordError('step 1 names parent {parent}, which does not precede it" in err
     assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -844,6 +889,43 @@ def test_commands_other_than_collect_and_score_import_neither_client_nor_scorer(
     seen = json.loads(out)
     assert seen.pop("import derivekit.cli") == []
     assert seen == {argv: [0] for argv in seen}
+
+
+def test_one_parser_serves_every_command_of_a_process(workdir, tmp_path, capsys, monkeypatch):
+    # perturb with a seed, a usage error, then perturb with the default seed:
+    # in one process, the same bytes as one interpreter per command
+    static = str(workdir / "static.jsonl")
+    commands = (
+        ["perturb", "--kind", "vr", "--seed", "5", "--in", static, "--out", "seeded.jsonl",
+         "--prompts-out", "seeded_prompts.jsonl"],
+        ["perturb", "--kind", "xx", "--in", static, "--out", "usage.jsonl"],
+        ["perturb", "--kind", "vr", "--in", static, "--out", "default.jsonl"],
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    fresh, inproc = tmp_path / "fresh", tmp_path / "inproc"
+    fresh.mkdir()
+    inproc.mkdir()
+    monkeypatch.chdir(inproc)
+    codes = []
+    for argv in commands:
+        done = subprocess.run([sys.executable, "-m", "derivekit.cli", *argv], cwd=fresh,
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                              text=True)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0]
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == ["default.jsonl", "seeded.jsonl", "seeded_prompts.jsonl"]
+    assert sorted(p.name for p in inproc.iterdir()) == names
+    for name in names:
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes()
+    assert (inproc / "seeded.jsonl").read_bytes() != (inproc / "default.jsonl").read_bytes()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_score_in_a_fresh_interpreter_writes_the_in_process_bytes(tmp_path):

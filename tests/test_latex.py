@@ -10,7 +10,6 @@ from derivekit.expr import (
     Add,
     AppliedFunction,
     Equation,
-    ExprError,
     Integer,
     Mul,
     Symbol,
@@ -38,7 +37,7 @@ from derivekit.latex import (
     to_latex,
 )
 from derivekit.perturb import rename_leaves
-from helpers import rational, to_latex_uncached, tokenize
+from helpers import or_first, rational, to_latex_uncached, tokenize
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -386,27 +385,16 @@ _NAMES = ("x", "y", "\\alpha", "A_{x}", "\\hat{b}")
 _SYMBOLS = st.sampled_from(_NAMES).map(Symbol)
 
 
-def _or_first(build):
-    """build(*args), or its first argument where the constructor refuses
-    (a division by zero, a fold past the size limit)."""
-    def safe(*args):
-        try:
-            return build(*args)
-        except ExprError:
-            return args[0]
-    return safe
-
-
 _TREES = st.recursive(
     st.one_of(_SYMBOLS, st.integers(-12, 12).map(Integer),
               st.builds(lambda n, d: rational(n, d), st.integers(-9, 9), st.integers(1, 6))),
     lambda inner: st.one_of(
-        st.builds(_or_first(add), inner, inner),
-        st.builds(_or_first(lambda p, q: add(p, neg(q))), inner, inner),
-        st.builds(_or_first(mul), inner, inner),
-        st.builds(_or_first(div), inner, inner),
-        st.builds(_or_first(lambda p, k: pow_(p, Integer(k))), inner, st.integers(-3, 3)),
-        st.builds(_or_first(pow_), inner, inner),
+        st.builds(or_first(add), inner, inner),
+        st.builds(or_first(lambda p, q: add(p, neg(q))), inner, inner),
+        st.builds(or_first(mul), inner, inner),
+        st.builds(or_first(div), inner, inner),
+        st.builds(or_first(lambda p, k: pow_(p, Integer(k))), inner, st.integers(-3, 3)),
+        st.builds(or_first(pow_), inner, inner),
         st.builds(lambda k, p: func(k, p), st.sampled_from(FUNCTION_KINDS), inner),
         st.builds(lambda name, args: applied(name, args),
                   st.sampled_from(("f", "\\chi", "fn", "é")), st.lists(inner, min_size=1,
@@ -443,11 +431,11 @@ def test_kept_node_text_equals_a_fresh_render(e, other):
     _assert_texts_match(e)
     assert to_latex(e) == to_latex_uncached(e)  # a second render of the same tree
     # trees that share subtrees already rendered, and one not yet rendered
-    for shared in (_or_first(add)(e, other), _or_first(mul)(other, e),
+    for shared in (or_first(add)(e, other), or_first(mul)(other, e),
                    Equation(e, other).swapped().lhs):
         _assert_texts_match(shared)
     for sub in list(e.subtrees())[:4]:  # substituting 0 into 1/x is refused
-        _assert_texts_match(_or_first(substitute)(e, sub, other))
+        _assert_texts_match(or_first(substitute)(e, sub, other))
     _assert_texts_match(_raw_copy(e))
     _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}))
 

@@ -3,28 +3,40 @@ prefix identity and replay validity, SR string contracts."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from derivekit.expr import (
     AppliedFunction,
     Equation,
+    Integer,
     Symbol,
     applied,
     add,
+    derivative,
     func,
+    mul,
+    rebuild,
 )
-from derivekit.genalg import GenConfig
+from derivekit.genalg import GenConfig, generate_dataset
 from derivekit.latex import equation_to_latex
 from derivekit.ops import Derivation, ROLE_PREMISE, Step, replay
 from derivekit.perturb import (
     Skipped,
     alternative_goal,
+    collect_names,
     exchange_expressions,
     remove_steps,
     rename_variables,
 )
 from derivekit.prompts import build_prompt
+from derivekit.records import derivation_record_from_json, derivation_record_to_json, step_to_json
 from derivekit.vocab import GREEK_POOL_DEFAULT
-from helpers import prompt_example_derivation
+from helpers import (
+    collect_names_by_full_walk,
+    or_first,
+    prompt_example_derivation,
+    rename_variables_per_step,
+)
 
 
 def isomorphic(a, b) -> bool:
@@ -56,6 +68,99 @@ def test_rename_variables_spec_example():
     assert len(set(mapping.values())) == 3
     assert set(mapping.values()) <= set(GREEK_POOL_DEFAULT)
     assert isomorphic(d.steps[0].equation.rhs, eq.rhs)
+
+
+def _assert_renamed_as_per_step(d, seed):
+    """rename_variables with its one memo gives the per-step oracle's
+    derivation, mapping, bytes and random state, and equal renamed subtrees,
+    in one step or in two, are one object."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    assert collect_names(d) == collect_names_by_full_walk(d)
+    try:
+        want, want_mapping = rename_variables_per_step(d, oracle_rng)
+    except Skipped:
+        with pytest.raises(Skipped, match="too many symbols"):
+            rename_variables(d, rng)
+        return
+    got, mapping = rename_variables(d, rng)
+    assert got == want
+    assert list(mapping.items()) == list(want_mapping.items())
+    assert rng.getstate() == oracle_rng.getstate()
+    assert [step_to_json(s) for s in got.steps] == [step_to_json(s) for s in want.steps]
+    first = {}
+    for s in got.steps:
+        for tree in (s.equation.lhs, s.equation.rhs, s.operand, *s.constants):
+            for node in () if tree is None else tree.subtrees():
+                assert first.setdefault(node, node) is node
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1000])
+def test_rename_variables_matches_the_per_step_oracle_on_generated(seed):
+    records, _ = generate_dataset(GenConfig(seed=seed), 40)
+    shared = 0
+    for i, record in enumerate(records):
+        # as generated, and as loaded, where steps share their parsed sides
+        loaded = derivation_record_from_json(derivation_record_to_json(record)).derivation
+        for d in (record.derivation, loaded):
+            _assert_renamed_as_per_step(d, i)
+        renamed, _ = rename_variables(loaded, random.Random(i))
+        sides = [side for s in renamed.steps for side in (s.equation.lhs, s.equation.rhs)]
+        shared += len(sides) - len({id(side) for side in sides})
+    assert shared > 40  # steps do share renamed sides
+
+
+def _copy(e):
+    """An equal tree none of whose nodes is a node of e."""
+    if type(e) is Symbol:
+        return Symbol(e.name)
+    if type(e) is AppliedFunction:
+        return AppliedFunction(e.name, tuple(map(_copy, e.args)))
+    if type(e) is Integer:
+        return Integer(e.value)
+    return rebuild(e, [_copy(k) for k in e.children()], raw=True)
+
+
+_LEAVES = st.one_of(st.sampled_from(("x", "y", "A_{x}", "\\hat{b}", "n")).map(Symbol),
+                    st.integers(-3, 3).map(Integer))
+_PARTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.builds(or_first(add), inner, inner),
+    st.builds(or_first(mul), inner, inner),
+    st.builds(func, st.sampled_from(("sin", "exp")), inner),
+    st.builds(applied, st.sampled_from(("f", "g")), st.lists(inner, min_size=1, max_size=2)),
+    st.builds(derivative, inner, st.sampled_from(("x", "t")).map(Symbol), st.integers(1, 2)),
+), max_leaves=6)
+
+
+@st.composite
+def _derivations_with_repeated_subtrees(draw):
+    """Steps whose sides reuse a few parts: the same objects, equal copies,
+    and sums and products of parts."""
+    parts = draw(st.lists(_PARTS, min_size=1, max_size=4))
+
+    def side():
+        part = draw(st.sampled_from(parts))
+        how = draw(st.sampled_from(("same", "copy", "sum", "product")))
+        if how == "copy":
+            return _copy(part)
+        if how in ("sum", "product"):
+            build = add if how == "sum" else mul
+            return or_first(build)(part, draw(st.sampled_from(parts)))
+        return part
+
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        operand = side() if draw(st.booleans()) else None
+        constants = tuple(map(Symbol, draw(st.lists(st.sampled_from(("C_{1}", "x")),
+                                                      max_size=2))))
+        steps.append(Step(Equation(side(), side()), None, operand=operand,
+                          role=ROLE_PREMISE, constants=constants))
+    return Derivation(tuple(steps))
+
+
+@given(_derivations_with_repeated_subtrees(), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_rename_variables_matches_the_per_step_oracle_on_repeated_subtrees(d, seed):
+    _assert_renamed_as_per_step(d, seed)
 
 
 def test_rename_variables_no_symbols_unchanged():
