@@ -16,8 +16,11 @@ The JSON holds every run, and per workload and end-to-end metric: each
 pair's values, each side's median and inclusive quartiles over the non-held-out
 pairs, the ratio of the medians, the pairs the change wins (the direction
 comes from BENCHMARK.json), and whether the medians differ by more than the
-parent's interquartile range. It exits 1 if any run's last line says
-``"correct": false`` (run.py itself exits 0 then), after writing the file.
+parent's interquartile range. Each side's commit is the one run.py reports
+(marked when the checkout has uncommitted changes), or, in a ``git archive``
+checkout, the one in ``scripts/commit_stamp.txt``. It exits 1 if any run's
+last line says ``"correct": false`` (run.py itself exits 0 then), after
+writing the file.
 """
 from __future__ import annotations
 
@@ -28,8 +31,12 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+# holds "$Format:%H$" in a git checkout; .gitattributes marks it export-subst,
+# so git archive writes the archived commit in its place
+STAMP = Path("scripts") / "commit_stamp.txt"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -58,6 +65,21 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: v["value"] for k, v in last.get("metrics", {}).items()},
             "machine": record.get("machine", {}),
             "stderr": proc.stderr.strip().splitlines()[-3:]}
+
+
+def checkout_commit(checkout: Path, reported: Optional[str]) -> Optional[str]:
+    """The commit run.py reports for `checkout`, marked when the checkout has
+    uncommitted changes (run.py reports HEAD either way), or, where run.py
+    could not ask git (a git archive checkout), the commit in the stamp."""
+    if reported and not reported.startswith("unknown"):
+        status = subprocess.run(["git", "status", "--porcelain"], cwd=checkout,
+                                capture_output=True, text=True).stdout
+        return f"{reported} with uncommitted changes" if status.strip() else reported
+    try:
+        stamp = (checkout / STAMP).read_text("utf-8").strip()
+    except OSError:
+        return reported
+    return stamp if stamp and not stamp.startswith("$Format") else reported
 
 
 def summary(pairs: list[dict], better: str) -> dict:
@@ -138,9 +160,9 @@ def main() -> int:
         result["workloads"][workload] = {"all_runs_correct": ok, "metrics": metrics}
     machine = next((r["machine"] for r in runs if r["machine"]), {})
     result["machine"] = {k: v for k, v in machine.items() if k != "commit"}
-    result["commits"] = {side: next((r["machine"].get("commit") for r in runs
-                                     if r["side"] == side and r["machine"]), None)
-                         for side in sides}
+    result["commits"] = {side: checkout_commit(path, next((
+        r["machine"].get("commit") for r in runs if r["side"] == side and r["machine"]), None))
+        for side, path in sides.items()}
     result["all_runs_correct"] = all(r["correct"] for r in runs)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n", "utf-8")

@@ -10,7 +10,8 @@ integration introduces a fresh constant drawn from the unused vocabulary.
 """
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from operator import is_
+from typing import Iterable, Optional, Sequence
 
 from .expr import (
     Add,
@@ -214,10 +215,16 @@ def _is_concrete_integrand(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # equation-level evaluation operators
 
+def _keep_or_rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """e itself when every child came back as the same object (a constructor's
+    output is a fixed point), else e rebuilt over the new children."""
+    return e if all(map(is_, kids, e.children())) else rebuild(e, kids)
+
+
 def _map_derivative_nodes(e: Expr) -> Expr:
     kids = [_map_derivative_nodes(x) for x in e.children()]
     if type(e) is not Derivative:
-        return rebuild(e, kids)
+        return _keep_or_rebuild(e, kids)
     out = kids[1]
     for _ in range(e.order):
         out = differentiate(out, e.var)
@@ -255,13 +262,13 @@ class _IntegralEvaluator:
 
     def visit(self, e: Expr) -> Expr:
         if type(e) is not Integral:
-            return rebuild(e, [self.visit(x) for x in e.children()])
+            return _keep_or_rebuild(e, [self.visit(x) for x in e.children()])
         self.saw_integral = True
         body = self.visit(e.body)
         if self.miss:
             return e
         if not _is_concrete_integrand(body):
-            return integral(body, e.var)
+            return e if body is e.body else integral(body, e.var)
         anti = antiderivative(body, e.var)
         if anti is None:
             self.miss = True

@@ -67,10 +67,7 @@ def load_config(path: Optional[str], overrides: dict) -> GenConfig:
     if unknown:
         raise GenerationError(f"unknown config keys: {', '.join(unknown)}")
     payload.update({k: v for k, v in overrides.items() if v is not None})
-    try:
-        return GenConfig(**payload)
-    except TypeError as exc:  # a value of the wrong type, e.g. a string weight
-        raise GenerationError(f"bad config value: {exc}") from exc
+    return GenConfig(**payload)
 
 
 class OptionError(Exception):

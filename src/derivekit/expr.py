@@ -5,6 +5,9 @@ canonical tree: sums and products are flattened, numeric parts folded into
 exact rationals, like terms and like factors merged, and operands stored in
 a fixed total structural order. A tree built only through the constructors
 is canonical, so no separate canonicalization pass is ever needed.
+A constructor's output is a fixed point: ``rebuild(n, n.children()) == n``
+for every node ``n`` of such a tree. Tree walks rely on it: a node none of
+whose children changed is returned as it is, with the values it keeps.
 A folded number is an ``int``, or a ``Fraction`` only when it is not
 integral; the two mix exactly and compare and hash alike.
 
@@ -36,14 +39,16 @@ class ExprError(Exception):
 
 
 class Expr:
-    """Base class for all expression nodes. Instances are immutable, so ``_key``
-    and ``_tex`` keep the node's ``sort_key`` and ``latex.to_latex`` once computed."""
+    """Base class for all expression nodes. Instances are immutable, so ``_key``,
+    ``_tex`` and ``_free`` keep the node's ``sort_key``, ``latex.to_latex`` and
+    ``free_symbols`` once computed."""
 
-    __slots__ = ("_hash", "_key", "_tex")
+    __slots__ = ("_hash", "_key", "_tex", "_free")
 
     _hash: int
     _key: Optional[tuple]
     _tex: Optional[str]
+    _free: Optional[tuple[str, ...]]
 
     def sort_key(self) -> tuple:
         key = self._key
@@ -81,7 +86,7 @@ class Integer(Expr):
     def __init__(self, value: int):
         self.value = int(value)
         self._hash = hash(("i", self.value))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, self.value)
@@ -101,7 +106,7 @@ class Rational(Expr):
         self.num = num
         self.den = den
         self._hash = hash(("r", num, den))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_NUM, Fraction(self.num, self.den))
@@ -118,7 +123,7 @@ class Symbol(Expr):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("s", name))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_SYMBOL, self.name)
@@ -135,7 +140,7 @@ class Add(Expr):
     def __init__(self, terms: tuple[Expr, ...]):
         self.terms = terms
         self._hash = hash(("+",) + tuple(map(hash, terms)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_ADD,) + tuple(t.sort_key() for t in self.terms)
@@ -155,7 +160,7 @@ class Mul(Expr):
     def __init__(self, factors: tuple[Expr, ...]):
         self.factors = factors
         self._hash = hash(("*",) + tuple(map(hash, factors)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_MUL,) + tuple(f.sort_key() for f in self.factors)
@@ -176,7 +181,7 @@ class Pow(Expr):
         self.base = base
         self.exp = exp
         self._hash = hash(("^", hash(base), hash(exp)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_POW, self.base.sort_key(), self.exp.sort_key())
@@ -199,7 +204,7 @@ class Func(Expr):
         self.kind = kind
         self.arg = arg
         self._hash = hash(("f", kind, hash(arg)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_FUNC, self.kind, self.arg.sort_key())
@@ -222,7 +227,7 @@ class AppliedFunction(Expr):
         self.name = name
         self.args = args
         self._hash = hash(("a", name) + tuple(map(hash, args)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_APPLIED, self.name) + tuple(a.sort_key() for a in self.args)
@@ -250,7 +255,7 @@ class Derivative(Expr):
         self.var = var
         self.order = order
         self._hash = hash(("d", hash(body), hash(var), order))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_DERIVATIVE, self.var.sort_key(), self.order, self.body.sort_key())
@@ -280,7 +285,7 @@ class Integral(Expr):
         self.body = body
         self.var = var
         self._hash = hash(("I", hash(body), hash(var)))
-        self._key = self._tex = None
+        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_INTEGRAL, self.var.sort_key(), self.body.sort_key())
@@ -657,7 +662,7 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
 
 def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Optional[Expr]:
     """Fused substitute+canonicalize; None means no occurrence below e."""
-    if e == target:
+    if e._hash == target._hash and e == target:
         return replacement
     t = type(e)
     if t is Symbol or t is Integer or t is Rational:
@@ -674,8 +679,16 @@ def contains(e: Expr, target: Expr) -> bool:
 
 
 def free_symbols(e: Expr) -> tuple[str, ...]:
-    """Names of all Symbol and AppliedFunction nodes, in sorted order."""
-    return tuple(sorted({n.name for n in e.subtrees() if type(n) in (Symbol, AppliedFunction)}))
+    """Names of all Symbol and AppliedFunction nodes, in sorted order. Each
+    node keeps its tuple, built once from its children's."""
+    free = e._free
+    if free is None:
+        t = type(e)
+        names = {e.name} if t is Symbol or t is AppliedFunction else set()
+        for kid in e.children():
+            names.update(free_symbols(kid))
+        free = e._free = tuple(sorted(names))
+    return free
 
 
 def symbol_nodes(e: Expr) -> tuple[Symbol, ...]:

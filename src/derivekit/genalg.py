@@ -51,6 +51,12 @@ class VocabularyExhausted(GenerationError):
     pass
 
 
+# the values each field annotation accepts; a bool is an int to Python, but
+# no field means one
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "Optional[str]": ((str, type(None)), "a string or null")}
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Generation hyperparameters. The eight named relative weights and the
@@ -83,6 +89,9 @@ class GenConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            types, want = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise GenerationError(f"{f.name} must be {want}, not {type(value).__name__}")
             # the seed may be any int; every other number must fit in a float
             if (f.name != "seed" and isinstance(value, (int, float))
                     and not abs(value) <= sys.float_info.max):
@@ -94,8 +103,9 @@ class GenConfig:
             raise GenerationError("p_history must be > 0 with a finite reciprocal")
         if self.length_min < 4:
             raise GenerationError("length_min must be >= 4 (lengths are kept above 3)")
-        if self.retry_cap < 1:
-            raise GenerationError("retry_cap must be >= 1")
+        for name in ("retry_cap", "attempt_factor"):
+            if getattr(self, name) < 1:  # attempt_factor 0 would make no attempt at all
+                raise GenerationError(f"{name} must be >= 1")
         if self.length_sigma < 0:
             raise GenerationError("length_sigma must be >= 0")
         if not self.length_min - 0.5 < self.length_mean + 4 * self.length_sigma < math.inf:
@@ -175,16 +185,16 @@ def generate_premise(
 ) -> Equation:
     """Fresh premise: an unused function name applied to 1-3 unused variables,
     equal to an elementary-function or rational body over those variables."""
-    used_set = set(used)
+    used_set = used if isinstance(used, set) else set(used)
     fn_names = [n for n in vocab.names("function-name") if n not in used_set]
     var_names = [n for n in vocab.names("variable") if n not in used_set]
     if not fn_names or len(var_names) < 1:
         raise VocabularyExhausted("not enough unused symbols for a premise")
     k = min(ops.weighted_pick((1, 2, 3), _PREMISE_ARITY_CUM, rng), len(var_names))
-    name = fn_names[rng.randrange(len(fn_names))]
+    name = ops.pick(fn_names, rng)
     args = [Symbol(v) for v in rng.sample(var_names, k)]
     bodies = (_ONE_ARG_BODIES, _TWO_ARG_BODIES, _THREE_ARG_BODIES)[k - 1]
-    return Equation(applied(name, args), bodies[rng.randrange(len(bodies))](*args))
+    return Equation(applied(name, args), ops.pick(bodies, rng)(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +218,7 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
     hierarchy. Returns None when the drawn group has no applicable member.
     The arity and group draws are ops.weighted_pick's bisect, made inline; a
     float times an int total is a float times float(total), as with + 0.0."""
-    pick, draw = ops.weighted_pick, rng.random
+    weighted, draw = ops.weighted_pick, rng.random
     arity = bisect(cfg._arity_cum, draw() * cfg._arity_cum[-1], 0, 2)
     if arity == 0:
         return NEW_PREMISE
@@ -218,20 +228,20 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
         if group == 0:
             candidates = [op for op, ok in ((ops.EVAL_DIFF, flags.has_derivative),
                                             (ops.EVAL_INT, flags.has_integral)) if ok]
-            return candidates[rng.randrange(len(candidates))] if candidates else None
+            return ops.pick(candidates, rng) if candidates else None
         if group == 1:
-            return pick((ops.DIFF, ops.INT), cfg._diff_int_cum, rng)
+            return weighted((ops.DIFF, ops.INT), cfg._diff_int_cum, rng)
         if group == 2:
             if not flags.has_derived:
                 return None
-            return pick((ops.RENAME, ops.DEFINE), cfg._rename_cum, rng)
+            return weighted((ops.RENAME, ops.DEFINE), cfg._rename_cum, rng)
         if group == 3:
-            return _ARITH_OPS[rng.randrange(len(_ARITH_OPS))]
-        return _EXT1_OPS[rng.randrange(len(_EXT1_OPS))]
+            return ops.pick(_ARITH_OPS, rng)
+        return ops.pick(_EXT1_OPS, rng)
     if flags.n_steps < 2:
         return None
     if bisect(cfg._arity2_cum, draw() * cfg._arity2_cum[-1], 0, 1) == 0:  # subs, else add_eq
-        return (ops.SUB_LHS, ops.SUB_RHS)[rng.randrange(2)]
+        return ops.pick((ops.SUB_LHS, ops.SUB_RHS), rng)
     return ops.ADD_EQ
 
 
@@ -282,10 +292,22 @@ class _GenState:
         for p in step.parents:
             ancestors |= self.ancestors[p]
         self.ancestors.append(ancestors)
+        # one walk over the new equation's distinct subtrees: a node whose
+        # containing list already ends in this index was walked, subtree and all
         containing, used = self.containing, self.used_names
         has_derivative = has_integral = False
-        for node in ops.subexpression_pool(step.equation):
-            containing.setdefault(node, []).append(index)
+        eq = step.equation
+        stack = [eq.lhs, eq.rhs]
+        while stack:
+            node = stack.pop()
+            indices = containing.get(node)
+            if indices is None:
+                containing[node] = [index]
+            elif indices[-1] == index:
+                continue
+            else:
+                indices.append(index)
+            stack.extend(node.children())
             t = type(node)
             if t is Symbol or t is AppliedFunction:
                 used.add(node.name)
@@ -299,8 +321,7 @@ class _GenState:
             self.integral_indices.append(index)
         if step.role != ROLE_PREMISE:
             self.derived_indices.append(index)
-        eq = step.equation
-        self.sides.append((self.containing[eq.lhs], self.containing[eq.rhs]))
+        self.sides.append((containing[eq.lhs], containing[eq.rhs]))
         self.flags = Applicability(index + 1, bool(self.derivative_indices),
                                    bool(self.integral_indices), bool(self.derived_indices))
 
@@ -335,9 +356,7 @@ class _GenState:
 
     def fresh_function_name(self) -> Optional[str]:
         names = [n for n in self.vocab.names("function-name") if n not in self.used_names]
-        if not names:
-            return None
-        return names[self.rng.randrange(len(names))]
+        return ops.pick(names, self.rng) if names else None
 
 
 def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
@@ -412,8 +431,7 @@ def apply_action(
             if action == ops.RENAME:
                 operand = eq.lhs if rng.random() < 0.5 else eq.rhs
             else:
-                pool = ops.subexpression_pool(eq)
-                operand = pool[rng.randrange(len(pool))]
+                operand = ops.pick(ops.subexpression_pool(eq), rng)
             return ops.apply(action, steps, parents, operand, fresh_name=name)
         parents = parents or (_recency_pick(state, range(n)),)
         eq = steps[parents[0]].equation

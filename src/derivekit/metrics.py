@@ -281,10 +281,13 @@ def feature_vector(row: ScoredRow) -> tuple:
 
 
 def _mean(values: Iterable[float]) -> Optional[float]:
-    values = list(values)
-    if not values:
-        return None
-    return sum(values) / len(values)
+    """The mean, summed left to right as sum() did before Python 3.12, whose
+    sum() compensates float additions and changes the report's last digits."""
+    total = n = 0
+    for v in values:
+        total += v
+        n += 1
+    return total / n if n else None
 
 
 def build_score_report(

@@ -312,20 +312,32 @@ def shuffle(x: list, rng) -> None:
         x[n - 1], x[j] = x[j], x[n - 1]
 
 
+def pick(seq: Sequence, rng):
+    """seq[rng.randrange(len(seq))] with randrange's rejection draws made
+    inline: the same getrandbits calls, so the same pick and the same end
+    state. An empty seq raises IndexError (getrandbits(0) is 0, so the loop
+    below would never end)."""
+    n = len(seq)
+    if not n:
+        raise IndexError("cannot pick from an empty sequence")
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    j = getrandbits(k)
+    while j >= n:
+        j = getrandbits(k)
+    return seq[j]
+
+
 def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:
     """Draw a symbol or sub-expression from the chain with recency bias."""
     if not steps:
         raise OpError("cannot sample an operand from an empty derivation")
     cum = list(accumulate(step_weights(len(steps), p_history)))
-    pool = subexpression_pool(steps[weighted_pick(range(len(cum)), cum, rng)].equation)
-    return pool[rng.randrange(len(pool))]
+    return pick(subexpression_pool(steps[weighted_pick(range(len(cum)), cum, rng)].equation), rng)
 
 
 def sample_variable(eq: Equation, rng) -> Optional[Symbol]:
     names = sorted(set(symbol_nodes(eq.lhs) + symbol_nodes(eq.rhs)), key=lambda s: s.name)
-    if not names:
-        return None
-    return names[rng.randrange(len(names))]
+    return pick(names, rng) if names else None
 
 
 # ---------------------------------------------------------------------------

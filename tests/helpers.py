@@ -5,9 +5,10 @@ complex-step derivative oracle), a character-by-character LaTeX tokenizer
 that the parser's scanner is checked against, the op tags that `stats`
 reads, readers of command outputs (JSONL rows, prompt equations, the mode
 length and top chain of a `stats` report), the `random.choices` draws,
-full sort, full subtree walk and uncached free-symbol walk that
-generation's tables, pruning and caches replace,
-the two-loop score report that the one family loop replaces, the
+full sort, full subtree walk, uncached free-symbol walk and pool-walking
+step note that generation's tables, pruning and caches replace, the
+calculus walkers that rebuild every node where the engine keeps untouched
+subtrees, the two-loop score report that the one family loop replaces, the
 line-by-line file reader that the one decode step replaces, the printer
 that renders every node again that the per-node text replaces, the
 per-step renaming that VR's one memo per derivation replaces, a wrapper
@@ -28,6 +29,13 @@ from time import perf_counter
 from typing import Iterator, Optional
 
 from derivekit import ops
+from derivekit.calculus import (
+    CalculusError,
+    _IntegralEvaluator,
+    _is_concrete_integrand,
+    antiderivative,
+    differentiate,
+)
 from derivekit.expr import (
     Add,
     AppliedFunction,
@@ -49,15 +57,15 @@ from derivekit.expr import (
     div,
     equation_free_symbols,
     exact_value,
-    free_symbols,
     func,
+    integral,
     neg,
     num_from_exact,
     rebuild,
     sub,
     symbol_nodes,
 )
-from derivekit.genalg import NEW_PREMISE, _recency_pick, extract_derivation
+from derivekit.genalg import NEW_PREMISE, Applicability, _recency_pick, extract_derivation
 from derivekit.latex import _PUNCT, LatexParseError, RenderError, _is_simple_head, parse_equation
 from derivekit.metrics import (
     BLEU_MAX_N,
@@ -448,9 +456,52 @@ def recency_pick_by_choices(state, indices):
     return state.rng.choices(indices, weights=ws)[0]
 
 
+def free_symbols_by_walk(e: Expr) -> tuple[str, ...]:
+    """expr.free_symbols walking and sorting the whole tree, keeping nothing."""
+    return tuple(sorted({n.name for n in e.subtrees() if type(n) in (Symbol, AppliedFunction)}))
+
+
 def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
-    """equation_free_symbols without the per-equation cache."""
-    return tuple(sorted(set(free_symbols(eq.lhs)) | set(free_symbols(eq.rhs))))
+    """equation_free_symbols without the per-equation or per-node cache."""
+    return tuple(sorted(set(free_symbols_by_walk(eq.lhs)) | set(free_symbols_by_walk(eq.rhs))))
+
+
+def note_by_pool(state, step: Step) -> None:
+    """genalg._GenState.note building ops.subexpression_pool and walking it."""
+    index = len(state.steps)
+    state.steps.append(step)
+    state.seen_equations.add(step.equation)
+    if step.operand is not None:
+        state.used_names.update(free_symbols_by_walk(step.operand))
+    state.used_names.update(c.name for c in step.constants)
+    if step.op == ops.EVAL_INT:
+        state.eval_int_parents.add(step.parents)
+    elif step.op == ops.EVAL_DIFF:
+        state.eval_diff_parents.add(step.parents)
+    ancestors = {index}
+    for p in step.parents:
+        ancestors |= state.ancestors[p]
+    state.ancestors.append(ancestors)
+    has_derivative = has_integral = False
+    for node in ops.subexpression_pool(step.equation):
+        state.containing.setdefault(node, []).append(index)
+        t = type(node)
+        if t is Symbol or t is AppliedFunction:
+            state.used_names.add(node.name)
+        elif t is Derivative:
+            has_derivative = True
+        elif t is Integral:
+            has_integral = True
+    if has_derivative:
+        state.derivative_indices.append(index)
+    if has_integral:
+        state.integral_indices.append(index)
+    if step.role != ROLE_PREMISE:
+        state.derived_indices.append(index)
+    eq = step.equation
+    state.sides.append((state.containing[eq.lhs], state.containing[eq.rhs]))
+    state.flags = Applicability(index + 1, bool(state.derivative_indices),
+                                bool(state.integral_indices), bool(state.derived_indices))
 
 
 def substitution_draw_by_full_sort(state, op):
@@ -487,6 +538,58 @@ def subexpression_pool_by_full_walk(eq: Equation) -> tuple[Expr, ...]:
             if node not in seen:
                 seen[node] = None
     return tuple(seen)
+
+
+# ---------------------------------------------------------------------------
+# calculus walkers that rebuild every node, whether or not a child changed
+
+def evaluate_derivatives_by_rebuild(eq: Equation) -> Equation:
+    """calculus.evaluate_derivatives rebuilding every node it walks."""
+    def walk(e: Expr) -> Expr:
+        kids = [walk(x) for x in e.children()]
+        if type(e) is not Derivative:
+            return rebuild(e, kids)
+        out = kids[1]
+        for _ in range(e.order):
+            out = differentiate(out, e.var)
+        return out
+
+    new = Equation(walk(eq.lhs), walk(eq.rhs))
+    if new == eq:
+        raise CalculusError("no evaluable derivative in equation")
+    return new
+
+
+class _RebuildingIntegralEvaluator(_IntegralEvaluator):
+    def visit(self, e: Expr) -> Expr:
+        if type(e) is not Integral:
+            return rebuild(e, [self.visit(x) for x in e.children()])
+        self.saw_integral = True
+        body = self.visit(e.body)
+        if self.miss:
+            return e
+        if not _is_concrete_integrand(body):
+            return integral(body, e.var)
+        anti = antiderivative(body, e.var)
+        if anti is None:
+            self.miss = True
+            return e
+        return add(anti, self.fresh_constant())
+
+
+def evaluate_integrals_by_rebuild(eq: Equation, used_symbols, constant_pool):
+    """calculus.evaluate_integrals rebuilding every node it walks."""
+    ev = _RebuildingIntegralEvaluator(set(used_symbols), tuple(constant_pool))
+    lhs = ev.visit(eq.lhs)
+    rhs = ev.visit(eq.rhs)
+    if ev.miss:
+        return None
+    if not ev.saw_integral:
+        raise CalculusError("no integral node in equation")
+    new = Equation(lhs, rhs)
+    if new == eq:
+        raise CalculusError("no concrete integral to evaluate")
+    return new, tuple(ev.constants)
 
 
 # ---------------------------------------------------------------------------

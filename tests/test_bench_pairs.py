@@ -3,6 +3,7 @@ an incorrect run, against stand-in checkouts whose perfbench/run.py prints
 fixed metrics."""
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,16 +27,20 @@ print(json.dumps({{"correct": {correct}, "attempted": 1, "failed": 0, "metrics":
 """
 
 
-def _checkout(path: Path, side: str, offset: float, correct: bool = True) -> Path:
+def _checkout(path: Path, side: str, offset: float, correct: bool = True,
+              stamp: str | None = None) -> Path:
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text(
         FAKE_RUN.format(side=side, offset=offset, correct="True" if correct else "False"))
+    if stamp is not None:
+        (path / "scripts").mkdir()
+        (path / "scripts" / "commit_stamp.txt").write_text(stamp + "\n")
     return path
 
 
-def _run(tmp_path, change_correct=True):
-    parent = _checkout(tmp_path / "parent", "p", 0.0)
-    change = _checkout(tmp_path / "change", "c", 10.0, change_correct)
+def _run(tmp_path, change_correct=True, parent_commit="p", change_commit="c", stamps=(None, None)):
+    parent = _checkout(tmp_path / "parent", parent_commit, 0.0, stamp=stamps[0])
+    change = _checkout(tmp_path / "change", change_commit, 10.0, change_correct, stamps[1])
     out = tmp_path / "BENCH_x.json"
     proc = subprocess.run([sys.executable, str(SCRIPT), "--parent", str(parent), "--change",
                            str(change), "--pr", "x", "--workload", "generate", "--seeds", "0-3",
@@ -73,3 +78,42 @@ def test_an_incorrect_run_exits_1_after_writing_the_file(tmp_path):
     assert code == 1
     assert not result["all_runs_correct"]
     assert {r["side"] for r in result["runs"] if not r["correct"]} == {"change"}
+
+
+UNKNOWN = "unknown (not a git checkout)"
+
+
+def test_a_git_archive_checkout_names_its_commit_by_the_stamp(tmp_path):
+    # run.py cannot ask git in either checkout; git archive filled in the
+    # parent's stamp, while the change's still holds the placeholder
+    code, result = _run(tmp_path, parent_commit=UNKNOWN, change_commit=UNKNOWN,
+                        stamps=("0123abcd" * 5, "$Format:%H$"))
+    assert code == 0
+    assert result["commits"] == {"parent": "0123abcd" * 5, "change": UNKNOWN}
+
+
+def test_the_commit_run_py_reports_wins_over_the_stamp(tmp_path):
+    _, result = _run(tmp_path, stamps=("0123abcd" * 5, "0123abcd" * 5))
+    assert result["commits"] == {"parent": "p", "change": "c"}
+
+
+def test_a_checkout_with_uncommitted_changes_is_marked(tmp_path):
+    # run.py reports HEAD for a working tree, changed or not
+    change = tmp_path / "change"
+    change.mkdir()
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(change)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    (change / "a.txt").write_text("1\n")
+    subprocess.run(git + ["add", "a.txt"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "a"], check=True)
+    assert bench_pairs.checkout_commit(change, "c") == "c"
+    (change / "a.txt").write_text("2\n")
+    assert bench_pairs.checkout_commit(change, "c") == "c with uncommitted changes"
+
+
+def test_the_stamp_is_filled_in_by_git_archive():
+    attributes = (ROOT / ".gitattributes").read_text().splitlines()
+    assert "scripts/commit_stamp.txt export-subst" in attributes
+    # the placeholder in a git checkout, the archived commit in an archive
+    stamp = (ROOT / bench_pairs.STAMP).read_text().strip()
+    assert stamp == "$Format:%H$" or re.fullmatch("[0-9a-f]{40}", stamp)

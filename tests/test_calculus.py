@@ -14,6 +14,7 @@ from derivekit.calculus import (
     evaluate_integrals,
 )
 from derivekit.expr import (
+    FUNCTION_KINDS,
     Equation,
     Integer,
     Symbol,
@@ -28,7 +29,14 @@ from derivekit.expr import (
     pow_,
 )
 from derivekit.latex import equation_to_latex, to_latex
-from helpers import EvalError, eval_complex, eval_numeric
+from helpers import (
+    EvalError,
+    eval_complex,
+    eval_numeric,
+    evaluate_derivatives_by_rebuild,
+    evaluate_integrals_by_rebuild,
+    or_first,
+)
 from test_expr import random_expr
 
 x, y = Symbol("x"), Symbol("y")
@@ -251,3 +259,49 @@ def test_antiderivative_of_rules_matches_patterns():
         anti = antiderivative(integrand, x)
         assert anti is not None
         assert differentiate(anti, x) == integrand
+
+
+# ---------------------------------------------------------------------------
+# the walkers return untouched subtrees as they are: the same results, drawn
+# constants and errors as walkers that rebuild every node
+
+_VARS = st.sampled_from((x, y))
+_CALC_TREES = st.recursive(
+    st.one_of(_VARS, st.integers(-2, 3).map(Integer), st.just(Symbol("c")),
+              st.builds(lambda args: applied("f", args), st.lists(_VARS, min_size=1, max_size=2))),
+    lambda inner: st.one_of(
+        st.builds(or_first(add), inner, inner),
+        st.builds(or_first(mul), inner, inner),
+        st.builds(or_first(lambda p, k: pow_(p, Integer(k))), inner, st.integers(-1, 3)),
+        st.builds(func, st.sampled_from(FUNCTION_KINDS), inner),
+        st.builds(lambda p, v, k: derivative(p, v, k), inner, _VARS, st.integers(1, 2)),
+        st.builds(integral, inner, _VARS),
+    ),
+    max_leaves=8,
+)
+
+
+def _outcome(evaluate, *args):
+    """What an evaluation returns, with its text, or the error it raises."""
+    try:
+        out = evaluate(*args)
+    except Exception as exc:  # the oracle must raise the same error
+        return type(exc), str(exc)
+    if out is None:
+        return None
+    if isinstance(out, Equation):
+        return out, equation_to_latex(out)
+    eq, constants = out
+    return eq, equation_to_latex(eq), constants
+
+
+@given(_CALC_TREES, _CALC_TREES, st.sets(st.sampled_from(POOL), max_size=len(POOL)))
+@example(integral(x, x), integral(x, y), set(POOL[1:]))  # the pool runs out at the second
+@example(add(y, integral(applied("f", [x]), x)), derivative(mul(x, y), x), set())
+@example(integral(add(applied("f", [x]), integral(x, x)), y), x, set())  # stuck, body evaluated
+@settings(max_examples=300, deadline=None)
+def test_walkers_match_the_walkers_that_rebuild_every_node(lhs, rhs, used):
+    eq = Equation(lhs, rhs)
+    assert _outcome(evaluate_derivatives, eq) == _outcome(evaluate_derivatives_by_rebuild, eq)
+    assert (_outcome(evaluate_integrals, eq, used, POOL)
+            == _outcome(evaluate_integrals_by_rebuild, eq, used, POOL))

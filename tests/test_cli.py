@@ -584,6 +584,12 @@ BAD_INPUT_CASES = {
     "config-infinite-retry-cap": (lambda d: _generate_with(d / "cfg.json",
                                                            retry_cap=float("inf")), 2),
     "config-zero-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=0), 2),
+    "config-zero-attempt-factor": (lambda d: _generate_with(d / "cfg.json", attempt_factor=0), 2),
+    # values of the wrong JSON type for their field, bools included
+    **{f"config-ill-typed-{name}": (lambda d, kv={name: value}: _generate_with(
+        d / "cfg.json", **kv), 2) for name, value in (
+            ("max_prompt_tokens", "512"), ("max_latex_chars", None), ("vocabulary", 5),
+            ("seed", True), ("retry_cap", True), ("attempt_factor", 1.5), ("length_min", 4.5))},
     "config-subnormal-p-history": (lambda d: _generate_with(d / "cfg.json", p_history=5e-324), 2),
     # numeric options out of range, each named in its message
     "option-collect-negative-timeout": (lambda d: _collect_with(d, "--timeout", -1), 2),

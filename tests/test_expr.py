@@ -28,8 +28,10 @@ from derivekit.expr import (
     mul,
     neg,
     pow_,
+    rebuild,
     substitute,
 )
+from derivekit.genalg import GenConfig, generate_dataset
 from helpers import EvalError, canonicalize, eval_numeric, rational
 
 x, y, z = Symbol("x"), Symbol("y"), Symbol("z")
@@ -151,6 +153,14 @@ def test_substitute_complete_subtree_only():
     assert substitute(e, add(x, y), Integer(0)) == e
 
 
+def test_substitute_compares_trees_when_hashes_are_equal():
+    # hash(-1) == hash(-2) in CPython, so the two integers' node hashes collide
+    assert hash(Integer(-1)) == hash(Integer(-2))
+    e = add(mul(Integer(-2), x), y)
+    assert substitute(e, Integer(-1), z) is e
+    assert substitute(e, Integer(-2), z) == add(mul(z, x), y)
+
+
 def test_free_symbols():
     assert set(free_symbols(add(x, y))) == {"x", "y"}
     assert free_symbols(Integer(5)) == ()
@@ -187,8 +197,9 @@ def test_equation_order_sensitive():
 # ---------------------------------------------------------------------------
 # random-expression properties
 
-def random_expr(rng: random.Random, depth: int = 0):
-    """Concrete expression generator (no stuck nodes) for numeric checks."""
+def random_expr(rng: random.Random, depth: int = 0, opaque: bool = False):
+    """Concrete expression generator (no stuck nodes) for numeric checks; with
+    `opaque`, also unknown-function applications, derivatives and integrals."""
     symbols = [x, y, z]
     atom_choices = ["sym", "int", "rat"]
     if depth >= 4 or rng.random() < 0.35:
@@ -198,18 +209,35 @@ def random_expr(rng: random.Random, depth: int = 0):
         if kind == "int":
             return Integer(rng.randint(-4, 4))
         return rational(rng.randint(1, 7), rng.randint(2, 7))
-    kind = rng.choice(["add", "mul", "pow", "sin", "cos", "exp", "log"])
+    kinds = ["add", "mul", "pow", "sin", "cos", "exp", "log"]
+    kind = rng.choice(kinds + ["applied", "derivative", "integral"] if opaque else kinds)
+
+    def inner():
+        return random_expr(rng, depth + 1, opaque)
+
     if kind == "add":
-        return add(*(random_expr(rng, depth + 1) for _ in range(rng.randint(2, 3))))
+        return add(*(inner() for _ in range(rng.randint(2, 3))))
     if kind == "mul":
-        return mul(*(random_expr(rng, depth + 1) for _ in range(2)))
+        return mul(*(inner() for _ in range(2)))
     if kind == "pow":
-        return pow_(random_expr(rng, depth + 1), Integer(rng.randint(1, 3)))
+        return pow_(inner(), Integer(rng.randint(1, 3)))
     if kind == "log":
         # keep log arguments positive: log(2 + x^2)
-        inner = random_expr(rng, depth + 1)
-        return func("log", add(Integer(2), pow_(inner, Integer(2))))
-    return func(kind, random_expr(rng, depth + 1))
+        return func("log", add(Integer(2), pow_(inner(), Integer(2))))
+    if kind == "applied":
+        return applied(rng.choice(("f", "g")), [inner() for _ in range(rng.randint(1, 2))])
+    if kind == "derivative":
+        return derivative(inner(), rng.choice(symbols), rng.randint(1, 2))
+    if kind == "integral":
+        return integral(inner(), rng.choice(symbols))
+    return func(kind, inner())
+
+
+def assert_fixed_points(e):
+    """Every node rebuilds to itself: the invariant tree walks rely on when
+    they return a node none of whose children changed."""
+    for node in e.subtrees():
+        assert rebuild(node, node.children()) == node, node
 
 
 def bindings_for(rng: random.Random):
@@ -233,6 +261,20 @@ def test_canonicalize_idempotent_and_value_preserving(seed):
         if not (math.isfinite(v0) and math.isfinite(v1)):
             continue
         assert v1 == pytest.approx(v0, rel=1e-9, abs=1e-9)
+    assert_fixed_points(c)
+    o = random_expr(random.Random(-seed), opaque=True)
+    assert canonicalize(o) == o
+    assert_fixed_points(o)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1000])
+def test_every_node_of_generated_derivations_is_a_fixed_point(seed):
+    records, _ = generate_dataset(GenConfig(seed=seed), 80)
+    for r in records:
+        for s in r.derivation.steps:
+            for tree in (s.equation.lhs, s.equation.rhs, s.operand):
+                if tree is not None:
+                    assert_fixed_points(tree)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -47,6 +47,7 @@ from derivekit.records import derivation_record_to_json
 from derivekit.vocab import SymbolEntry, SymbolTable, load_symbol_table
 from helpers import (
     equation_free_symbols_by_walk,
+    note_by_pool,
     parse_derivation,
     recency_pick_by_choices,
     sample_action_by_choices,
@@ -60,6 +61,8 @@ def test_config_validation():
         GenConfig(length_min=3)
     with pytest.raises(GenerationError):
         GenConfig(retry_cap=0)
+    with pytest.raises(GenerationError, match="attempt_factor must be >= 1"):
+        GenConfig(attempt_factor=0)
     with pytest.raises(GenerationError):
         GenConfig(p_subs=-1)
     # settings that would hang sample_length or fail a weighted draw
@@ -75,6 +78,28 @@ def test_config_validation():
     GenConfig(p_arity_2=0, p_subs=0, p_add_eq=0)
     cfg = GenConfig(length_mean=3.6, length_sigma=0)
     assert sample_length(cfg, random.Random(0)) == 4
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"max_prompt_tokens": "512"}, "max_prompt_tokens must be an integer, not str"),
+    ({"max_latex_chars": None}, "max_latex_chars must be an integer, not NoneType"),
+    ({"vocabulary": 5}, "vocabulary must be a string or null, not int"),
+    ({"seed": True}, "seed must be an integer, not bool"),
+    ({"retry_cap": True}, "retry_cap must be an integer, not bool"),
+    ({"attempt_factor": 1.5}, "attempt_factor must be an integer, not float"),
+    ({"length_min": 4.5}, "length_min must be an integer, not float"),
+    ({"p_subs": False}, "p_subs must be a number, not bool"),
+    ({"length_mean": "7"}, "length_mean must be a number, not str"),
+])
+def test_config_values_must_match_their_field_type(bad, message):
+    with pytest.raises(GenerationError) as info:
+        GenConfig(**bad)
+    assert str(info.value) == message
+
+
+def test_config_number_fields_take_integers():
+    cfg = GenConfig(p_history=10, length_mean=7, length_sigma=3, vocabulary=None)
+    assert (cfg.p_history, cfg.length_mean, cfg.length_sigma) == (10, 7, 3)
 
 
 def test_reference_defaults():
@@ -452,6 +477,36 @@ def test_cached_latex_matches_a_fresh_rendering_for_every_op():
         assert equation_to_latex(eq) == fresh
         assert equation_to_latex(eq) is equation_to_latex(eq)  # rendered once
         assert equation_to_latex(Equation(eq.lhs, eq.rhs)) == fresh
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 1000])
+def test_note_matches_the_note_that_walks_the_pool(seed, monkeypatch):
+    # every step noted on every attempt is noted again on a shadow state by
+    # the parent's note, which builds ops.subexpression_pool and walks it
+    real_note = _GenState.note
+    noted = []
+
+    def note(state, step):
+        real_note(state, step)
+        shadow = state.__dict__.get("shadow")
+        if shadow is None:
+            shadow = state.shadow = _GenState(state.cfg, state.vocab, random.Random(0))
+        note_by_pool(shadow, step)
+        assert state.containing == shadow.containing
+        assert state.sides == shadow.sides
+        assert state.used_names == shadow.used_names
+        assert state.flags == shadow.flags
+        assert (state.derivative_indices, state.integral_indices, state.derived_indices) == (
+            shadow.derivative_indices, shadow.integral_indices, shadow.derived_indices)
+        # each step's sides are its sides' containing lists, which later steps grow
+        lhs_list, rhs_list = state.sides[-1]
+        assert lhs_list is state.containing[step.equation.lhs]
+        assert rhs_list is state.containing[step.equation.rhs]
+        noted.append(step)
+
+    monkeypatch.setattr(_GenState, "note", note)
+    _, summary = generate_dataset(GenConfig(seed=seed), 80)  # a generate input of perfbench
+    assert summary.attempts > 80 and len(noted) > 10 * summary.attempts
 
 
 def test_cached_free_symbols_match_a_fresh_walk():

@@ -17,6 +17,7 @@ from derivekit.expr import (
     applied,
     derivative,
     div,
+    free_symbols,
     func,
     integral,
     mul,
@@ -37,7 +38,7 @@ from derivekit.latex import (
     to_latex,
 )
 from derivekit.perturb import rename_leaves
-from helpers import or_first, rational, to_latex_uncached, tokenize
+from helpers import free_symbols_by_walk, or_first, rational, to_latex_uncached, tokenize
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -379,7 +380,8 @@ def test_round_trip_over_generated_equations(small_dataset):
 
 
 # ---------------------------------------------------------------------------
-# each node keeps its text: the same strings as rendering every subtree again
+# each node keeps its text and its free symbols: the same strings and names as
+# rendering or walking every subtree again
 
 _NAMES = ("x", "y", "\\alpha", "A_{x}", "\\hat{b}")
 _SYMBOLS = st.sampled_from(_NAMES).map(Symbol)
@@ -438,6 +440,29 @@ def test_kept_node_text_equals_a_fresh_render(e, other):
         _assert_texts_match(or_first(substitute)(e, sub, other))
     _assert_texts_match(_raw_copy(e))
     _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}))
+
+
+def _assert_free_symbols_match(e):
+    assert free_symbols(e) == free_symbols_by_walk(e)
+    for node in e.subtrees():  # every tuple a node keeps is its own
+        assert node._free is None or node._free == free_symbols_by_walk(node)
+
+
+@given(_TREES, _TREES)
+@example(pow_(Symbol("x"), Integer(-1)), Integer(0))
+@settings(max_examples=300, deadline=None)
+def test_kept_free_symbols_equal_a_fresh_walk(e, other):
+    _assert_free_symbols_match(e)
+    for shared in (or_first(add)(e, other), or_first(mul)(other, e)):
+        _assert_free_symbols_match(shared)
+    for sub in list(e.subtrees())[:4]:  # substituting 0 into 1/x is refused
+        _assert_free_symbols_match(or_first(substitute)(e, sub, other))
+        _assert_free_symbols_match(or_first(substitute)(other, sub, e))
+    _assert_free_symbols_match(_raw_copy(e))
+    for mapping in ({"x": "\\nu", "f": "\\psi", "A_{x}": "z"}, {"y": "x", "fn": "f"}):
+        memo = {}  # one memo for both trees, as VR shares one across a derivation
+        _assert_free_symbols_match(rename_leaves(e, mapping, memo))
+        _assert_free_symbols_match(rename_leaves(other, mapping, memo))
 
 
 def test_an_empty_function_name_raises_each_time_and_keeps_no_text():

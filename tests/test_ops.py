@@ -286,6 +286,18 @@ def test_subexpression_pool_matches_the_full_walk(lhs, rhs):
     assert ops.subexpression_pool(eq) == subexpression_pool_by_full_walk(eq)
 
 
+def test_pick_matches_randrange():
+    # every size from 1 to 300 crosses several bit counts of the draw
+    for seed in range(20):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        for size in range(1, 301):
+            seq = tuple(range(100, 100 + size))
+            assert ops.pick(seq, rng) == seq[oracle.randrange(size)]
+            assert rng.getstate() == oracle.getstate()
+    with pytest.raises(IndexError):
+        ops.pick([], random.Random(0))
+
+
 def test_shuffle_matches_random_shuffle():
     # sizes at and around powers of two change the bit count of each draw
     for seed in range(300):
