@@ -98,6 +98,8 @@ class GenConfig:
                 raise GenerationError(f"{f.name} must be a finite number")
             if f.name.startswith("p_") and value < 0:
                 raise GenerationError(f"{f.name} must be >= 0")
+        if self.vocabulary == "":  # would open the current directory
+            raise GenerationError("vocabulary must be a file path or null, not an empty string")
         if not (self.p_history > 0 and math.isfinite(1 / self.p_history)):
             # recency weights are p_history ** (-k / n) for 0 <= k < n
             raise GenerationError("p_history must be > 0 with a finite reciprocal")

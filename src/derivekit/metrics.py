@@ -6,15 +6,16 @@ and reference roles are fixed (no symmetry assumed). BLEU uses add-one
 smoothing on n-gram orders with zero matches, stated in report metadata.
 
 ROUGE-n, BLEU and GLEU share one counting path. `_profile` counts a string
-once: its token count and one Counter of its n-grams of every order up to
-max_n, keyed by n-tuples (orders cannot collide, their tuples differ in
-length). `_hits` walks the candidate's grams once and returns the clipped
-matches per order. The n-gram totals follow from the token count
-(`len - n + 1`), so `score_all` gets all three metrics from two profiles and
-one hits vector; `rouge`, `bleu` and `gleu` are thin wrappers over the same
-helpers, and `rouge` profiles only its own order. Every count is an integer,
-so each value is exactly the one that counting every order on its own gives
-(the tests compare them with `==` against a brute-force oracle).
+in one pass: its token count and one Counter of its n-grams of every order
+up to max_n, keyed by n-tuples (orders cannot collide, their tuples differ
+in length). `_hits` walks the candidate's grams once and returns the clipped
+matches per order. The n-gram totals are closed forms of the token count
+(`len - n + 1` per order, and their sum over orders for GLEU), so
+`score_all` gets all three metrics from two profiles and one hits vector;
+`rouge`, `bleu` and `gleu` are thin wrappers over the same helpers, and
+`rouge` profiles only its own order. Every count is an integer, so each
+value is exactly the one that counting every order on its own gives (the
+tests compare them with `==` against a brute-force oracle).
 `score_all` takes an optional `{string: profile}` memo; `build_score_report`
 keeps one per family (a static id and its perturbed rows), so each distinct
 string of a family is profiled once and no profile outlives its family.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 DEFAULT_WEIGHTS = (0.2, 0.05, 0.15, 0.25, 0.25, 0.1)
@@ -40,22 +42,17 @@ class MetricError(Exception):
     pass
 
 
-class ZeroDenominator(MetricError):
-    pass
-
-
 def _tokens(text: str) -> list[str]:
     return text.split()
 
 
 def _profile(text: str, max_n: int, min_n: int = 1) -> tuple[int, Counter]:
     """The token count of `text` and one Counter of its n-grams of every
-    order min_n..max_n, keyed by n-tuples."""
+    order min_n..max_n, keyed by n-tuples and counted in one pass."""
     tokens = _tokens(text)
-    grams: Counter = Counter()
-    for n in range(min_n, min(max_n, len(tokens)) + 1):
-        grams.update(zip(*[tokens[i:] for i in range(n)]))
-    return len(tokens), grams
+    orders = range(min_n, min(max_n, len(tokens)) + 1)
+    return len(tokens), Counter(chain.from_iterable(
+        zip(*[tokens[i:] for i in range(n)]) for n in orders))
 
 
 def _hits(cand: Counter, ref: Counter, max_n: int) -> list[int]:
@@ -83,17 +80,12 @@ def _pair(
     return c, r, _hits(cand, ref, max_n)
 
 
-def _total(length: int, n: int) -> int:
-    """Number of n-grams in `length` tokens."""
-    return max(0, length - n + 1)
-
-
 def _rouge_n(c: int, r: int, hits: list[int], n: int) -> float:
-    total_c, total_r = _total(c, n), _total(r, n)
-    if total_c == 0 or total_r == 0 or hits[n] == 0:
+    # a hit means both strings hold an n-gram of order n, so both totals are > 0
+    if hits[n] == 0:
         return 0.0
-    precision = hits[n] / total_c
-    recall = hits[n] / total_r
+    precision = hits[n] / (c - n + 1)
+    recall = hits[n] / (r - n + 1)
     return 2 * precision * recall / (precision + recall)
 
 
@@ -102,11 +94,8 @@ def _bleu(c: int, r: int, hits: list[int], max_n: int) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, max_n + 1):
-        total = _total(c, n)
-        if hits[n] == 0:
-            precision = (hits[n] + 1) / (total + 1)
-        else:
-            precision = hits[n] / total
+        # add-one smoothing: 1 / (total + 1), where an order longer than c has total 0
+        precision = hits[n] / (c - n + 1) if hits[n] else 1 / max(c - n + 2, 1)
         log_sum += math.log(precision)
     bp = 1.0 if c > r else math.exp(1 - r / c)
     return bp * math.exp(log_sum / max_n)
@@ -116,8 +105,10 @@ def _gleu(c: int, r: int, hits: list[int], max_n: int) -> float:
     if not c or not r:
         return 0.0
     matched = sum(hits[1 : max_n + 1])
-    total_c = sum(_total(c, n) for n in range(1, max_n + 1))
-    total_r = sum(_total(r, n) for n in range(1, max_n + 1))
+    # sum of length - n + 1 over the orders n = 1..m that fit in length tokens
+    mc, mr = min(max_n, c), min(max_n, r)
+    total_c = mc * (c + 1) - mc * (mc + 1) // 2
+    total_r = mr * (r + 1) - mr * (mr + 1) // 2
     return min(matched / total_c, matched / total_r)
 
 
@@ -184,12 +175,10 @@ def perf_difference(m_static: float, m_perturbed: float) -> float:
     return m_static - m_perturbed
 
 
-def perturbation_ratio(m_pred_pair: float, m_truth_pair: float) -> float:
+def perturbation_ratio(m_pred_pair: float, m_truth_pair: float) -> Optional[float]:
     """M(s_hat, p_hat) / M(s, p); < 1 means predictions moved less than
-    the ground-truth pair."""
-    if m_truth_pair == 0:
-        raise ZeroDenominator("ground-truth pair similarity is zero")
-    return m_pred_pair / m_truth_pair
+    the ground-truth pair. None when the ground-truth pair scores zero."""
+    return m_pred_pair / m_truth_pair if m_truth_pair else None
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +322,9 @@ def build_score_report(
             truth_pair = score_all(references[static], references[key], rouge_order, profiles)
             for m in METRIC_NAMES:
                 bucket["diff"][m].append(perf_difference(by_key[static].scores[m], row.scores[m]))
-                try:
-                    row.ratios[m] = perturbation_ratio(pred_pair[m], truth_pair[m])
-                    bucket["ratio"][m].append(row.ratios[m])
-                except ZeroDenominator:
-                    row.ratios[m] = None
+                row.ratios[m] = ratio = perturbation_ratio(pred_pair[m], truth_pair[m])
+                if ratio is not None:
+                    bucket["ratio"][m].append(ratio)
             bucket["ratio_excluded"] += int(None in row.ratios.values())
     rows = [by_key[key] for key in keys]
 

@@ -9,11 +9,13 @@ full sort, full subtree walk, uncached free-symbol walk and pool-walking
 step note that generation's tables, pruning and caches replace, the
 calculus walkers that rebuild every node where the engine keeps untouched
 subtrees, the two-loop score report that the one family loop replaces, the
-line-by-line file reader that the one decode step replaces, the printer
-that renders every node again that the per-node text replaces, the
-per-step renaming that VR's one memo per derivation replaces, a wrapper
-for tree strategies whose constructors may refuse, and a fixed reference
-block for scaling wall-clock bounds to the host's speed."""
+per-order n-gram counts and summed n-gram totals that the one counting pass
+and the closed forms replace, the line-by-line file reader that the one
+decode step replaces, the printer that renders every node again that the
+per-node text replaces, the per-step renaming that VR's one memo per
+derivation replaces, a wrapper for tree strategies whose constructors may
+refuse, and a fixed reference block for scaling wall-clock bounds to the
+host's speed."""
 from __future__ import annotations
 
 import cmath
@@ -21,6 +23,7 @@ import gc
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
@@ -72,7 +75,7 @@ from derivekit.metrics import (
     BLEU_SMOOTHING,
     METRIC_NAMES,
     ScoredRow,
-    ZeroDenominator,
+    _hits,
     _mean,
     perf_difference,
     perturbation_ratio,
@@ -709,13 +712,11 @@ def score_report_two_loops(
         )
         excluded = False
         for m in METRIC_NAMES:
-            try:
-                ratio = perturbation_ratio(pred_pair[m], truth_pair[m])
-            except ZeroDenominator:
-                row.ratios[m] = None
+            ratio = perturbation_ratio(pred_pair[m], truth_pair[m])
+            row.ratios[m] = ratio
+            if ratio is None:
                 excluded = True
                 continue
-            row.ratios[m] = ratio
             bucket["ratio"][m].append(ratio)
         if excluded:
             bucket["ratio_excluded"] += 1
@@ -755,6 +756,62 @@ def score_report_two_loops(
         "schema_version": 1,
     }
     return report, rows
+
+
+# ---------------------------------------------------------------------------
+# oracle for the n-gram layer: metrics as it was before each string's n-grams
+# were counted in one pass and the n-gram totals taken in closed form
+
+def profile_by_updates(text: str, max_n: int, min_n: int = 1) -> tuple[int, Counter]:
+    """metrics._profile with one Counter.update per order."""
+    tokens = text.split()
+    grams: Counter = Counter()
+    for n in range(min_n, min(max_n, len(tokens)) + 1):
+        grams.update(zip(*[tokens[i:] for i in range(n)]))
+    return len(tokens), grams
+
+
+def pair_by_updates(candidate: str, reference: str, max_n: int, min_n: int = 1):
+    (c, cand), (r, ref) = (profile_by_updates(t, max_n, min_n) for t in (candidate, reference))
+    return c, r, _hits(cand, ref, max_n)
+
+
+def _total(length: int, n: int) -> int:
+    """Number of n-grams in `length` tokens."""
+    return max(0, length - n + 1)
+
+
+def rouge_n_by_totals(c: int, r: int, hits: list[int], n: int) -> float:
+    total_c, total_r = _total(c, n), _total(r, n)
+    if total_c == 0 or total_r == 0 or hits[n] == 0:
+        return 0.0
+    precision = hits[n] / total_c
+    recall = hits[n] / total_r
+    return 2 * precision * recall / (precision + recall)
+
+
+def bleu_by_totals(c: int, r: int, hits: list[int], max_n: int) -> float:
+    if not c or not r:
+        return 0.0
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        total = _total(c, n)
+        if hits[n] == 0:
+            precision = (hits[n] + 1) / (total + 1)
+        else:
+            precision = hits[n] / total
+        log_sum += math.log(precision)
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    return bp * math.exp(log_sum / max_n)
+
+
+def gleu_by_totals(c: int, r: int, hits: list[int], max_n: int) -> float:
+    if not c or not r:
+        return 0.0
+    matched = sum(hits[1 : max_n + 1])
+    total_c = sum(_total(c, n) for n in range(1, max_n + 1))
+    total_r = sum(_total(r, n) for n in range(1, max_n + 1))
+    return min(matched / total_c, matched / total_r)
 
 
 # ---------------------------------------------------------------------------

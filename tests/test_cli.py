@@ -549,6 +549,10 @@ BAD_INPUT_CASES = {
                                        _not_utf8(d / "v.json"), "--out", d / "o.jsonl"], 2),
     "generate-missing-vocabulary": (lambda d: ["generate", "--count", 1, "--vocabulary",
                                                d / "missing.json", "--out", d / "o.jsonl"], 3),
+    # an empty path names no file (open("") would read the current directory)
+    "vocabulary-empty-path-option": (lambda d: ["generate", "--count", 1, "--vocabulary", "",
+                                                "--out", d / "o.jsonl"], 2),
+    "vocabulary-empty-path-config": (lambda d: _generate_with(d / "cfg.json", vocabulary=""), 2),
     "vocabulary-non-string-name": (lambda d: [
         "generate", "--count", 1, "--out", d / "o.jsonl", "--vocabulary",
         _file(d / "v.json", '{"symbols": [{"name": 5, "kind": "variable"}]}')], 2),
@@ -655,6 +659,13 @@ def test_input_that_is_not_utf8_names_the_file_and_line(case, tmp_path, capsys):
     name = {"fewshot-train": "t.jsonl", "score-pred": "p.jsonl", "config": "cfg.json",
             "vocabulary": "v.json"}.get(case.removeprefix("not-utf8-"), "in.jsonl")
     assert f"{tmp_path / name}:2: not UTF-8 (invalid start byte)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["vocabulary-empty-path-option", "vocabulary-empty-path-config"])
+def test_an_empty_vocabulary_path_is_a_config_error_naming_the_field(case, tmp_path, capsys):
+    assert run(BAD_INPUT_CASES[case][0](tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("config error: vocabulary must be ")
+    assert not (tmp_path / "o.jsonl").exists()
 
 
 @pytest.mark.parametrize("case", sorted(c for c in BAD_INPUT_CASES if c.startswith("option-")))

@@ -14,7 +14,6 @@ from derivekit.metrics import (
     MetricError,
     ScoreWeights,
     ScoredRow,
-    ZeroDenominator,
     bleu,
     build_score_report,
     feature_vector,
@@ -27,7 +26,14 @@ from derivekit.metrics import (
     score_all,
 )
 
-from helpers import score_report_two_loops
+from helpers import (
+    bleu_by_totals,
+    gleu_by_totals,
+    pair_by_updates,
+    profile_by_updates,
+    rouge_n_by_totals,
+    score_report_two_loops,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +211,45 @@ def test_score_all_equals_separate_metrics_and_oracle(cand, ref):
         assert gleu(cand, ref, n) == oracle_gleu(cand, ref, n)
 
 
+def test_ngram_layer_equals_the_per_order_oracle():
+    """One counting pass per string and the closed-form totals against the
+    per-order counts and summed totals they replace, compared with `==`:
+    the profiles (keys, counts and insertion order), score_all with ROUGE
+    orders 1, 2 and L, rouge of orders 1-6, and bleu and gleu with max_n
+    1-6."""
+    seen = {"empty": 0, "shorter than max_n": 0, "repeated tokens": 0}
+
+    @given(_tokens3, _tokens3)
+    @settings(max_examples=300, deadline=None)
+    def check(cand, ref):
+        for text in (cand, ref):
+            tokens = text.split()
+            seen["empty"] += not tokens
+            seen["shorter than max_n"] += 0 < len(tokens) < metrics.BLEU_MAX_N
+            seen["repeated tokens"] += len(set(tokens)) < len(tokens)
+            for max_n, min_n in ((4, 1), (6, 1), (2, 2), (5, 5)):
+                got, want = metrics._profile(text, max_n, min_n), profile_by_updates(
+                    text, max_n, min_n)
+                assert (got[0], list(got[1].items())) == (want[0], list(want[1].items()))
+        c, r, hits = pair_by_updates(cand, ref, metrics.BLEU_MAX_N)
+        for order in ("1", "2", "L"):
+            want = {
+                "rouge": rouge_l(cand, ref) if order == "L" else rouge_n_by_totals(
+                    c, r, hits, int(order)),
+                "bleu": bleu_by_totals(c, r, hits, metrics.BLEU_MAX_N),
+                "gleu": gleu_by_totals(c, r, hits, metrics.BLEU_MAX_N),
+            }
+            assert score_all(cand, ref, order) == want
+        for n in range(1, 7):
+            assert rouge(cand, ref, n) == rouge_n_by_totals(*pair_by_updates(cand, ref, n, n), n)
+            pair = pair_by_updates(cand, ref, n)
+            assert bleu(cand, ref, n) == bleu_by_totals(*pair, n)
+            assert gleu(cand, ref, n) == gleu_by_totals(*pair, n)
+
+    check()
+    assert all(seen.values()), seen
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_scores_in_unit_interval(seed):
@@ -229,8 +274,7 @@ def test_perf_difference():
 def test_perturbation_ratio():
     assert perturbation_ratio(0.8, 0.8) == 1.0
     assert perturbation_ratio(0.5, 1.0) == 0.5
-    with pytest.raises(ZeroDenominator):
-        perturbation_ratio(0.5, 0.0)
+    assert perturbation_ratio(0.5, 0.0) is None
 
 
 # ---------------------------------------------------------------------------
