@@ -10,8 +10,7 @@ integration introduces a fresh constant drawn from the unused vocabulary.
 """
 from __future__ import annotations
 
-from operator import is_
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .expr import (
     Add,
@@ -30,17 +29,18 @@ from .expr import (
     ZERO,
     add,
     derivative,
+    distinct_subtrees,
     div,
     exact_value,
     free_symbols,
     func,
     integral,
     is_number,
+    keep_or_rebuild,
     mul,
     neg,
     num_from_exact,
     pow_,
-    rebuild,
     sub,
 )
 
@@ -209,22 +209,16 @@ def _atom(e: Expr, v: Symbol) -> Optional[Expr]:
 
 def _is_concrete_integrand(e: Expr) -> bool:
     """True when the integrand contains no unknown-function application."""
-    return not any(type(n) is AppliedFunction for n in e.subtrees())
+    return not any(type(n) is AppliedFunction for n in distinct_subtrees(e))
 
 
 # ---------------------------------------------------------------------------
 # equation-level evaluation operators
 
-def _keep_or_rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
-    """e itself when every child came back as the same object (a constructor's
-    output is a fixed point), else e rebuilt over the new children."""
-    return e if all(map(is_, kids, e.children())) else rebuild(e, kids)
-
-
 def _map_derivative_nodes(e: Expr) -> Expr:
     kids = [_map_derivative_nodes(x) for x in e.children()]
     if type(e) is not Derivative:
-        return _keep_or_rebuild(e, kids)
+        return keep_or_rebuild(e, kids)
     out = kids[1]
     for _ in range(e.order):
         out = differentiate(out, e.var)
@@ -262,7 +256,7 @@ class _IntegralEvaluator:
 
     def visit(self, e: Expr) -> Expr:
         if type(e) is not Integral:
-            return _keep_or_rebuild(e, [self.visit(x) for x in e.children()])
+            return keep_or_rebuild(e, [self.visit(x) for x in e.children()])
         self.saw_integral = True
         body = self.visit(e.body)
         if self.miss:

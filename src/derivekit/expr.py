@@ -6,8 +6,9 @@ exact rationals, like terms and like factors merged, and operands stored in
 a fixed total structural order. A tree built only through the constructors
 is canonical, so no separate canonicalization pass is ever needed.
 A constructor's output is a fixed point: ``rebuild(n, n.children()) == n``
-for every node ``n`` of such a tree. Tree walks rely on it: a node none of
-whose children changed is returned as it is, with the values it keeps.
+for every node ``n`` of such a tree. Rewriting walks rely on it through
+``keep_or_rebuild``: a node none of whose children changed is returned as it
+is, with the values it keeps. Listing walks go through ``distinct_subtrees``.
 A folded number is an ``int``, or a ``Fraction`` only when it is not
 integral; the two mix exactly and compare and hash alike.
 
@@ -18,6 +19,7 @@ evaluated by the calculus module.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 FUNCTION_KINDS = ("sin", "cos", "exp", "log")
@@ -65,14 +67,6 @@ class Expr:
 
     def children(self) -> tuple["Expr", ...]:
         return ()
-
-    def subtrees(self) -> Iterator["Expr"]:
-        """Yield every node of the tree, preorder, including self."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children()))
 
     def __repr__(self) -> str:
         from .latex import to_latex
@@ -648,6 +642,12 @@ def rebuild(e: Expr, kids: Sequence[Expr], raw: bool = False) -> Expr:
     return e if build is None else build(e, kids)
 
 
+def keep_or_rebuild(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """e itself when every child came back as the same object (a constructor's
+    output is a fixed point), else e rebuilt over the new children."""
+    return e if all(map(is_, kids, e.children())) else rebuild(e, kids)
+
+
 def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     """Replace every complete-subtree occurrence of target, then canonicalize.
 
@@ -656,26 +656,29 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     """
     if target == replacement:
         return e
-    out = _subst_canonical(e, target, replacement)
-    return e if out is None else out
+    return _subst_canonical(e, target, replacement)
 
 
-def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Optional[Expr]:
-    """Fused substitute+canonicalize; None means no occurrence below e."""
+def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Expr:
     if e._hash == target._hash and e == target:
         return replacement
     t = type(e)
     if t is Symbol or t is Integer or t is Rational:
-        return None
-    kids = e.children()
-    parts = [_subst_canonical(x, target, replacement) for x in kids]
-    if all(p is None for p in parts):
-        return None
-    return rebuild(e, [x if p is None else p for p, x in zip(parts, kids)])
+        return e
+    return keep_or_rebuild(e, [_subst_canonical(x, target, replacement) for x in e.children()])
 
 
-def contains(e: Expr, target: Expr) -> bool:
-    return any(node == target for node in e.subtrees())
+def distinct_subtrees(*roots: Expr) -> Iterator[Expr]:
+    """Each distinct node under the roots once, in first-occurrence preorder.
+    A repeated node is not walked again: its first occurrence walked its subtree."""
+    seen: set[Expr] = set()
+    stack = list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            yield node
+            stack.extend(reversed(node.children()))
 
 
 def free_symbols(e: Expr) -> tuple[str, ...]:
@@ -691,13 +694,9 @@ def free_symbols(e: Expr) -> tuple[str, ...]:
     return free
 
 
-def symbol_nodes(e: Expr) -> tuple[Symbol, ...]:
-    """Distinct Symbol leaves in first-occurrence (preorder) order."""
-    seen = {}
-    for node in e.subtrees():
-        if type(node) is Symbol and node.name not in seen:
-            seen[node.name] = node
-    return tuple(seen.values())
+def symbol_nodes(*roots: Expr) -> tuple[Symbol, ...]:
+    """Distinct Symbol leaves under the roots, in first-occurrence preorder."""
+    return tuple(n for n in distinct_subtrees(*roots) if type(n) is Symbol)
 
 
 def equation_free_symbols(eq: Equation) -> tuple[str, ...]:

@@ -294,8 +294,8 @@ class _GenState:
         for p in step.parents:
             ancestors |= self.ancestors[p]
         self.ancestors.append(ancestors)
-        # one walk over the new equation's distinct subtrees: a node whose
-        # containing list already ends in this index was walked, subtree and all
+        # a walk of its own, not expr.distinct_subtrees: a node whose containing
+        # list already ends in this index was walked, subtree and all
         containing, used = self.containing, self.used_names
         has_derivative = has_integral = False
         eq = step.equation

@@ -46,11 +46,11 @@ def _tokens(text: str) -> list[str]:
     return text.split()
 
 
-def _profile(text: str, max_n: int, min_n: int = 1) -> tuple[int, Counter]:
+def _profile(text: str, max_n: int) -> tuple[int, Counter]:
     """The token count of `text` and one Counter of its n-grams of every
-    order min_n..max_n, keyed by n-tuples and counted in one pass."""
+    order 1..max_n, keyed by n-tuples and counted in one pass."""
     tokens = _tokens(text)
-    orders = range(min_n, min(max_n, len(tokens)) + 1)
+    orders = range(1, min(max_n, len(tokens)) + 1)
     return len(tokens), Counter(chain.from_iterable(
         zip(*[tokens[i:] for i in range(n)]) for n in orders))
 
@@ -66,16 +66,15 @@ def _hits(cand: Counter, ref: Counter, max_n: int) -> list[int]:
     return hits
 
 
-def _pair(
-    candidate: str, reference: str, max_n: int, min_n: int = 1, profiles: Optional[dict] = None
-) -> tuple[int, int, list[int]]:
-    """Token counts of both strings and their hits over orders min_n..max_n.
-    `profiles` memoizes `_profile` for one (max_n, min_n); the strings it
-    lacks are profiled into it."""
+def _pair(candidate: str, reference: str, max_n: int,
+          profiles: Optional[dict] = None) -> tuple[int, int, list[int]]:
+    """Token counts of both strings and their hits over orders 1..max_n.
+    `profiles` memoizes `_profile` for one max_n; the strings it lacks are
+    profiled into it."""
     profiles = {} if profiles is None else profiles
     for text in (candidate, reference):
         if text not in profiles:
-            profiles[text] = _profile(text, max_n, min_n)
+            profiles[text] = _profile(text, max_n)
     (c, cand), (r, ref) = profiles[candidate], profiles[reference]
     return c, r, _hits(cand, ref, max_n)
 
@@ -120,7 +119,7 @@ def _check_order(order: int, what: str = "ROUGE order") -> int:
 
 def rouge(candidate: str, reference: str, order: int = 2) -> float:
     """ROUGE-n F1 on whitespace tokens (default n=2)."""
-    return _rouge_n(*_pair(candidate, reference, _check_order(order), order), order)
+    return _rouge_n(*_pair(candidate, reference, _check_order(order)), order)
 
 
 def rouge_l(candidate: str, reference: str) -> float:

@@ -9,7 +9,9 @@ only ancestors of its final equation (see ``ancestors``).
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -17,13 +19,13 @@ from . import calculus
 from .expr import (
     AppliedFunction,
     ExprError,
-    contains,
     Equation,
     Expr,
     Symbol,
     add,
     applied,
     derivative,
+    distinct_subtrees,
     div,
     equation_free_symbols,
     func,
@@ -42,8 +44,9 @@ class OpError(Exception):
     pass
 
 
-# Operation identifiers. The first twelve form the core set; the rest
-# are documented extension ops behind registry flags.
+# Operation identifiers. The first twelve form the core set; the rest are
+# extension ops, drawn by GenConfig's p_extension (negate, swap, exp, log),
+# p_add_eq and p_define. OpInfo.extension only marks them.
 ADD = "add"
 SUB = "sub"
 MUL = "mul"
@@ -245,7 +248,7 @@ def apply(
             if fresh_name is None:
                 raise OpError(f"{op} requires a fresh function name")
             source = eqs[0]
-            if not (contains(source.lhs, operand) or contains(source.rhs, operand)):
+            if operand not in distinct_subtrees(source.lhs, source.rhs):
                 raise OpError("named expression must occur in its source equation")
             # the named expression's distinct symbols, in first-occurrence
             # order (derivative/integral variables first)
@@ -270,10 +273,6 @@ def apply(
 # ---------------------------------------------------------------------------
 # operand sampling
 
-from bisect import bisect
-from functools import lru_cache
-
-
 def weighted_pick(population: Sequence, cum: Sequence[float], rng):
     """The pick random.choices(population, cum_weights=cum) makes, from the same
     one rng.random() call; cum must end in a positive finite total."""
@@ -288,16 +287,8 @@ def step_weights(n: int, p_history: float) -> tuple[float, ...]:
 
 
 def subexpression_pool(eq: Equation) -> tuple[Expr, ...]:
-    """Deduplicated subtrees of both sides, in first-occurrence preorder. A
-    repeated node is not walked again: its first occurrence walked its subtree."""
-    seen: dict[Expr, None] = {}
-    stack = [eq.rhs, eq.lhs]
-    while stack:
-        node = stack.pop()
-        if node not in seen:
-            seen[node] = None
-            stack.extend(reversed(node.children()))
-    return tuple(seen)
+    """Distinct subtrees of both sides, in first-occurrence preorder."""
+    return tuple(distinct_subtrees(eq.lhs, eq.rhs))
 
 
 def shuffle(x: list, rng) -> None:
@@ -336,7 +327,7 @@ def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:
 
 
 def sample_variable(eq: Equation, rng) -> Optional[Symbol]:
-    names = sorted(set(symbol_nodes(eq.lhs) + symbol_nodes(eq.rhs)), key=lambda s: s.name)
+    names = sorted(symbol_nodes(eq.lhs, eq.rhs), key=lambda s: s.name)
     return pick(names, rng) if names else None
 
 

@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import Optional
 
 from . import ops
-from .expr import AppliedFunction, Equation, Expr, Symbol, rebuild
+from .expr import AppliedFunction, Equation, Expr, Symbol, distinct_subtrees, rebuild
 from .genalg import GenConfig, _GenState, apply_action, derive_seed, passes_token_filter
 from .ops import Derivation, ROLE_GOAL, Step
 from .prompts import build_prompt
@@ -87,28 +87,11 @@ def rename_leaves(e: Expr, mapping: dict[str, str],
 def collect_names(d: Derivation) -> list[str]:
     """Distinct symbol/function names in first-appearance order. A subtree
     equal to one already walked is skipped: its names are already seen."""
-    seen: dict[str, None] = {}
-    walked: set[Expr] = set()
-
-    def walk(e: Expr) -> None:
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            if node in walked:
-                continue
-            walked.add(node)
-            if type(node) is Symbol or type(node) is AppliedFunction:
-                seen.setdefault(node.name, None)
-            stack.extend(reversed(node.children()))
-
-    for s in d.steps:
-        walk(s.equation.lhs)
-        walk(s.equation.rhs)
-        if s.operand is not None:
-            walk(s.operand)
-        for c in s.constants:
-            seen.setdefault(c.name, None)
-    return list(seen)
+    roots = [root for s in d.steps
+             for root in (s.equation.lhs, s.equation.rhs, s.operand, *s.constants)
+             if root is not None]
+    return list(dict.fromkeys(node.name for node in distinct_subtrees(*roots)
+                              if type(node) is Symbol or type(node) is AppliedFunction))
 
 
 def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dict[str, str]]:

@@ -459,9 +459,19 @@ def recency_pick_by_choices(state, indices):
     return state.rng.choices(indices, weights=ws)[0]
 
 
+def full_walk(e: Expr) -> Iterator[Expr]:
+    """Every node of the tree in preorder, repeats and their subtrees
+    included: the walk expr.distinct_subtrees prunes."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
+
+
 def free_symbols_by_walk(e: Expr) -> tuple[str, ...]:
     """expr.free_symbols walking and sorting the whole tree, keeping nothing."""
-    return tuple(sorted({n.name for n in e.subtrees() if type(n) in (Symbol, AppliedFunction)}))
+    return tuple(sorted({n.name for n in full_walk(e) if type(n) in (Symbol, AppliedFunction)}))
 
 
 def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
@@ -537,7 +547,7 @@ def subexpression_pool_by_full_walk(eq: Equation) -> tuple[Expr, ...]:
     """ops.subexpression_pool walking every subtree, repeats included."""
     seen: dict[Expr, None] = {}
     for side in (eq.lhs, eq.rhs):
-        for node in side.subtrees():
+        for node in full_walk(side):
             if node not in seen:
                 seen[node] = None
     return tuple(seen)
@@ -984,7 +994,7 @@ def collect_names_by_full_walk(d: Derivation) -> list[str]:
     seen: dict[str, None] = {}
     for s in d.steps:
         for tree in (s.equation.lhs, s.equation.rhs, s.operand):
-            for node in () if tree is None else tree.subtrees():
+            for node in () if tree is None else full_walk(tree):
                 if type(node) is Symbol or type(node) is AppliedFunction:
                     seen.setdefault(node.name, None)
         for c in s.constants:

@@ -14,11 +14,12 @@ def _audit_module():
     return module
 
 
-def test_src_stays_within_the_line_ceiling():
+def test_src_lines_equal_the_line_ceiling():
+    # equal, not at most: a change that shrinks src/ records the new count
     audit = _audit_module()
     modules = (ROOT / "src" / "derivekit").glob("*.py")
     lines = sum(path.read_bytes().count(b"\n") for path in modules)
     assert audit.src_lines() == lines
-    assert lines <= audit.SRC_LINE_CEILING, (
-        f"src/ has {lines} lines, above SRC_LINE_CEILING ({audit.SRC_LINE_CEILING}); "
-        "a change that raises the ceiling says by how much in CHANGES.md")
+    assert lines == audit.SRC_LINE_CEILING, (
+        f"src/ has {lines} lines, SRC_LINE_CEILING is {audit.SRC_LINE_CEILING}; set it to "
+        f"{lines} (a change that raises the ceiling says by how much in CHANGES.md)")

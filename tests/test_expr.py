@@ -25,6 +25,7 @@ from derivekit.expr import (
     func,
     integral,
     derivative,
+    keep_or_rebuild,
     mul,
     neg,
     pow_,
@@ -32,7 +33,7 @@ from derivekit.expr import (
     substitute,
 )
 from derivekit.genalg import GenConfig, generate_dataset
-from helpers import EvalError, canonicalize, eval_numeric, rational
+from helpers import EvalError, canonicalize, eval_numeric, full_walk, rational
 
 x, y, z = Symbol("x"), Symbol("y"), Symbol("z")
 
@@ -234,9 +235,9 @@ def random_expr(rng: random.Random, depth: int = 0, opaque: bool = False):
 
 
 def assert_fixed_points(e):
-    """Every node rebuilds to itself: the invariant tree walks rely on when
-    they return a node none of whose children changed."""
-    for node in e.subtrees():
+    """Every node rebuilds to itself: the invariant keep_or_rebuild relies on
+    when it returns a node none of whose children changed."""
+    for node in full_walk(e):
         assert rebuild(node, node.children()) == node, node
 
 
@@ -275,6 +276,22 @@ def test_every_node_of_generated_derivations_is_a_fixed_point(seed):
             for tree in (s.equation.lhs, s.equation.rhs, s.operand):
                 if tree is not None:
                     assert_fixed_points(tree)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_untouched_nodes_come_back_as_the_same_object(seed):
+    e = random_expr(random.Random(seed), opaque=True)
+    w = Symbol("w")  # random_expr draws only x, y and z
+    for node in full_walk(e):
+        kids = node.children()
+        assert keep_or_rebuild(node, list(kids)) is node
+        if kids:
+            assert keep_or_rebuild(node, [w, *kids[1:]]) is not node
+    assert substitute(e, w, x) is e
+    assert substitute(e, e, e) is e
+    for target in list(full_walk(e))[:4]:
+        assert substitute(e, target, w) is not e
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -391,7 +408,7 @@ def _key_atoms(key):
 
 
 def _assert_exact(e):
-    for node in e.subtrees():
+    for node in full_walk(e):
         if type(node) is Integer:
             assert type(node.value) is int
         elif type(node) is Rational:

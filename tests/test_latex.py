@@ -38,7 +38,14 @@ from derivekit.latex import (
     to_latex,
 )
 from derivekit.perturb import rename_leaves
-from helpers import free_symbols_by_walk, or_first, rational, to_latex_uncached, tokenize
+from helpers import (
+    free_symbols_by_walk,
+    full_walk,
+    or_first,
+    rational,
+    to_latex_uncached,
+    tokenize,
+)
 from test_expr import random_expr
 
 x = Symbol("x")
@@ -422,7 +429,7 @@ def _raw_copy(e):
 
 def _assert_texts_match(e):
     assert to_latex(e) == to_latex_uncached(e)
-    for node in e.subtrees():  # every text a node keeps is its own
+    for node in full_walk(e):  # every text a node keeps is its own
         assert node._tex is None or node._tex == to_latex_uncached(node)
 
 
@@ -436,7 +443,7 @@ def test_kept_node_text_equals_a_fresh_render(e, other):
     for shared in (or_first(add)(e, other), or_first(mul)(other, e),
                    Equation(e, other).swapped().lhs):
         _assert_texts_match(shared)
-    for sub in list(e.subtrees())[:4]:  # substituting 0 into 1/x is refused
+    for sub in list(full_walk(e))[:4]:  # substituting 0 into 1/x is refused
         _assert_texts_match(or_first(substitute)(e, sub, other))
     _assert_texts_match(_raw_copy(e))
     _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}))
@@ -444,7 +451,7 @@ def test_kept_node_text_equals_a_fresh_render(e, other):
 
 def _assert_free_symbols_match(e):
     assert free_symbols(e) == free_symbols_by_walk(e)
-    for node in e.subtrees():  # every tuple a node keeps is its own
+    for node in full_walk(e):  # every tuple a node keeps is its own
         assert node._free is None or node._free == free_symbols_by_walk(node)
 
 
@@ -455,7 +462,7 @@ def test_kept_free_symbols_equal_a_fresh_walk(e, other):
     _assert_free_symbols_match(e)
     for shared in (or_first(add)(e, other), or_first(mul)(other, e)):
         _assert_free_symbols_match(shared)
-    for sub in list(e.subtrees())[:4]:  # substituting 0 into 1/x is refused
+    for sub in list(full_walk(e))[:4]:  # substituting 0 into 1/x is refused
         _assert_free_symbols_match(or_first(substitute)(e, sub, other))
         _assert_free_symbols_match(or_first(substitute)(other, sub, e))
     _assert_free_symbols_match(_raw_copy(e))
@@ -473,4 +480,4 @@ def test_an_empty_function_name_raises_each_time_and_keeps_no_text():
         with pytest.raises(RenderError, match="empty function name"):
             to_latex(outer)
     # only the term rendered before the error keeps its text
-    assert [n for n in outer.subtrees() if n._tex is not None] == [u]
+    assert [n for n in full_walk(outer) if n._tex is not None] == [u]

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 from itertools import accumulate
+from operator import is_
 from pathlib import Path
 
 import pytest
@@ -20,10 +21,12 @@ from derivekit.expr import (
     add,
     applied,
     derivative,
+    distinct_subtrees,
     func,
     integral,
     mul,
     pow_,
+    symbol_nodes,
 )
 from derivekit.latex import equation_to_latex, parse_equation, to_latex
 from derivekit.ops import (
@@ -43,7 +46,7 @@ from derivekit.records import (
     derivation_record_from_json,
     derivation_record_to_json,
 )
-from helpers import infer_derivation, parse_derivation, subexpression_pool_by_full_walk
+from helpers import full_walk, infer_derivation, parse_derivation, subexpression_pool_by_full_walk
 
 x = Symbol("x")
 
@@ -187,11 +190,9 @@ def test_substitution_output_never_holds_pattern_at_replaced_position():
     ]
     step = ops.apply(ops.SUB_LHS, steps, (0, 1))
     # pattern f(x) does not occur anywhere in the substituted output
-    from derivekit.expr import contains
-
     pattern = steps[0].equation.lhs
-    assert not contains(step.equation.lhs, pattern)
-    assert not contains(step.equation.rhs, pattern)
+    assert pattern not in full_walk(step.equation.lhs)
+    assert pattern not in full_walk(step.equation.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +285,44 @@ def test_subexpression_pool_matches_the_full_walk(lhs, rhs):
     # the pool skips a repeated node's children; the full walk visits them again
     eq = Equation(lhs, rhs)
     assert ops.subexpression_pool(eq) == subexpression_pool_by_full_walk(eq)
+
+
+@st.composite
+def _roots_sharing_subtrees(draw):
+    """1-4 trees; each after the first is an earlier one again, or holds an
+    earlier one whole as an argument of g."""
+    roots = [draw(_EXPRS)]
+    for _ in range(draw(st.integers(0, 3))):
+        earlier = draw(st.sampled_from(roots))
+        roots.append(earlier if draw(st.booleans()) else applied("g", (earlier, draw(_EXPRS))))
+    return roots
+
+
+@given(_roots_sharing_subtrees())
+@example([_SIN, mul(_SIN, derivative(_SIN, x)), add(_SIN, integral(mul(_SIN, x), x))])
+@settings(max_examples=300, deadline=None)
+def test_distinct_subtrees_are_the_first_occurrences_of_the_full_walk(roots):
+    # dict keys keep the object first inserted, so this dedup keeps first occurrences
+    want = list(dict.fromkeys(node for root in roots for node in full_walk(root)))
+    got = list(distinct_subtrees(*roots))
+    assert got == want
+    assert all(map(is_, got, want))
+    assert symbol_nodes(*roots) == tuple(n for n in want if type(n) is Symbol)
+
+
+@given(_EXPRS, _EXPRS, _EXPRS)
+@settings(max_examples=200, deadline=None)
+def test_a_named_expression_must_occur_where_the_full_walk_finds_it(lhs, rhs, operand):
+    steps = [Step(Equation(lhs, rhs), None, role=ROLE_PREMISE)]
+    for named in (operand, list(full_walk(rhs))[-1]):
+        occurs = any(node == named for side in (lhs, rhs) for node in full_walk(side))
+        for op in ops.RENAME_FAMILY:
+            try:
+                ops.apply(op, steps, (0,), named, fresh_name="g")
+                refused = False
+            except OpError as exc:
+                refused = "must occur" in str(exc)
+            assert refused is not occurs
 
 
 def test_pick_matches_randrange():

@@ -33,6 +33,7 @@ from derivekit.records import derivation_record_from_json, derivation_record_to_
 from derivekit.vocab import GREEK_POOL_DEFAULT
 from helpers import (
     collect_names_by_full_walk,
+    full_walk,
     or_first,
     prompt_example_derivation,
     rename_variables_per_step,
@@ -90,7 +91,7 @@ def _assert_renamed_as_per_step(d, seed):
     first = {}
     for s in got.steps:
         for tree in (s.equation.lhs, s.equation.rhs, s.operand, *s.constants):
-            for node in () if tree is None else tree.subtrees():
+            for node in () if tree is None else full_walk(tree):
                 assert first.setdefault(node, node) is node
 
 
