@@ -44,18 +44,15 @@ SRC = ROOT / "src" / "derivekit"
 # The physical lines src/ has: a ratchet. A change that shrinks src/ lowers it
 # to the new count; one that raises it says by how much in CHANGES.md, next to
 # what it buys.
-SRC_LINE_CEILING = 4302
+SRC_LINE_CEILING = 4282
 
 # Functions no command enters, each with the reason it stays.
 ALLOWED = {
-    "expr.Expr._make_key": "abstract; every node class overrides it",
     "expr.Expr.__repr__": "debugging aid",
     "expr.Equation.__repr__": "debugging aid",
     "metrics.rouge": "public metric API; perfbench/spans.py PROBES resolve it",
     "metrics.bleu": "public metric API; perfbench/spans.py PROBES resolve it",
     "metrics.gleu": "public metric API; perfbench/spans.py PROBES resolve it",
-    "metrics.ErrorAnnotation.__post_init__": "the paper's manual scoring (README)",
-    "metrics.ErrorAnnotation.as_tuple": "the paper's manual scoring (README)",
     "metrics.manual_score": "the paper's manual scoring (README)",
     "latex.LatexParseError.__init__": "parser error; only bad input raises it",
     "latex._Parser.fail": "parser error helper; only bad input reaches it",

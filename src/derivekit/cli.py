@@ -241,8 +241,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_collect(args) -> int:
+    from urllib.parse import urlsplit
+
     from . import client as client_mod
 
+    try:
+        url = urlsplit(args.base_url)
+        ok = url.scheme in ("http", "https") and bool(url.netloc)
+    except ValueError:  # such as an unclosed IPv6 bracket
+        ok = False
+    check_option("--base-url", args.base_url, ok, "an http or https URL with a host")
     check_option("--temperature", args.temperature, 0 <= args.temperature < math.inf, "in [0, inf)")
     check_option("--timeout", args.timeout, 0 < args.timeout < math.inf, "in (0, inf)")
     check_option("--max-retries", args.max_retries, args.max_retries >= 0, ">= 0")

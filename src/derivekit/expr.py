@@ -41,9 +41,9 @@ class ExprError(Exception):
 
 
 class Expr:
-    """Base class for all expression nodes. Instances are immutable, so ``_key``,
-    ``_tex`` and ``_free`` keep the node's ``sort_key``, ``latex.to_latex`` and
-    ``free_symbols`` once computed."""
+    """Base class for all expression nodes; each subclass defines ``_make_key``.
+    Instances are immutable, so ``_key``, ``_tex`` and ``_free`` keep the node's
+    ``sort_key``, ``latex.to_latex`` and ``free_symbols`` once computed."""
 
     __slots__ = ("_hash", "_key", "_tex", "_free")
 
@@ -58,9 +58,6 @@ class Expr:
             key = self._make_key()
             self._key = key
         return key
-
-    def _make_key(self) -> tuple:  # pragma: no cover - overridden
-        raise NotImplementedError
 
     def __hash__(self) -> int:
         return self._hash

@@ -307,7 +307,8 @@ def _kind(text: str) -> Optional[str]:
 
 
 # Deepest nesting the parser accepts, counted in expr() calls (groups,
-# exponents, fraction parts, arguments) and derivative heads. Generated
+# exponents, fraction parts, arguments), derivative heads and chained
+# carets (each caret after the first of one factor). Generated
 # equations stay far below it; past it the recursion would exhaust Python's
 # stack.
 MAX_DEPTH = 100
@@ -368,6 +369,7 @@ class _Parser:
         e = self.expr()
         if equation:
             self.expect("EQUALS")
+            self.depth = 0  # chained carets count within their side
             e = Equation(e, self.expr())
         if self.kinds[self.i] != _EOF:
             self.fail(f"trailing input {self.texts[self.i]!r}")
@@ -403,10 +405,18 @@ class _Parser:
 
     def factor(self) -> Expr:
         e = self.primary()
-        while self.kinds[self.i] == "CARET":
+        if self.kinds[self.i] != "CARET":
+            return e
+        while True:
             self.i += 1
             e = pow_(e, self.exponent())
-        return e
+            if self.kinds[self.i] != "CARET":
+                return e
+            # x^{a}^{b} nests one power in another: each caret after the
+            # first is one level, held for the rest of the side
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                self.too_deep()
 
     def exponent(self) -> Expr:
         j = self.i

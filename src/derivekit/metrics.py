@@ -26,10 +26,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-DEFAULT_WEIGHTS = (0.2, 0.05, 0.15, 0.25, 0.25, 0.1)
-DEFAULT_ALPHA = 0.001
+# the paper's manual score: one weight per ERROR_CATEGORIES entry, and alpha
+MANUAL_WEIGHTS = (0.2, 0.05, 0.15, 0.25, 0.25, 0.1)
+MANUAL_ALPHA = 0.001
 
 ERROR_CATEGORIES = ("overall", "skip", "repeat", "incorrect", "irrelevant", "redundant")
 
@@ -183,49 +184,19 @@ def perturbation_ratio(m_pred_pair: float, m_truth_pair: float) -> Optional[floa
 # ---------------------------------------------------------------------------
 # manual scoring
 
-@dataclass(frozen=True)
-class ErrorAnnotation:
-    """Six binary flags, 1 = the category is error-free."""
-
-    overall: int
-    skip: int
-    repeat: int
-    incorrect: int
-    irrelevant: int
-    redundant: int
-
-    def __post_init__(self):
-        for name in ERROR_CATEGORIES:
-            if getattr(self, name) not in (0, 1):
-                raise MetricError(f"flag {name} must be 0 or 1")
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in ERROR_CATEGORIES)
-
-
-@dataclass(frozen=True)
-class ScoreWeights:
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if len(self.weights) != len(ERROR_CATEGORIES):
-            raise MetricError("six category weights required")
-        if any(w < 0 for w in self.weights):
-            raise MetricError("weights must be >= 0")
-        if abs(sum(self.weights) - 1.0) > 1e-9:
-            raise MetricError("weights must sum to 1")
-        if self.alpha <= 0:
-            raise MetricError("alpha must be > 0")
-
-
-def manual_score(x: ErrorAnnotation, w: ScoreWeights = ScoreWeights()) -> float:
-    """M(x; w, alpha) = alpha * (exp(ln((alpha+1)/alpha) * w.x) - 1).
+def manual_score(flags: Sequence[int]) -> float:
+    """M(x; w, alpha) = alpha * (exp(ln((alpha+1)/alpha) * w.x) - 1) of six
+    flags in ERROR_CATEGORIES order, each 1 when the category is error-free.
 
     Error-free derivations score 1, derivations failing every category 0.
     """
-    wx = sum(wi * xi for wi, xi in zip(w.weights, x.as_tuple()))
-    return w.alpha * math.expm1(math.log((w.alpha + 1) / w.alpha) * wx)
+    if len(flags) != len(ERROR_CATEGORIES):
+        raise MetricError(f"six flags required, one per category: {len(flags)} given")
+    for name, x in zip(ERROR_CATEGORIES, flags):
+        if x not in (0, 1):
+            raise MetricError(f"flag {name} must be 0 or 1")
+    wx = sum(wi * xi for wi, xi in zip(MANUAL_WEIGHTS, flags))
+    return MANUAL_ALPHA * math.expm1(math.log((MANUAL_ALPHA + 1) / MANUAL_ALPHA) * wx)
 
 
 # ---------------------------------------------------------------------------

@@ -61,14 +61,11 @@ def perturb(
 # ---------------------------------------------------------------------------
 # variable renaming
 
-def rename_leaves(e: Expr, mapping: dict[str, str],
-                  memo: Optional[dict[Expr, Expr]] = None) -> Expr:
+def rename_leaves(e: Expr, mapping: dict[str, str], memo: dict[Expr, Expr]) -> Expr:
     """Rename symbol and function names without touching tree structure.
     `memo` maps nodes already renamed to their copies: rename_variables
     shares one across a derivation's steps, so each distinct node is renamed
     once and equal copies are one object."""
-    if memo is None:
-        memo = {}
     out = memo.get(e)
     if out is not None:
         return out

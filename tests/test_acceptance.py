@@ -24,7 +24,6 @@ from derivekit.calculus import differentiate
 from derivekit.genalg import GenConfig, derive_seed, generate_dataset, generate_derivation
 from derivekit.latex import to_latex
 from derivekit.metrics import (
-    ErrorAnnotation,
     bleu,
     gleu,
     manual_score,
@@ -298,13 +297,13 @@ def test_criterion_6_metric_golden_values():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_manual_scoring():
-    ones = ErrorAnnotation(1, 1, 1, 1, 1, 1)
-    zeros = ErrorAnnotation(0, 0, 0, 0, 0, 0)
+    ones = (1, 1, 1, 1, 1, 1)
+    zeros = (0, 0, 0, 0, 0, 0)
     assert abs(manual_score(ones) - 1.0) <= 1e-12
     assert abs(manual_score(zeros) - 0.0) <= 1e-12
     scores = {}
     for bits in product((0, 1), repeat=6):
-        scores[bits] = manual_score(ErrorAnnotation(*bits))
+        scores[bits] = manual_score(bits)
     for bits, value in scores.items():
         for i in range(6):
             if bits[i] == 0:
@@ -313,7 +312,7 @@ def test_criterion_7_manual_scoring():
     getcontext().prec = 60
     alpha = Decimal("0.001")
     expected = alpha * ((((alpha + 1) / alpha).ln() * Decimal("0.95")).exp() - 1)
-    got = manual_score(ErrorAnnotation(1, 0, 1, 1, 1, 1))
+    got = manual_score((1, 0, 1, 1, 1, 1))
     assert abs(got - float(expected)) <= 1e-9
     report(7, f"boundaries exact, 64-vector monotone, skip-only = {got:.9f}")
 

@@ -317,6 +317,8 @@ def test_score_with_bleurt_scores(tmp_path):
 BAD_JSONL = '{"id": "d0", "steps": [\n'
 NO_STEPS = '{"id": "d0", "seed": 0, "steps": []}\n'
 NOT_UTF8 = b'\n{"id": "d\xff1"}\n'
+# 400 carets in a row nest 400 powers, one per caret, as deep as a tower
+CARET_CHAIN = "f{(x)} = x" + "^{a}" * 400
 PROMPT_ROW = {"id": "d0", "static_id": "d0", "perturbation": None,
               "prompt": "Given $x = y$, then obtain $y = x$", "target": "x = y and y = x"}
 
@@ -492,6 +494,11 @@ BAD_INPUT_CASES = {
         d / "in.jsonl", r"\operatorname{ }{(x)} = y"), "--out", d / "o.jsonl"], 3),
     "verify-deep-tower": (lambda d: ["verify", "--in", _stored(
         d / "in.jsonl", "x = " + "x^{" * 700 + "x" + "}" * 700)], 3),
+    "verify-caret-chain": (lambda d: ["verify", "--in", _stored(d / "in.jsonl", CARET_CHAIN)], 3),
+    "prompt-caret-chain": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
+        d / "in.jsonl", CARET_CHAIN), "--out", d / "o.jsonl"], 3),
+    "perturb-caret-chain": (lambda d: ["perturb", "--kind", "vr", "--in", _stored(
+        d / "in.jsonl", CARET_CHAIN), "--out", d / "o.jsonl"], 3),
     "score-pred-missing-completion": (lambda d: [
         "score", "--pred", _file(d / "p.jsonl", '{"id": "d0"}\n'),
         "--ref", _file(d / "r.jsonl", json.dumps(PROMPT_ROW) + "\n"),
@@ -604,6 +611,13 @@ BAD_INPUT_CASES = {
     "option-collect-nan-temperature": (lambda d: _collect_with(d, "--temperature", "nan"), 2),
     "option-collect-infinite-temperature": (lambda d: _collect_with(d, "--temperature", "inf"), 2),
     "option-collect-negative-temperature": (lambda d: _collect_with(d, "--temperature", -1), 2),
+    # the last --base-url given wins: one with no host, one that does not
+    # split, and one with no scheme (which every request would fail on)
+    "option-collect-empty-base-url": (lambda d: _collect_with(d, "--base-url", ""), 2),
+    "option-collect-unclosed-ipv6-base-url": (lambda d: _collect_with(
+        d, "--base-url", "http://[::1"), 2),
+    "option-collect-schemeless-base-url": (lambda d: _collect_with(
+        d, "--base-url", "localhost:9/v1"), 2),
     "option-stats-negative-top": (lambda d: ["stats", "--in", _stored(d / "in.jsonl", "x = y"),
                                              "--top", -1], 2),
     "config-bad-json": (lambda d: ["generate", "--count", 1, "--config",

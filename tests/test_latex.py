@@ -207,6 +207,7 @@ def _nested(n: int, opening: str, closing: str) -> str:
     (r"\sin{(", ")}"),
     (r"\int ", " dx"),
     (r"\frac{d}{d x} ", ""),
+    ("", "^{a}"),  # a chain of carets nests one power per caret
 ])
 def test_nesting_depth_limit(opening, closing):
     # one level below the limit parses and prints back; at the limit (and
@@ -216,6 +217,20 @@ def test_nesting_depth_limit(opening, closing):
     for n in (MAX_DEPTH, 700):
         with pytest.raises(LatexParseError, match="nesting deeper"):
             parse_equation(_nested(n, opening, closing))
+
+
+def test_chained_carets_in_nested_groups_add_up():
+    # 90 groups of five carets each nest 450 powers deep: each group alone
+    # is far below the limit, but the chained carets are held for the side
+    text = "x"
+    for _ in range(90):
+        text = "(" + text + ")" + "^{a}" * 5
+    with pytest.raises(LatexParseError, match="nesting deeper"):
+        parse_latex(text)
+    # each side of an equation counts its own chains, as its side memo does
+    side = "x" + "^{a}" * 60
+    eq = parse_equation(f"{side} = {side}")
+    assert parse_equation(equation_to_latex(eq)) == eq
 
 
 def test_huge_numbers_are_parse_errors_or_stay_symbolic():
@@ -297,7 +312,8 @@ _SIDE_TEXTS = st.one_of(
     _TEXTS,
     st.lists(st.sampled_from(_FRAGMENTS + (" = ", r"\operatorname{a = b}", "a=b"))).map("".join),
     st.builds(lambda n, group: _tower(n, *group), st.integers(MAX_DEPTH - 2, MAX_DEPTH + 1),
-              st.sampled_from([("x^{", "}"), ("(", ")"), (r"\frac{d}{d x} ", "")])),
+              st.sampled_from([("x^{", "}"), ("(", ")"), (r"\frac{d}{d x} ", ""),
+                               ("", "^{a}"), ("(", ")^{a}^{a}")])),
 )
 
 
@@ -309,6 +325,7 @@ _SIDE_TEXTS = st.one_of(
 @example("x", "y = z")
 @example("x ", "y")
 @example(_tower(MAX_DEPTH - 1, "x^{", "}"), _tower(MAX_DEPTH, "x^{", "}"))
+@example(_tower(60, "", "^{a}"), _tower(60, "", "^{a}"))
 def test_side_memo_matches_the_full_parse(lhs, rhs):
     text = lhs + " = " + rhs
     plain = _outcome(lambda: parse_equation(text))
@@ -446,7 +463,7 @@ def test_kept_node_text_equals_a_fresh_render(e, other):
     for sub in list(full_walk(e))[:4]:  # substituting 0 into 1/x is refused
         _assert_texts_match(or_first(substitute)(e, sub, other))
     _assert_texts_match(_raw_copy(e))
-    _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}))
+    _assert_texts_match(rename_leaves(e, {"x": "\\nu", "f": "\\psi", "A_{x}": "z"}, {}))
 
 
 def _assert_free_symbols_match(e):

@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from derivekit import metrics
 from derivekit.metrics import (
-    ErrorAnnotation,
     MetricError,
-    ScoreWeights,
     ScoredRow,
     bleu,
     build_score_report,
@@ -279,13 +277,9 @@ def test_perturbation_ratio():
 # ---------------------------------------------------------------------------
 # manual scoring function
 
-def all_flags(bits):
-    return ErrorAnnotation(*bits)
-
-
 def test_manual_score_boundary_values():
-    assert manual_score(all_flags((1, 1, 1, 1, 1, 1))) == pytest.approx(1.0, abs=1e-12)
-    assert manual_score(all_flags((0, 0, 0, 0, 0, 0))) == pytest.approx(0.0, abs=1e-12)
+    assert manual_score((1, 1, 1, 1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+    assert manual_score((0, 0, 0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_manual_score_skip_only_error_high_precision():
@@ -295,7 +289,7 @@ def test_manual_score_skip_only_error_high_precision():
     alpha = Decimal("0.001")
     wx = Decimal("0.95")
     expected = alpha * (((alpha + 1) / alpha).ln() * wx).exp() - alpha
-    got = manual_score(all_flags((1, 0, 1, 1, 1, 1)))
+    got = manual_score((1, 0, 1, 1, 1, 1))
     assert got == pytest.approx(float(expected), abs=1e-9)
     assert got == pytest.approx(0.707, abs=1e-3)
 
@@ -303,7 +297,7 @@ def test_manual_score_skip_only_error_high_precision():
 def test_manual_score_monotone_over_all_vectors():
     scores = {}
     for bits in product((0, 1), repeat=6):
-        scores[bits] = manual_score(all_flags(bits))
+        scores[bits] = manual_score(bits)
     for bits, value in scores.items():
         assert 0.0 <= value <= 1.0
         for i in range(6):
@@ -312,17 +306,12 @@ def test_manual_score_monotone_over_all_vectors():
                 assert scores[upper] > value
 
 
-def test_score_weights_validation():
-    with pytest.raises(MetricError):
-        ScoreWeights(weights=(0.5, 0.5, 0, 0, 0, 0.5))
-    with pytest.raises(MetricError):
-        ScoreWeights(alpha=0.0)
-    with pytest.raises(MetricError, match="six category weights"):
-        ScoreWeights(weights=(1.0,))
-    with pytest.raises(MetricError, match=">= 0"):
-        ScoreWeights(weights=(1.5, -0.5, 0, 0, 0, 0))
-    with pytest.raises(MetricError):
-        ErrorAnnotation(2, 0, 0, 0, 0, 0)
+def test_manual_score_rejects_bad_flags():
+    with pytest.raises(MetricError, match="flag overall must be 0 or 1"):
+        manual_score((2, 0, 0, 0, 0, 0))
+    for flags in ((1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1, 1)):
+        with pytest.raises(MetricError, match="six flags required"):
+            manual_score(flags)
 
 
 # ---------------------------------------------------------------------------

@@ -471,6 +471,15 @@ def test_bad_parent_index_is_reported_not_raised(parent):
     assert not dag_coherent(bad)
 
 
+@pytest.mark.parametrize("parent", [-1, 1, 2])
+def test_replay_names_a_parent_that_does_not_precede_its_step(parent):
+    # the step itself, a later step and a negative index all fail apply's range check
+    steps = [premise(r"q{(a)} = a^{2}")]
+    steps.append(replace(ops.apply(ops.DIFF, steps, (0,), A), parents=(parent,)))
+    assert replay(Derivation(tuple(steps))).failures == (
+        (1, f"replay error: parent index {parent} out of range"),)
+
+
 def test_dag_coherence_detects_orphans():
     steps = [premise(r"q{(a)} = e^{a}"), premise(r"W{(x)} = x")]
     steps.append(ops.apply(ops.DIFF, steps, (0,), Symbol("a")))

@@ -313,7 +313,7 @@ def test_rename_leaves_keeps_raw_shape_of_every_node_class():
         Derivative(Derivative(f, a, 1), a, 1),
         Integral(Add((b, Integer(0))), b),
     ))
-    out = rename_leaves(raw, {"a": "\\alpha", "b": "\\beta", "f": "\\chi"})
+    out = rename_leaves(raw, {"a": "\\alpha", "b": "\\beta", "f": "\\chi"}, {})
     al, be = Symbol("\\alpha"), Symbol("\\beta")
     g = AppliedFunction("\\chi", (al, be))
     assert out == Add((
