@@ -20,7 +20,9 @@ parent's interquartile range. Each side's commit is the one run.py reports
 (marked when the checkout has uncommitted changes), or, in a ``git archive``
 checkout, the one in ``scripts/commit_stamp.txt``. It exits 1 if any run's
 last line says ``"correct": false`` (run.py itself exits 0 then), after
-writing the file.
+writing the file. It exits 2 before any run if either checkout's ``src/``
+holds a ``__pycache__``: PYTHONDONTWRITEBYTECODE stops Python writing
+bytecode, not reading it, so that side would skip compiling its sources.
 """
 from __future__ import annotations
 
@@ -130,6 +132,11 @@ def main() -> int:
     seeds = [(s, False) for s in parse_seeds(args.seeds)]
     seeds += [(s, True) for s in parse_seeds(args.held_out)]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for side, path in sides.items():
+        caches = sorted((path / "src").rglob("__pycache__"))
+        if caches:
+            parser.error(f"--{side} holds {caches[0]}, which its runs would read in place of "
+                         "compiling; delete it (running pytest there writes it)")
 
     runs: list[dict] = []
     result: dict = {"pr": args.pr, "method": (

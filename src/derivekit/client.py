@@ -7,6 +7,7 @@ and malformed responses raise distinct exceptions.
 """
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import urllib.error
@@ -84,6 +85,8 @@ def query_model(cfg: EndpointConfig, prompt: str) -> str:
             if isinstance(exc.reason, TimeoutError):
                 raise ModelTimeout(f"request timed out after {cfg.timeout_s}s") from exc
             last_error = exc
+        except (http.client.HTTPException, ConnectionError) as exc:
+            last_error = exc  # the connection dropped before a whole response came
         except TimeoutError as exc:
             raise ModelTimeout(f"request timed out after {cfg.timeout_s}s") from exc
     raise ServerError(f"no response after {cfg.max_retries + 1} attempts: {last_error}")

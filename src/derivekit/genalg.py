@@ -31,10 +31,12 @@ from .expr import (
     add,
     applied,
     div,
+    distinct_subtrees,
     free_symbols,
     func,
     mul,
     pow_,
+    symbol_nodes,
 )
 from .latex import equation_to_latex
 from .ops import Derivation, ROLE_GOAL, ROLE_INTERMEDIATE, ROLE_PREMISE, Step
@@ -193,10 +195,10 @@ def generate_premise(
     if not fn_names or len(var_names) < 1:
         raise VocabularyExhausted("not enough unused symbols for a premise")
     k = min(ops.weighted_pick((1, 2, 3), _PREMISE_ARITY_CUM, rng), len(var_names))
-    name = ops.pick(fn_names, rng)
+    name = rng.choice(fn_names)
     args = [Symbol(v) for v in rng.sample(var_names, k)]
     bodies = (_ONE_ARG_BODIES, _TWO_ARG_BODIES, _THREE_ARG_BODIES)[k - 1]
-    return Equation(applied(name, args), ops.pick(bodies, rng)(*args))
+    return Equation(applied(name, args), rng.choice(bodies)(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
         if group == 0:
             candidates = [op for op, ok in ((ops.EVAL_DIFF, flags.has_derivative),
                                             (ops.EVAL_INT, flags.has_integral)) if ok]
-            return ops.pick(candidates, rng) if candidates else None
+            return rng.choice(candidates) if candidates else None
         if group == 1:
             return weighted((ops.DIFF, ops.INT), cfg._diff_int_cum, rng)
         if group == 2:
@@ -238,12 +240,12 @@ def sample_action(flags: Applicability, cfg: GenConfig, rng: random.Random) -> O
                 return None
             return weighted((ops.RENAME, ops.DEFINE), cfg._rename_cum, rng)
         if group == 3:
-            return ops.pick(_ARITH_OPS, rng)
-        return ops.pick(_EXT1_OPS, rng)
+            return rng.choice(_ARITH_OPS)
+        return rng.choice(_EXT1_OPS)
     if flags.n_steps < 2:
         return None
     if bisect(cfg._arity2_cum, draw() * cfg._arity2_cum[-1], 0, 1) == 0:  # subs, else add_eq
-        return ops.pick((ops.SUB_LHS, ops.SUB_RHS), rng)
+        return rng.choice((ops.SUB_LHS, ops.SUB_RHS))
     return ops.ADD_EQ
 
 
@@ -358,7 +360,7 @@ class _GenState:
 
     def fresh_function_name(self) -> Optional[str]:
         names = [n for n in self.vocab.names("function-name") if n not in self.used_names]
-        return ops.pick(names, self.rng) if names else None
+        return self.rng.choice(names) if names else None
 
 
 def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
@@ -393,7 +395,8 @@ def apply_action(
     a fixed order. First its parents, unless given, by recency: a rename
     draws its fresh name before its parent, a substitution walks
     _substitution_draw, and an evaluation skips parents already evaluated.
-    Then a premise, an operand, a variable or the shuffled constant pool.
+    Then a premise, an operand (an arithmetic one from a step drawn by
+    recency), a variable or the shuffled constant pool.
     None when the op does not apply."""
     rng, steps = state.rng, state.steps
     n = len(steps)
@@ -433,15 +436,16 @@ def apply_action(
             if action == ops.RENAME:
                 operand = eq.lhs if rng.random() < 0.5 else eq.rhs
             else:
-                operand = ops.pick(ops.subexpression_pool(eq), rng)
+                operand = rng.choice(tuple(distinct_subtrees(eq.lhs, eq.rhs)))
             return ops.apply(action, steps, parents, operand, fresh_name=name)
         parents = parents or (_recency_pick(state, range(n)),)
         eq = steps[parents[0]].equation
         if action in (ops.DIFF, ops.INT):
-            var = ops.sample_variable(eq, rng)
-            return None if var is None else ops.apply(action, steps, parents, var)
+            names = sorted(symbol_nodes(eq.lhs, eq.rhs), key=lambda s: s.name)
+            return ops.apply(action, steps, parents, rng.choice(names)) if names else None
         if action in _ARITH_OPS:
-            operand = ops.sample_operand(steps, rng, state.cfg.p_history)
+            source = steps[_recency_pick(state, range(n))].equation
+            operand = rng.choice(tuple(distinct_subtrees(source.lhs, source.rhs)))
             return ops.apply(action, steps, parents, operand)
         return ops.apply(action, steps, parents)
     except (ops.OpError, VocabularyExhausted):

@@ -188,7 +188,8 @@ def manual_score(flags: Sequence[int]) -> float:
     """M(x; w, alpha) = alpha * (exp(ln((alpha+1)/alpha) * w.x) - 1) of six
     flags in ERROR_CATEGORIES order, each 1 when the category is error-free.
 
-    Error-free derivations score 1, derivations failing every category 0.
+    Error-free derivations score exactly 1, derivations failing every
+    category 0: the power form below is exact at both ends.
     """
     if len(flags) != len(ERROR_CATEGORIES):
         raise MetricError(f"six flags required, one per category: {len(flags)} given")
@@ -196,7 +197,7 @@ def manual_score(flags: Sequence[int]) -> float:
         if x not in (0, 1):
             raise MetricError(f"flag {name} must be 0 or 1")
     wx = sum(wi * xi for wi, xi in zip(MANUAL_WEIGHTS, flags))
-    return MANUAL_ALPHA * math.expm1(math.log((MANUAL_ALPHA + 1) / MANUAL_ALPHA) * wx)
+    return MANUAL_ALPHA * ((1 + 1 / MANUAL_ALPHA) ** wx - 1)
 
 
 # ---------------------------------------------------------------------------

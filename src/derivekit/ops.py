@@ -12,7 +12,6 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from . import calculus
@@ -271,7 +270,7 @@ def apply(
 
 
 # ---------------------------------------------------------------------------
-# operand sampling
+# draw primitives
 
 def weighted_pick(population: Sequence, cum: Sequence[float], rng):
     """The pick random.choices(population, cum_weights=cum) makes, from the same
@@ -286,11 +285,6 @@ def step_weights(n: int, p_history: float) -> tuple[float, ...]:
     return tuple(p_history ** (-(n - 1 - i) / n) for i in range(n))
 
 
-def subexpression_pool(eq: Equation) -> tuple[Expr, ...]:
-    """Distinct subtrees of both sides, in first-occurrence preorder."""
-    return tuple(distinct_subtrees(eq.lhs, eq.rhs))
-
-
 def shuffle(x: list, rng) -> None:
     """rng.shuffle(x) with random.shuffle's rejection draws made inline: the
     same getrandbits calls, so the same order and the same end state."""
@@ -301,34 +295,6 @@ def shuffle(x: list, rng) -> None:
         while j >= n:
             j = getrandbits(k)
         x[n - 1], x[j] = x[j], x[n - 1]
-
-
-def pick(seq: Sequence, rng):
-    """seq[rng.randrange(len(seq))] with randrange's rejection draws made
-    inline: the same getrandbits calls, so the same pick and the same end
-    state. An empty seq raises IndexError (getrandbits(0) is 0, so the loop
-    below would never end)."""
-    n = len(seq)
-    if not n:
-        raise IndexError("cannot pick from an empty sequence")
-    getrandbits, k = rng.getrandbits, n.bit_length()
-    j = getrandbits(k)
-    while j >= n:
-        j = getrandbits(k)
-    return seq[j]
-
-
-def sample_operand(steps: Sequence[Step], rng, p_history: float) -> Expr:
-    """Draw a symbol or sub-expression from the chain with recency bias."""
-    if not steps:
-        raise OpError("cannot sample an operand from an empty derivation")
-    cum = list(accumulate(step_weights(len(steps), p_history)))
-    return pick(subexpression_pool(steps[weighted_pick(range(len(cum)), cum, rng)].equation), rng)
-
-
-def sample_variable(eq: Equation, rng) -> Optional[Symbol]:
-    names = sorted(symbol_nodes(eq.lhs, eq.rhs), key=lambda s: s.name)
-    return pick(names, rng) if names else None
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def _sample_goal_step(state: _GenState, target: int) -> Optional[Step]:
     generation runs it; a substitution takes a uniform earlier definition."""
     rng = state.rng
     choices = _GOAL_OPS + ((ops.SUB_LHS, ops.SUB_RHS) if target >= 1 else ())
-    action = ops.pick(choices, rng)
+    action = rng.choice(choices)
     if action in (ops.SUB_LHS, ops.SUB_RHS):
         return apply_action(state, action, (rng.randrange(target), target))
     return apply_action(state, action, (target,))

@@ -57,6 +57,7 @@ from derivekit.expr import (
     add,
     applied,
     derivative,
+    distinct_subtrees,
     div,
     equation_free_symbols,
     exact_value,
@@ -480,7 +481,7 @@ def equation_free_symbols_by_walk(eq: Equation) -> tuple[str, ...]:
 
 
 def note_by_pool(state, step: Step) -> None:
-    """genalg._GenState.note building ops.subexpression_pool and walking it."""
+    """genalg._GenState.note listing the distinct subtrees and walking them."""
     index = len(state.steps)
     state.steps.append(step)
     state.seen_equations.add(step.equation)
@@ -496,7 +497,7 @@ def note_by_pool(state, step: Step) -> None:
         ancestors |= state.ancestors[p]
     state.ancestors.append(ancestors)
     has_derivative = has_integral = False
-    for node in ops.subexpression_pool(step.equation):
+    for node in distinct_subtrees(step.equation.lhs, step.equation.rhs):
         state.containing.setdefault(node, []).append(index)
         t = type(node)
         if t is Symbol or t is AppliedFunction:
@@ -544,7 +545,8 @@ def weighted_order(indices: list[int], weights, rng) -> list[int]:
 
 
 def subexpression_pool_by_full_walk(eq: Equation) -> tuple[Expr, ...]:
-    """ops.subexpression_pool walking every subtree, repeats included."""
+    """The distinct subtrees of both sides (the operand pool), walking every
+    subtree, repeats included."""
     seen: dict[Expr, None] = {}
     for side in (eq.lhs, eq.rhs):
         for node in full_walk(side):

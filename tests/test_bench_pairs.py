@@ -117,3 +117,22 @@ def test_the_stamp_is_filled_in_by_git_archive():
     # the placeholder in a git checkout, the archived commit in an archive
     stamp = (ROOT / bench_pairs.STAMP).read_text().strip()
     assert stamp == "$Format:%H$" or re.fullmatch("[0-9a-f]{40}", stamp)
+
+
+def test_a_checkout_with_cached_bytecode_is_refused_before_any_run(tmp_path):
+    # PYTHONDONTWRITEBYTECODE stops writing bytecode, not reading it
+    parent = _checkout(tmp_path / "parent", "p", 0.0)
+    change = _checkout(tmp_path / "change", "c", 10.0)
+    started = tmp_path / "started"
+    for side in (parent, change):
+        (side / "perfbench" / "run.py").write_text(f"open({str(started)!r}, 'w').close()\n")
+    cache = change / "src" / "derivekit" / "__pycache__"
+    cache.mkdir(parents=True)
+    out = tmp_path / "BENCH_x.json"
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--parent", str(parent), "--change",
+                           str(change), "--pr", "x", "--workload", "generate", "--seeds", "0",
+                           "--held-out", "", "--seconds", "1", "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert str(cache) in proc.stderr
+    assert not started.exists() and not out.exists()

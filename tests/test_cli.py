@@ -234,31 +234,33 @@ def test_missing_input_is_io_error(tmp_path):
     assert run(["stats", "--in", tmp_path / "absent.jsonl"]) == 3
 
 
-def test_collect_against_mock_server(static_prompts, tmp_path, monkeypatch):
+def _collect(plan, infile, out, errs, *options):
+    """Run collect against an in-process MockChatHandler server that follows
+    plan; the exit code and the requests the server saw."""
     server = HTTPServer(("127.0.0.1", 0), MockChatHandler)
-    server.plan = ["500", "echo"]
+    server.plan = plan
     server.requests = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        code = run(["collect", "--in", infile, "--out", out, "--errors-out", errs,
+                    "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
+                    "--model", "mock", "--token-env", "DERIVEKIT_TEST_TOKEN", *options])
+    finally:
+        server.shutdown()
+    return code, server.requests
+
+
+def test_collect_against_mock_server(static_prompts, tmp_path, monkeypatch):
     monkeypatch.setenv("DERIVEKIT_TEST_TOKEN", "tok")
     out = tmp_path / "completions.jsonl"
     errs = tmp_path / "errors.jsonl"
-    try:
-        code = run([
-            "collect", "--in", static_prompts, "--out", out,
-            "--errors-out", errs,
-            "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
-            "--model", "mock", "--token-env", "DERIVEKIT_TEST_TOKEN",
-            "--max-retries", "1",
-        ])
-    finally:
-        server.shutdown()
+    code, requests = _collect(["500", "echo"], static_prompts, out, errs, "--max-retries", "1")
     assert code == 0
     rows = list(read_jsonl(out))
     assert len(rows) == 150
     prompts = load_prompt_records(static_prompts)
     assert rows[0]["completion"] == prompts[0].prompt
-    assert all(req["body"]["temperature"] == 0.0 for req in server.requests)
+    assert all(req["body"]["temperature"] == 0.0 for req in requests)
     assert not errs.exists() or not errs.read_text().strip()
 
 
@@ -765,23 +767,31 @@ def test_perturb_reports_skipped_records(case, tmp_path, capsys):
 
 
 def test_collect_records_failed_requests(tmp_path, monkeypatch, capsys):
-    server = HTTPServer(("127.0.0.1", 0), MockChatHandler)
-    server.plan = ["401"]
-    server.requests = []
-    threading.Thread(target=server.serve_forever, daemon=True).start()
     monkeypatch.setenv("DERIVEKIT_TEST_TOKEN", "tok")
     out, errs = tmp_path / "completions.jsonl", tmp_path / "errors.jsonl"
-    try:
-        assert run(["collect", "--in", _file(tmp_path / "in.jsonl", json.dumps(PROMPT_ROW) + "\n"),
-                    "--out", out, "--errors-out", errs,
-                    "--base-url", f"http://127.0.0.1:{server.server_address[1]}/v1",
-                    "--model", "mock", "--token-env", "DERIVEKIT_TEST_TOKEN"]) == 0
-    finally:
-        server.shutdown()
+    infile = _file(tmp_path / "in.jsonl", json.dumps(PROMPT_ROW) + "\n")
+    assert _collect(["401"], infile, out, errs)[0] == 0
     assert json.loads(capsys.readouterr().out) == {"completed": 0, "failed": 1}
     assert out.read_text() == ""
     [error] = read_jsonl(errs)
     assert (error["id"], error["error"]) == ("d0", "AuthError")
+
+
+@pytest.mark.parametrize("drop", ["close", "truncate"])
+def test_collect_records_dropped_connections(tmp_path, monkeypatch, capsys, drop):
+    # each of the 1 + --max-retries requests loses its connection; the row is
+    # a ServerError and the run still ends with exit 0
+    monkeypatch.setenv("DERIVEKIT_TEST_TOKEN", "tok")
+    out, errs = tmp_path / "completions.jsonl", tmp_path / "errors.jsonl"
+    infile = _file(tmp_path / "in.jsonl", json.dumps(PROMPT_ROW) + "\n")
+    code, requests = _collect([drop], infile, out, errs, "--max-retries", "1")
+    assert code == 0 and len(requests) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"completed": 0, "failed": 1}
+    assert "Traceback" not in captured.err
+    [error] = read_jsonl(errs)
+    assert (error["id"], error["error"]) == ("d0", "ServerError")
+    assert error["detail"].startswith("no response after 2 attempts: ")
 
 
 def test_blank_lines_are_skipped(tmp_path, capsys):

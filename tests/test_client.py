@@ -49,6 +49,15 @@ class MockChatHandler(BaseHTTPRequestHandler):
         elif action == "sleep":
             time.sleep(1.0)
             self._reply(200, {"choices": [{"message": {"content": "late"}}]})
+        elif action == "close":  # no reply at all: the connection just closes
+            self.close_connection = True
+        elif action == "truncate":  # a body cut short of its Content-Length
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"choices": ')
+            self.close_connection = True
 
     def _reply(self, status, payload):
         data = json.dumps(payload).encode()
@@ -174,3 +183,19 @@ def test_refused_connections_are_retried_then_a_server_error():
                          token_env="DERIVEKIT_TEST_TOKEN", max_retries=1)
     with pytest.raises(ServerError, match="no response after 2 attempts"):
         query_model(cfg, "x")
+
+
+@pytest.mark.parametrize("drop", ["close", "truncate"])
+def test_dropped_connections_are_retried_then_a_server_error(mock_server, drop):
+    mock_server.plan = [drop]
+    cfg = make_config(mock_server, max_retries=2)
+    with pytest.raises(ServerError, match="no response after 3 attempts"):
+        query_model(cfg, "x")
+    assert len(mock_server.requests) == 3
+
+
+@pytest.mark.parametrize("drop", ["close", "truncate"])
+def test_a_dropped_connection_then_a_reply_succeeds(mock_server, drop):
+    mock_server.plan = [drop, "echo"]
+    assert query_model(make_config(mock_server, max_retries=1), "again") == "again"
+    assert len(mock_server.requests) == 2

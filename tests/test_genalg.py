@@ -16,6 +16,7 @@ from derivekit.expr import (
     Integer,
     Symbol,
     applied,
+    distinct_subtrees,
     equation_free_symbols,
     free_symbols,
     func,
@@ -381,7 +382,7 @@ def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
             names.update(equation_free_symbols_by_walk(s.equation))
             names.update(free_symbols(s.operand) if s.operand is not None else ())
         assert state.used_names == names
-        subtrees = [set(ops.subexpression_pool(s.equation)) for s in steps]
+        subtrees = [set(distinct_subtrees(s.equation.lhs, s.equation.rhs)) for s in steps]
         for definition, s in enumerate(steps):
             for pattern in (s.equation.lhs, s.equation.rhs):
                 scanned = [j for j in range(n) if j != definition and pattern in subtrees[j]]
@@ -482,7 +483,7 @@ def test_cached_latex_matches_a_fresh_rendering_for_every_op():
 @pytest.mark.parametrize("seed", [0, 1, 2, 1000])
 def test_note_matches_the_note_that_walks_the_pool(seed, monkeypatch):
     # every step noted on every attempt is noted again on a shadow state by
-    # the parent's note, which builds ops.subexpression_pool and walks it
+    # the parent's note, which lists the distinct subtrees and walks them
     real_note = _GenState.note
     noted = []
 

@@ -278,8 +278,9 @@ def test_perturbation_ratio():
 # manual scoring function
 
 def test_manual_score_boundary_values():
-    assert manual_score((1, 1, 1, 1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
-    assert manual_score((0, 0, 0, 0, 0, 0)) == pytest.approx(0.0, abs=1e-12)
+    # exact at both ends, as documented
+    assert manual_score((1, 1, 1, 1, 1, 1)) == 1.0
+    assert manual_score((0, 0, 0, 0, 0, 0)) == 0.0
 
 
 def test_manual_score_skip_only_error_high_precision():

@@ -28,6 +28,7 @@ from derivekit.expr import (
     pow_,
     symbol_nodes,
 )
+from derivekit.genalg import GenConfig, _GenState, apply_action
 from derivekit.latex import equation_to_latex, parse_equation, to_latex
 from derivekit.ops import (
     Derivation,
@@ -37,7 +38,6 @@ from derivekit.ops import (
     dag_coherent,
     duplicate_free,
     replay,
-    sample_operand,
     step_weights,
     weighted_pick,
 )
@@ -198,22 +198,27 @@ def test_substitution_output_never_holds_pattern_at_replaced_position():
 # ---------------------------------------------------------------------------
 # operand sampling
 
+def _pool(eq: Equation) -> set:
+    return set(distinct_subtrees(eq.lhs, eq.rhs))
+
+
+def _arith_operands(steps: list[Step], p_history: float, seed: int, draws: int) -> list:
+    """The operands genalg.apply_action draws for an add on the last step."""
+    cfg = GenConfig(p_history=p_history)
+    state = _GenState(cfg, cfg.load_vocabulary(), random.Random(seed))
+    for step in steps:
+        state.note(step)
+    return [apply_action(state, ops.ADD, (len(steps) - 1,)).operand for _ in range(draws)]
+
+
 def test_sample_operand_singleton_support():
     steps = [premise(r"q{(a)} = e^{a}")]
-    pool = set(ops.subexpression_pool(steps[0].equation))
-    rng = random.Random(0)
-    for _ in range(50):
-        assert sample_operand(steps, rng, 10.0) in pool
-    with pytest.raises(OpError, match="empty derivation"):
-        sample_operand([], rng, 10.0)
+    assert set(_arith_operands(steps, 10.0, 0, 50)) <= _pool(steps[0].equation)
 
 
 def test_sample_operand_recency_limit():
     steps = [premise(r"q{(a)} = e^{a}"), premise(r"W{(x)} = x")]
-    final_pool = set(ops.subexpression_pool(steps[1].equation))
-    rng = random.Random(1)
-    draws = {sample_operand(steps, rng, 1e9) for _ in range(300)}
-    assert draws <= final_pool
+    assert set(_arith_operands(steps, 1e9, 1, 300)) <= _pool(steps[1].equation)
 
 
 def test_sample_operand_matches_geometric_weights():
@@ -229,12 +234,10 @@ def test_sample_operand_matches_geometric_weights():
     weights = step_weights(n, 10.0)
     total = sum(weights)
     probs = [w / total for w in weights]
-    pools = [set(ops.subexpression_pool(s.equation)) for s in steps]
-    rng = random.Random(7)
+    pools = [_pool(s.equation) for s in steps]
     counts = [0] * n
     draws = 10_000
-    for _ in range(draws):
-        e = sample_operand(steps, rng, 10.0)
+    for e in _arith_operands(steps, 10.0, 7, draws):
         for i, pool in enumerate(pools):
             if e in pool:
                 counts[i] += 1
@@ -282,9 +285,9 @@ _SIN = func("sin", add(x, Symbol("y")))
 @example(mul(_SIN, derivative(_SIN, x)), add(_SIN, integral(mul(_SIN, x), x)))
 @settings(max_examples=300, deadline=None)
 def test_subexpression_pool_matches_the_full_walk(lhs, rhs):
-    # the pool skips a repeated node's children; the full walk visits them again
+    # the operand pool skips a repeated node's children; the full walk visits them again
     eq = Equation(lhs, rhs)
-    assert ops.subexpression_pool(eq) == subexpression_pool_by_full_walk(eq)
+    assert tuple(distinct_subtrees(lhs, rhs)) == subexpression_pool_by_full_walk(eq)
 
 
 @st.composite
@@ -325,16 +328,16 @@ def test_a_named_expression_must_occur_where_the_full_walk_finds_it(lhs, rhs, op
             assert refused is not occurs
 
 
-def test_pick_matches_randrange():
-    # every size from 1 to 300 crosses several bit counts of the draw
+def test_choice_matches_randrange():
+    # the stdlib premise of every uniform pick in generation and perturb, whose
+    # pinned bytes were drawn through randrange: random.Random.choice makes the
+    # same getrandbits calls; every size from 1 to 300 crosses several bit counts
     for seed in range(20):
         rng, oracle = random.Random(seed), random.Random(seed)
         for size in range(1, 301):
             seq = tuple(range(100, 100 + size))
-            assert ops.pick(seq, rng) == seq[oracle.randrange(size)]
+            assert rng.choice(seq) == seq[oracle.randrange(size)]
             assert rng.getstate() == oracle.getstate()
-    with pytest.raises(IndexError):
-        ops.pick([], random.Random(0))
 
 
 def test_shuffle_matches_random_shuffle():
