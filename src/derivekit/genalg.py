@@ -15,7 +15,7 @@ import math
 import random
 import sys
 from bisect import bisect
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -32,6 +32,7 @@ from .expr import (
     applied,
     div,
     distinct_subtrees,
+    equation_free_symbols,
     free_symbols,
     func,
     mul,
@@ -363,6 +364,19 @@ class _GenState:
         return self.rng.choice(names) if names else None
 
 
+def prefix_state(cfg: GenConfig, vocab: SymbolTable, rng: random.Random,
+                 steps: Sequence[Step]) -> _GenState:
+    """A state over `steps` for apply_action given parents, as alternative
+    goals call it: the steps and the names note collects, but not note's
+    substitution index and tables, which only draws of parents read."""
+    state = _GenState(cfg, vocab, rng)
+    state.steps = list(steps)
+    for s in steps:
+        state.used_names.update(equation_free_symbols(s.equation), (c.name for c in s.constants),
+                                () if s.operand is None else free_symbols(s.operand))
+    return state
+
+
 def _substitution_draw(state: _GenState, op: str) -> Optional[Step]:
     """Walk definition candidates in recency-sampled order and pick a
     recency-weighted target whose matching side contains one of the
@@ -491,7 +505,7 @@ def extract_derivation(steps: list[Step] | tuple[Step, ...]) -> Derivation:
             role = ROLE_INTERMEDIATE
         else:
             role = ops.ROLE_ORDINARY
-        out.append(replace(s, parents=tuple(remap[p] for p in s.parents), role=role))
+        out.append(s._replace(parents=tuple(remap[p] for p in s.parents), role=role))
     return Derivation(tuple(out))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import calculus
 from .expr import (
@@ -118,8 +118,7 @@ ROLE_GOAL = "goal"
 ROLES = (ROLE_PREMISE, ROLE_ORDINARY, ROLE_INTERMEDIATE, ROLE_GOAL)
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     equation: Equation
     op: Optional[str]                       # None for introduced premises
     parents: tuple[int, ...] = ()
@@ -149,8 +148,7 @@ class Derivation:
         )
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     valid: bool
     failures: tuple[tuple[int, str], ...] = ()
 

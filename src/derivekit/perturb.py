@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 from typing import Optional
 
 from . import ops
 from .expr import AppliedFunction, Equation, Expr, Symbol, distinct_subtrees, rebuild
-from .genalg import GenConfig, _GenState, apply_action, derive_seed, passes_token_filter
-from .ops import Derivation, ROLE_GOAL, Step
+from .genalg import GenConfig, apply_action, derive_seed, passes_token_filter, prefix_state
+from .ops import Derivation, ROLE_GOAL
 from .prompts import build_prompt
 from .records import DerivationRecord, PromptRecord
 from .vocab import GREEK_POOL_DEFAULT, SymbolTable
@@ -35,9 +34,9 @@ def perturb(
     """Apply perturbation `kind` to one stored record, drawing from the
     record's own stream of cfg.seed: the perturbed record and its prompt.
     AG takes the vocabulary (None loads it from cfg); EE of an EE row gives
-    the untagged original back. Raises Skipped for a record the kind leaves
-    out."""
-    rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}"))
+    the untagged original back. EE and SR draw nothing, so only VR and AG
+    seed the stream. Raises Skipped for a record the kind leaves out."""
+    rng = random.Random(derive_seed(cfg.seed, f"{kind}:{record.id}")) if kind in (VR, AG) else None
     derivation, static_id = record.derivation, record.static_id or record.id
     tag, family = kind, static_id
     if kind == EE:
@@ -106,8 +105,7 @@ def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dic
         return rename_leaves(e, mapping, memo)
 
     steps = tuple(
-        replace(
-            s,
+        s._replace(
             equation=Equation(renamed(s.equation.lhs), renamed(s.equation.rhs)),
             operand=None if s.operand is None else renamed(s.operand),
             constants=tuple(map(renamed, s.constants)),
@@ -122,7 +120,7 @@ def rename_variables(d: Derivation, rng: random.Random) -> tuple[Derivation, dic
 
 def exchange_expressions(d: Derivation) -> Derivation:
     """Swap lhs and rhs of every equation; an involution."""
-    return Derivation(tuple(replace(s, equation=s.equation.swapped()) for s in d.steps))
+    return Derivation(tuple(s._replace(equation=s.equation.swapped()) for s in d.steps))
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +132,33 @@ def alternative_goal(
     """Replace the final step with a freshly sampled applicable operation on
     the penultimate equation whose result is a new equation; Skipped when
     there is no penultimate equation or no new goal within retry_cap draws.
-    Pass the vocabulary to avoid loading it from ``cfg`` on every call. Every
-    parent must precede its step, as the loader checks for stored records."""
+    A draw runs a uniform op as generation runs it, a substitution on a
+    uniform earlier definition. Pass the vocabulary to avoid loading it from
+    cfg per call. Every parent must precede its step, as the loader checks."""
     if len(d) < 2:
         raise Skipped("fewer than two steps")
     prefix = d.steps[:-1]
-    old_goal = d.steps[-1].equation
-    existing = {s.equation for s in d.steps}
+    existing = {s.equation for s in d.steps}  # the old goal among them
     vocab = vocab if vocab is not None else cfg.load_vocabulary()
-    state = _GenState(cfg, vocab, rng)
-    for s in prefix:
-        state.note(s)
+    state = prefix_state(cfg, vocab, rng, prefix)
     penultimate = len(prefix) - 1
+    subs = (ops.SUB_LHS, ops.SUB_RHS)
+    choices = _GOAL_OPS + (subs if penultimate >= 1 else ())
     for _ in range(cfg.retry_cap):
-        candidate = _sample_goal_step(state, penultimate)
+        action = rng.choice(choices)
+        definition = (rng.randrange(penultimate),) if action in subs else ()
+        candidate = apply_action(state, action, definition + (penultimate,))
         if candidate is None:
             continue
         eq = candidate.equation
-        if eq == old_goal or eq in existing or eq.lhs == eq.rhs:
+        if eq in existing or eq.lhs == eq.rhs:
             continue
-        return Derivation(prefix + (replace(candidate, role=ROLE_GOAL),))
+        return Derivation(prefix + (candidate._replace(role=ROLE_GOAL),))
     raise Skipped("goal resampling exhausted")
 
 
 _GOAL_OPS = (ops.ADD, ops.SUB, ops.MUL, ops.DIV, ops.POW, ops.DIFF, ops.INT,
              ops.EVAL_DIFF, ops.EVAL_INT, ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH)
-
-
-def _sample_goal_step(state: _GenState, target: int) -> Optional[Step]:
-    """Draw an op uniformly and run it on the target equation the way
-    generation runs it; a substitution takes a uniform earlier definition."""
-    rng = state.rng
-    choices = _GOAL_OPS + ((ops.SUB_LHS, ops.SUB_RHS) if target >= 1 else ())
-    action = rng.choice(choices)
-    if action in (ops.SUB_LHS, ops.SUB_RHS):
-        return apply_action(state, action, (rng.randrange(target), target))
-    return apply_action(state, action, (target,))
 
 
 # ---------------------------------------------------------------------------
@@ -184,4 +173,4 @@ def remove_steps(record: PromptRecord) -> Optional[PromptRecord]:
     if "then derive" not in record.prompt:
         return None
     stripped = _THEN_DERIVE_CLAUSE.sub("", record.prompt)
-    return replace(record, prompt=stripped, perturbation=SR)
+    return record._replace(prompt=stripped, perturbation=SR)

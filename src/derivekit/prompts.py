@@ -103,8 +103,9 @@ def qualifies_for_fewshot(record: PromptRecord) -> bool:
 
 
 def fewshot_pool(records: Sequence[PromptRecord]) -> list[tuple[PromptRecord, bool]]:
-    """build_fewshot's pool: each record paired with qualifies_for_fewshot."""
-    return [(p, qualifies_for_fewshot(p)) for p in records]
+    """build_fewshot's pool: each distinct record paired with
+    qualifies_for_fewshot, so a row given twice cannot fill two examples."""
+    return [(p, qualifies_for_fewshot(p)) for p in dict.fromkeys(records)]
 
 
 def build_fewshot(
@@ -114,7 +115,7 @@ def build_fewshot(
     evaluation prompt. Pool records matching the evaluation record's static
     family are never sampled."""
     candidates = [entry for entry in pool if entry[0].static_id != record.static_id]
-    qualifying = sum(q for _, q in candidates)
+    qualifying = sum(map(itemgetter(1), candidates))
     if len(candidates) < 5 or qualifying < 2:
         raise PromptError(
             f"need >= 5 pool prompts with >= 2 qualifying, have {len(candidates)}"
@@ -127,7 +128,7 @@ def build_fewshot(
             break
         if p not in picked:
             picked.append(p)
-    # a record's last position among the candidates, built at C level
+    # each record's position among the candidates, built at C level
     order = dict(zip(map(id, map(itemgetter(0), candidates)), range(len(candidates))))
     picked.sort(key=lambda p: order[id(p)])
     blocks = [f"Prompt: {p.prompt}\nDerivation: {p.target}" for p in picked]

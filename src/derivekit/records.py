@@ -12,9 +12,8 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, TypeVar
 
 from .expr import Expr, ExprError, Symbol
 from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
@@ -31,8 +30,7 @@ class RecordError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class DerivationRecord:
+class DerivationRecord(NamedTuple):
     id: str
     seed: int
     derivation: Derivation
@@ -40,8 +38,7 @@ class DerivationRecord:
     static_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class PromptRecord:
+class PromptRecord(NamedTuple):
     id: str
     static_id: str
     perturbation: Optional[str]

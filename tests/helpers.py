@@ -24,7 +24,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -639,8 +638,9 @@ def load_rows_by_open(path: str | Path, convert) -> list:
 def build_fewshot_by_full_scan(record, pool, rng) -> str:
     """prompts.build_fewshot as it was before the pool came qualified: over
     a plain list of prompt records, with the same text, the same draws and
-    the same PromptError message."""
-    candidates = [p for p in pool if p.static_id != record.static_id]
+    the same PromptError message. A record the pool holds more than once
+    counts once, as in fewshot_pool."""
+    candidates = [p for p in dict.fromkeys(pool) if p.static_id != record.static_id]
     qualifying = [p for p in candidates if qualifies_for_fewshot(p)]
     if len(candidates) < 5 or len(qualifying) < 2:
         raise PromptError(
@@ -1011,8 +1011,7 @@ def rename_variables_per_step(d: Derivation, rng) -> tuple[Derivation, dict[str,
         raise Skipped("too many symbols")
     mapping = dict(zip(names, rng.sample(GREEK_POOL_DEFAULT, len(names))))
     return Derivation(tuple(
-        replace(
-            s,
+        s._replace(
             equation=Equation(rename_leaves_per_node(s.equation.lhs, mapping),
                               rename_leaves_per_node(s.equation.rhs, mapping)),
             operand=None if s.operand is None else rename_leaves_per_node(s.operand, mapping),

@@ -3,7 +3,6 @@ sampling statistics, replay, and ground-truth derivation replay-by-search."""
 import ast
 import math
 import random
-from dataclasses import replace
 from itertools import accumulate
 from operator import is_
 from pathlib import Path
@@ -429,19 +428,19 @@ A = Symbol("a")
 # each fault of a rename-family step, applied to a valid step G(a) = rhs of
 # step 1; the last two were accepted while renames had their own checker
 MALFORMED_RENAMES = {
-    "two-parents": lambda s: replace(s, parents=(0, 1)),
-    "lhs-not-applied": lambda s: replace(s, equation=Equation(Symbol("G"), s.operand)),
-    "rhs-not-operand": lambda s: replace(s, equation=Equation(s.equation.lhs, A)),
-    "operand-not-in-source": lambda s: replace(
-        s, operand=func("sin", A), equation=Equation(applied("G", [A]), func("sin", A))
+    "two-parents": lambda s: s._replace(parents=(0, 1)),
+    "lhs-not-applied": lambda s: s._replace(equation=Equation(Symbol("G"), s.operand)),
+    "rhs-not-operand": lambda s: s._replace(equation=Equation(s.equation.lhs, A)),
+    "operand-not-in-source": lambda s: s._replace(
+        operand=func("sin", A), equation=Equation(applied("G", [A]), func("sin", A))
     ),
-    "args-not-operand-symbols": lambda s: replace(
-        s, equation=Equation(applied("G", [A, Symbol("b")]), s.operand)
+    "args-not-operand-symbols": lambda s: s._replace(
+        equation=Equation(applied("G", [A, Symbol("b")]), s.operand)
     ),
-    "name-not-fresh": lambda s: replace(s, equation=Equation(applied("q", [A]), s.operand)),
-    "parent-minus-one": lambda s: replace(s, parents=(-1,)),
-    "operand-without-symbols": lambda s: replace(
-        s, operand=Integer(2), equation=Equation(applied("G", []), Integer(2))
+    "name-not-fresh": lambda s: s._replace(equation=Equation(applied("q", [A]), s.operand)),
+    "parent-minus-one": lambda s: s._replace(parents=(-1,)),
+    "operand-without-symbols": lambda s: s._replace(
+        operand=Integer(2), equation=Equation(applied("G", []), Integer(2))
     ),
 }
 
@@ -458,8 +457,8 @@ def test_replay_rejects_malformed_renames(op, fault):
 
 
 @pytest.mark.parametrize("fault,message", [
-    (lambda s: replace(s, parents=(0,)), "premise with parents"),
-    (lambda s: replace(s, role=ops.ROLE_ORDINARY), "unannotated step without premise role"),
+    (lambda s: s._replace(parents=(0,)), "premise with parents"),
+    (lambda s: s._replace(role=ops.ROLE_ORDINARY), "unannotated step without premise role"),
 ])
 def test_replay_reports_malformed_premises(fault, message):
     steps = (premise(r"q{(a)} = e^{a}"), fault(premise(r"W{(x)} = x")))
@@ -469,7 +468,7 @@ def test_replay_reports_malformed_premises(fault, message):
 @pytest.mark.parametrize("parent", [-1, 3, 9])
 def test_bad_parent_index_is_reported_not_raised(parent):
     d = build_small_chain()
-    bad = Derivation(d.steps[:-1] + (replace(d.steps[-1], parents=(parent,)),))
+    bad = Derivation(d.steps[:-1] + (d.steps[-1]._replace(parents=(parent,)),))
     assert not replay(bad).valid
     assert not dag_coherent(bad)
 
@@ -478,7 +477,7 @@ def test_bad_parent_index_is_reported_not_raised(parent):
 def test_replay_names_a_parent_that_does_not_precede_its_step(parent):
     # the step itself, a later step and a negative index all fail apply's range check
     steps = [premise(r"q{(a)} = a^{2}")]
-    steps.append(replace(ops.apply(ops.DIFF, steps, (0,), A), parents=(parent,)))
+    steps.append(ops.apply(ops.DIFF, steps, (0,), A)._replace(parents=(parent,)))
     assert replay(Derivation(tuple(steps))).failures == (
         (1, f"replay error: parent index {parent} out of range"),)
 

@@ -17,14 +17,17 @@ from derivekit.expr import (
     mul,
     rebuild,
 )
-from derivekit.genalg import GenConfig, generate_dataset
+from derivekit import perturb as perturb_mod
+from derivekit.genalg import GenConfig, _GenState, generate_dataset, prefix_state
 from derivekit.latex import equation_to_latex
 from derivekit.ops import Derivation, ROLE_PREMISE, Step, replay
 from derivekit.perturb import (
+    AG,
     Skipped,
     alternative_goal,
     collect_names,
     exchange_expressions,
+    perturb,
     remove_steps,
     rename_variables,
 )
@@ -245,6 +248,41 @@ def test_alternative_goal_contract(small_dataset):
         assert ag.steps[-1].parents[-1] == len(ag) - 2
         assert replay(ag).valid
     assert replaced >= 50
+
+
+def noted_state(cfg, vocab, rng, steps) -> _GenState:
+    """genalg.prefix_state as generation fills a state: every step noted,
+    with the substitution index and the other tables of note built."""
+    state = _GenState(cfg, vocab, rng)
+    for s in steps:
+        state.note(s)
+    return state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1000])
+def test_alternative_goal_draws_as_from_a_noted_state(seed, monkeypatch):
+    # the static split scripts/build_datasets.py builds for `seed` at its default size
+    static, _ = generate_dataset(GenConfig(seed=seed + 1), 200)
+    cfg = GenConfig(seed=seed)
+    vocab = cfg.load_vocabulary()
+    for record in static:
+        prefix = record.derivation.steps[:-1]
+        assert (prefix_state(cfg, vocab, None, prefix).used_names
+                == noted_state(cfg, vocab, None, prefix).used_names)
+
+    def goals(build_state) -> list:
+        monkeypatch.setattr(perturb_mod, "prefix_state", build_state)
+        out = []
+        for record in static:
+            try:
+                out.append(perturb(AG, record, cfg, vocab))
+            except Skipped as exc:
+                out.append(str(exc))
+        return out
+
+    expected = goals(noted_state)
+    assert sum(type(goal) is not str for goal in expected) > 150
+    assert goals(prefix_state) == expected
 
 
 def test_alternative_goal_requires_two_steps():

@@ -187,6 +187,16 @@ def test_fewshot_excludes_same_family():
     assert "eq0" not in text  # the q0 family is never sampled for itself
 
 
+def test_fewshot_a_row_given_twice_fills_one_example_slot():
+    pool = fewshot_pool(_pool(2, 3) * 2)
+    for seed in range(20):
+        blocks = build_fewshot(EVAL_RECORD, pool, random.Random(seed)).split("\n\n")[1:-2]
+        assert len(blocks) == len(set(blocks)) == 5, seed
+    # q0, q0, q1, q1, p0, p0: three distinct records are too few
+    with pytest.raises(PromptError, match="with >= 2 qualifying, have 3/2"):
+        build_fewshot(EVAL_RECORD, fewshot_pool(_pool(2, 1) * 2), random.Random(0))
+
+
 def _fewshot_or_error(build, record, pool, rng):
     try:
         return build(record, pool, rng)

@@ -106,8 +106,10 @@ def test_the_last_two_files_are_kept(rows, parses, tmp_path):
 
 def test_a_third_file_drops_the_oldest_records_before_it_parses(rows, parses, tmp_path,
                                                                 monkeypatch):
-    oldest, newest = (weakref.ref(load_derivation_records(_write(tmp_path / name, row))[0])
-                      for name, row in (("a.jsonl", rows[0]), ("b.jsonl", rows[1])))
+    # a record is a tuple, which takes no weak reference; its derivation does
+    oldest, newest = (
+        weakref.ref(load_derivation_records(_write(tmp_path / name, row))[0].derivation)
+        for name, row in (("a.jsonl", rows[0]), ("b.jsonl", rows[1])))
     alive = []
     parse = records.parse_equation
 
