@@ -5,10 +5,13 @@ canonical tree: sums and products are flattened, numeric parts folded into
 exact rationals, like terms and like factors merged, and operands stored in
 a fixed total structural order. A tree built only through the constructors
 is canonical, so no separate canonicalization pass is ever needed.
-A constructor's output is a fixed point: ``rebuild(n, n.children()) == n``
-for every node ``n`` of such a tree. Rewriting walks rely on it through
-``keep_or_rebuild``: a node none of whose children changed is returned as it
-is, with the values it keeps. Listing walks go through ``distinct_subtrees``.
+Nodes and equations are interned: one object per distinct value, so two
+trees are equal exactly when they are the same object, and ``==`` and
+``hash()`` are object identity. A constructor's output is a fixed point:
+``rebuild(n, n.children()) is n`` for every node ``n`` of such a tree.
+Rewriting walks rely on it through ``keep_or_rebuild``: a node none of whose
+children changed is returned as it is, with the values it keeps. Listing
+walks go through ``distinct_subtrees``.
 A folded number is an ``int``, or a ``Fraction`` only when it is not
 integral; the two mix exactly and compare and hash alike.
 
@@ -18,6 +21,8 @@ evaluated by the calculus module.
 """
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from operator import is_
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -40,17 +45,71 @@ class ExprError(Exception):
     """Base error for expression operations."""
 
 
-class Expr:
-    """Base class for all expression nodes; each subclass defines ``_make_key``.
-    Instances are immutable, so ``_key``, ``_tex`` and ``_free`` keep the node's
-    ``sort_key``, ``latex.to_latex`` and ``free_symbols`` once computed."""
+class _KeyedRef(weakref.ref):
+    """A weak reference that holds its table key, for its callback: what
+    ``weakref.KeyedRef`` is, without its Python-level ``__new__`` and ``__init__``."""
 
-    __slots__ = ("_hash", "_key", "_tex", "_free")
+    __slots__ = ("key",)
 
-    _hash: int
+
+# (class, *fields) -> a weak reference to the one live instance with them
+_NODES: dict[tuple, _KeyedRef] = {}
+
+
+def _forget(dead: _KeyedRef) -> None:
+    """A dead node's callback: drop its entry unless a live node took it over."""
+    _remove_dead_weakref(_NODES, dead.key)
+
+
+class _Interned:
+    """One object per distinct value. ``cls(*fields)`` returns the live
+    instance of ``cls`` with those fields if there is one, and builds and
+    registers it otherwise, so ``==`` and ``hash()`` are object identity and
+    every use of a value shares its kept ``_key``, ``_tex`` and ``_free``.
+    A subclass's ``__slots__`` name its fields in constructor order. Copying
+    or pickling an instance raises TypeError (``__getstate__`` is None): a
+    copy would be a second object of the same value."""
+
+    __slots__ = ("_key", "_tex", "_free", "__weakref__")
+    __getstate__ = None
+
     _key: Optional[tuple]
     _tex: Optional[str]
     _free: Optional[tuple[str, ...]]
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        if cls is Integer:  # an Integer keeps an int: Integer(True) is Integer(1)
+            fields = (int(fields[0]),)
+            key = (cls, *fields)
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields, strict=True):
+            setattr(node, name, value)
+        node._key = node._tex = node._free = None
+        new = _KeyedRef(node, _forget)
+        new.key = key
+        while True:  # setdefault: of two threads building one value, one wins
+            ref = _NODES.setdefault(key, new)
+            if ref is new:
+                return node
+            other = ref()
+            if other is not None:
+                return other
+            _remove_dead_weakref(_NODES, key)  # its node died; its callback is due
+
+
+class Expr(_Interned):
+    """Base class for all expression nodes; each subclass defines ``_make_key``.
+    Nodes are interned (see ``_Interned``) and immutable, so ``_key``, ``_tex``
+    and ``_free`` keep the node's ``sort_key``, ``latex.to_latex`` and
+    ``free_symbols`` once computed."""
+
+    __slots__ = ()
 
     def sort_key(self) -> tuple:
         key = self._key
@@ -58,9 +117,6 @@ class Expr:
             key = self._make_key()
             self._key = key
         return key
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -74,18 +130,8 @@ class Expr:
 class Integer(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value: int):
-        self.value = int(value)
-        self._hash = hash(("i", self.value))
-        self._key = self._tex = self._free = None
-
     def _make_key(self) -> tuple:
         return (_R_NUM, self.value)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Integer and other.value == self.value
-
-    __hash__ = Expr.__hash__
 
 
 class Rational(Expr):
@@ -93,45 +139,19 @@ class Rational(Expr):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: int, den: int):
-        self.num = num
-        self.den = den
-        self._hash = hash(("r", num, den))
-        self._key = self._tex = self._free = None
-
     def _make_key(self) -> tuple:
         return (_R_NUM, Fraction(self.num, self.den))
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Rational and other.num == self.num and other.den == self.den
-
-    __hash__ = Expr.__hash__
 
 
 class Symbol(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash(("s", name))
-        self._key = self._tex = self._free = None
-
     def _make_key(self) -> tuple:
         return (_R_SYMBOL, self.name)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Symbol and other.name == self.name
-
-    __hash__ = Expr.__hash__
 
 
 class Add(Expr):
     __slots__ = ("terms",)
-
-    def __init__(self, terms: tuple[Expr, ...]):
-        self.terms = terms
-        self._hash = hash(("+",) + tuple(map(hash, terms)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_ADD,) + tuple(t.sort_key() for t in self.terms)
@@ -139,19 +159,9 @@ class Add(Expr):
     def children(self) -> tuple[Expr, ...]:
         return self.terms
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Add and self._hash == other._hash and other.terms == self.terms
-
-    __hash__ = Expr.__hash__
-
 
 class Mul(Expr):
     __slots__ = ("factors",)
-
-    def __init__(self, factors: tuple[Expr, ...]):
-        self.factors = factors
-        self._hash = hash(("*",) + tuple(map(hash, factors)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_MUL,) + tuple(f.sort_key() for f in self.factors)
@@ -159,20 +169,9 @@ class Mul(Expr):
     def children(self) -> tuple[Expr, ...]:
         return self.factors
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Mul and self._hash == other._hash and other.factors == self.factors
-
-    __hash__ = Expr.__hash__
-
 
 class Pow(Expr):
     __slots__ = ("base", "exp")
-
-    def __init__(self, base: Expr, exp: Expr):
-        self.base = base
-        self.exp = exp
-        self._hash = hash(("^", hash(base), hash(exp)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_POW, self.base.sort_key(), self.exp.sort_key())
@@ -180,22 +179,11 @@ class Pow(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.base, self.exp)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Pow and other.base == self.base and other.exp == self.exp
-
-    __hash__ = Expr.__hash__
-
 
 class Func(Expr):
     """Application of one of the fixed elementary functions sin/cos/exp/log."""
 
     __slots__ = ("kind", "arg")
-
-    def __init__(self, kind: str, arg: Expr):
-        self.kind = kind
-        self.arg = arg
-        self._hash = hash(("f", kind, hash(arg)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_FUNC, self.kind, self.arg.sort_key())
@@ -203,22 +191,11 @@ class Func(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.arg,)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Func and other.kind == self.kind and other.arg == self.arg
-
-    __hash__ = Expr.__hash__
-
 
 class AppliedFunction(Expr):
     """A named, uninterpreted function applied to arguments, e.g. q(a)."""
 
     __slots__ = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[Expr, ...]):
-        self.name = name
-        self.args = args
-        self._hash = hash(("a", name) + tuple(map(hash, args)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_APPLIED, self.name) + tuple(a.sort_key() for a in self.args)
@@ -226,27 +203,11 @@ class AppliedFunction(Expr):
     def children(self) -> tuple[Expr, ...]:
         return self.args
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is AppliedFunction
-            and other.name == self.name
-            and other.args == self.args
-        )
-
-    __hash__ = Expr.__hash__
-
 
 class Derivative(Expr):
     """Unevaluated derivative node d^order/d var^order (body)."""
 
     __slots__ = ("body", "var", "order")
-
-    def __init__(self, body: Expr, var: Symbol, order: int):
-        self.body = body
-        self.var = var
-        self.order = order
-        self._hash = hash(("d", hash(body), hash(var), order))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_DERIVATIVE, self.var.sort_key(), self.order, self.body.sort_key())
@@ -256,27 +217,11 @@ class Derivative(Expr):
         # variable ahead of other symbols (t1(x', n2) style)
         return (self.var, self.body)
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is Derivative
-            and other.order == self.order
-            and other.var == self.var
-            and other.body == self.body
-        )
-
-    __hash__ = Expr.__hash__
-
 
 class Integral(Expr):
     """Unevaluated indefinite integral node."""
 
     __slots__ = ("body", "var")
-
-    def __init__(self, body: Expr, var: Symbol):
-        self.body = body
-        self.var = var
-        self._hash = hash(("I", hash(body), hash(var)))
-        self._key = self._tex = self._free = None
 
     def _make_key(self) -> tuple:
         return (_R_INTEGRAL, self.var.sort_key(), self.body.sort_key())
@@ -284,32 +229,15 @@ class Integral(Expr):
     def children(self) -> tuple[Expr, ...]:
         return (self.var, self.body)
 
-    def __eq__(self, other) -> bool:
-        return type(other) is Integral and other.var == self.var and other.body == self.body
 
-    __hash__ = Expr.__hash__
+class Equation(_Interned):
+    """Ordered pair of canonical expressions: lhs = rhs, interned like a node.
 
-
-class Equation:
-    """Ordered pair of canonical expressions: lhs = rhs.
-
-    ``_latex`` and ``_free`` hold its ``latex.equation_to_latex`` and its
+    ``_tex`` and ``_free`` hold its ``latex.equation_to_latex`` and its
     ``equation_free_symbols`` once computed, so each is computed at most once.
     """
 
-    __slots__ = ("lhs", "rhs", "_hash", "_latex", "_free")
-
-    def __init__(self, lhs: Expr, rhs: Expr):
-        self.lhs = lhs
-        self.rhs = rhs
-        self._hash = hash(("eq", hash(lhs), hash(rhs)))
-        self._latex = None
-        self._free = None
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Equation and other.lhs == self.lhs and other.rhs == self.rhs
-
-    __hash__ = Expr.__hash__
+    __slots__ = ("lhs", "rhs")
 
     def swapped(self) -> "Equation":
         return Equation(self.rhs, self.lhs)
@@ -651,13 +579,13 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     Callers pass canonical trees (every constructor output is canonical), so
     untouched branches are reused as-is and only rebuilt paths re-canonicalize.
     """
-    if target == replacement:
+    if target is replacement:
         return e
     return _subst_canonical(e, target, replacement)
 
 
 def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Expr:
-    if e._hash == target._hash and e == target:
+    if e is target:
         return replacement
     t = type(e)
     if t is Symbol or t is Integer or t is Rational:

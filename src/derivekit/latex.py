@@ -175,8 +175,8 @@ def _body_str(body: Expr) -> str:
 
 
 def to_latex(e: Expr) -> str:
-    """The LaTeX of e, rendered once per node: substituted and both-sides
-    trees reuse their parents' subtrees, and with them their text."""
+    """The LaTeX of e, rendered once per node: nodes are interned, so every
+    tree that holds an equal subtree while it lives reuses its text."""
     text = e._tex
     if text is None:
         text = e._tex = _render(e)
@@ -229,10 +229,10 @@ def _render(e: Expr) -> str:
 
 
 def equation_to_latex(eq: Equation) -> str:
-    text = eq._latex
+    text = eq._tex
     if text is None:
         text = f"{to_latex(eq.lhs)} = {to_latex(eq.rhs)}"
-        eq._latex = text
+        eq._tex = text
     return text
 
 

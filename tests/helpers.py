@@ -1,21 +1,21 @@
 """Shared test support: the prompt-example derivation, ground-truth
 derivation transcripts, replay-by-search annotation, the canonicalization
-oracle, real- and complex-valued expression evaluators (the latter for the
-complex-step derivative oracle), a character-by-character LaTeX tokenizer
-that the parser's scanner is checked against, the op tags that `stats`
-reads, readers of command outputs (JSONL rows, prompt equations, the mode
-length and top chain of a `stats` report), the `random.choices` draws,
-full sort, full subtree walk, uncached free-symbol walk and pool-walking
-step note that generation's tables, pruning and caches replace, the
-calculus walkers that rebuild every node where the engine keeps untouched
-subtrees, the two-loop score report that the one family loop replaces, the
-per-order n-gram counts and summed n-gram totals that the one counting pass
-and the closed forms replace, the line-by-line file reader that the one
-decode step replaces, the printer that renders every node again that the
-per-node text replaces, the per-step renaming that VR's one memo per
-derivation replaces, a wrapper for tree strategies whose constructors may
-refuse, and a fixed reference block for scaling wall-clock bounds to the
-host's speed."""
+oracle, a structural equality oracle, real- and complex-valued expression
+evaluators (the latter for the complex-step derivative oracle), a
+character-by-character LaTeX tokenizer that the parser's scanner is checked
+against, the op tags that `stats` reads, readers of command outputs (JSONL
+rows, prompt equations, the mode length and top chain of a `stats` report),
+the `random.choices` draws, full sort, full subtree walk, uncached
+free-symbol walk and pool-walking step note that generation's tables,
+pruning and caches replace, the calculus walkers that rebuild every node
+where the engine keeps untouched subtrees, the two-loop score report that
+the one family loop replaces, the per-order n-gram counts and summed n-gram
+totals that the one counting pass and the closed forms replace, the
+line-by-line file reader that the one decode step replaces, the printer that
+renders every node again that the per-node text replaces, the per-step
+renaming that VR's one memo per derivation replaces, a wrapper for tree
+strategies whose constructors may refuse, and a fixed reference block for
+scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
 import cmath
@@ -115,6 +115,17 @@ def canonicalize(e: Expr) -> Expr:
 
 def canonicalize_equation(eq: Equation) -> Equation:
     return Equation(canonicalize(eq.lhs), canonicalize(eq.rhs))
+
+
+def structure(value):
+    """A node's or an equation's class and fields, recursively, as plain
+    tuples, read through no node's ``==``: ``structure(a) == structure(b)`` is
+    the structural equality that interning turns into object identity."""
+    if type(value) is tuple:
+        return tuple(map(structure, value))
+    if isinstance(value, (Expr, Equation)):
+        return (type(value), *(structure(getattr(value, f)) for f in type(value).__slots__))
+    return value
 
 
 def prompt_example_derivation() -> Derivation:

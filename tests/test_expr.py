@@ -154,9 +154,9 @@ def test_substitute_complete_subtree_only():
     assert substitute(e, add(x, y), Integer(0)) == e
 
 
-def test_substitute_compares_trees_when_hashes_are_equal():
-    # hash(-1) == hash(-2) in CPython, so the two integers' node hashes collide
-    assert hash(Integer(-1)) == hash(Integer(-2))
+def test_substitute_replaces_only_the_identical_number():
+    # hash(-1) == hash(-2) in CPython, yet the two integers are two nodes
+    assert Integer(-1) is not Integer(-2) and Integer(-2) is Integer(-2)
     e = add(mul(Integer(-2), x), y)
     assert substitute(e, Integer(-1), z) is e
     assert substitute(e, Integer(-2), z) == add(mul(z, x), y)
@@ -235,10 +235,11 @@ def random_expr(rng: random.Random, depth: int = 0, opaque: bool = False):
 
 
 def assert_fixed_points(e):
-    """Every node rebuilds to itself: the invariant keep_or_rebuild relies on
-    when it returns a node none of whose children changed."""
+    """Every node rebuilds to itself, the same object: the invariant
+    keep_or_rebuild relies on when it returns a node none of whose children
+    changed."""
     for node in full_walk(e):
-        assert rebuild(node, node.children()) == node, node
+        assert rebuild(node, node.children()) is node, node
 
 
 def bindings_for(rng: random.Random):

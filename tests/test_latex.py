@@ -490,9 +490,11 @@ def test_kept_free_symbols_equal_a_fresh_walk(e, other):
 
 
 def test_an_empty_function_name_raises_each_time_and_keeps_no_text():
-    u, v = Symbol("u"), Symbol("v")  # fresh nodes, never rendered
+    # nodes are shared, so these use names and a number no other code builds
+    u, v = Symbol("u_{unrendered}"), Symbol("v_{unrendered}")
     empty = AppliedFunction("", (v,))
-    outer = Add((u, Mul((Integer(2), empty))))
+    outer = Add((u, Mul((Integer(2**61 - 1), empty))))
+    assert all(n._tex is None for n in full_walk(outer))
     for _ in range(2):
         with pytest.raises(RenderError, match="empty function name"):
             to_latex(outer)

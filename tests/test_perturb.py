@@ -114,7 +114,8 @@ def test_rename_variables_matches_the_per_step_oracle_on_generated(seed):
 
 
 def _copy(e):
-    """An equal tree none of whose nodes is a node of e."""
+    """e rebuilt from its leaves through the node classes: since nodes are
+    interned, e itself."""
     if type(e) is Symbol:
         return Symbol(e.name)
     if type(e) is AppliedFunction:
@@ -137,7 +138,7 @@ _PARTS = st.recursive(_LEAVES, lambda inner: st.one_of(
 
 @st.composite
 def _derivations_with_repeated_subtrees(draw):
-    """Steps whose sides reuse a few parts: the same objects, equal copies,
+    """Steps whose sides reuse a few parts: the same objects, rebuilt copies,
     and sums and products of parts."""
     parts = draw(st.lists(_PARTS, min_size=1, max_size=4))
 
