@@ -124,7 +124,7 @@ def _diff(e: Expr, v: Symbol) -> Expr:
 # integration table
 
 def _is_plain_coefficient(e: Expr) -> bool:
-    """Numbers, symbols, products of them, and their integer powers."""
+    """Numbers, symbols, products of them, and their numeric powers."""
     t = type(e)
     if t in (Integer, Rational, Symbol):
         return True
@@ -135,27 +135,43 @@ def _is_plain_coefficient(e: Expr) -> bool:
     return False
 
 
-def _rule_constant(e: Expr, v: Symbol) -> Optional[Expr]:
-    if not _depends_on(e, v) and _is_plain_coefficient(e):
-        return mul(e, v)
-    return None
+def antiderivative(e: Expr, v: Symbol) -> Optional[Expr]:
+    """Antiderivative of e in v without the integration constant, or None."""
+    if type(e) is Add:
+        parts = [_term(t, v) for t in e.terms]
+        return None if None in parts else add(*parts)
+    return _term(e, v)
 
 
-def _rule_power(e: Expr, v: Symbol) -> Optional[Expr]:
-    if e == v:
+def _term(e: Expr, v: Symbol) -> Optional[Expr]:
+    direct = _atom(e, v)
+    if direct is not None or type(e) is not Mul:
+        return direct
+    # split a coefficient free of v from the rest; the table's closure
+    # only covers coefficients built from numbers and plain symbols
+    const_parts = [f for f in e.factors if not _depends_on(f, v)]
+    var_parts = [f for f in e.factors if _depends_on(f, v)]
+    if not const_parts or len(var_parts) > 1 or not all(map(_is_plain_coefficient, const_parts)):
+        return None
+    inner = _atom(var_parts[0] if var_parts else ONE, v)
+    return None if inner is None else mul(*const_parts, inner)
+
+
+def _atom(e: Expr, v: Symbol) -> Optional[Expr]:
+    """The table's three clauses, in order: a plain coefficient free of v,
+    a numeric power of v, and an elementary function of v."""
+    if not _depends_on(e, v):
+        return mul(e, v) if _is_plain_coefficient(e) else None
+    if e is v:
         return div(pow_(v, Integer(2)), Integer(2))
-    if type(e) is Pow and e.base == v:
+    if type(e) is Pow and e.base is v:
         n = exact_value(e.exp)
         if n is None:
             return None
         if n == -1:
             return func("log", v)
         return div(pow_(v, num_from_exact(n + 1)), num_from_exact(n + 1))
-    return None
-
-
-def _rule_elementary(e: Expr, v: Symbol) -> Optional[Expr]:
-    if type(e) is Func and e.arg == v:
+    if type(e) is Func and e.arg is v:
         if e.kind == "sin":
             return neg(func("cos", v))
         if e.kind == "cos":
@@ -164,46 +180,6 @@ def _rule_elementary(e: Expr, v: Symbol) -> Optional[Expr]:
             return func("exp", v)
         if e.kind == "log":
             return sub(mul(v, func("log", v)), v)
-    return None
-
-
-_RULES = (_rule_constant, _rule_power, _rule_elementary)
-
-
-def antiderivative(e: Expr, v: Symbol) -> Optional[Expr]:
-    """Antiderivative of e in v without the integration constant, or None."""
-    if type(e) is Add:
-        parts = [_term(t, v) for t in e.terms]
-        if any(p is None for p in parts):
-            return None
-        return add(*parts)  # type: ignore[arg-type]
-    return _term(e, v)
-
-
-def _term(e: Expr, v: Symbol) -> Optional[Expr]:
-    direct = _atom(e, v)
-    if direct is not None:
-        return direct
-    if type(e) is Mul:
-        # split a coefficient free of v from the rest; the table's closure
-        # only covers coefficients built from numbers and plain symbols
-        const_parts = [f for f in e.factors if not _depends_on(f, v)]
-        var_parts = [f for f in e.factors if _depends_on(f, v)]
-        if not all(_is_plain_coefficient(f) for f in const_parts):
-            return None
-        if const_parts and len(var_parts) <= 1:
-            rest = var_parts[0] if var_parts else ONE
-            inner = _atom(rest, v)
-            if inner is not None:
-                return mul(*const_parts, inner)
-    return None
-
-
-def _atom(e: Expr, v: Symbol) -> Optional[Expr]:
-    for rule in _RULES:
-        out = rule(e, v)
-        if out is not None:
-            return out
     return None
 
 

@@ -330,7 +330,7 @@ def _term_order_key(parts: list[tuple[int | Fraction, Optional[Expr]]]):
     generators appearing in any term, tie-broken by coefficient; pure numbers
     have an all-zero vector and sort last.
     """
-    gens: dict[tuple, int] = {}
+    gens: set[tuple] = set()
     decomposed = []
     for coeff, rest in parts:
         factors: dict[Expr, int | Fraction] = {}
@@ -339,8 +339,7 @@ def _term_order_key(parts: list[tuple[int | Fraction, Optional[Expr]]]):
             for f in rest_factors:
                 base, q = _base_exp(f)
                 factors[base] = factors.get(base, 0) + q
-        for base in factors:
-            gens.setdefault(base.sort_key(), 0)
+        gens.update(base.sort_key() for base in factors)
         decomposed.append((coeff, factors))
     gen_index = {k: i for i, k in enumerate(sorted(gens))}
     n = len(gen_index)
@@ -360,23 +359,17 @@ def add(*terms: Expr) -> Expr:
             flat.extend(t.terms)
         else:
             flat.append(t)
-    # merge like terms: map residual part -> coefficient sum
+    # merge like terms: map residual part -> coefficient sum, in first-seen order
     const = 0
     by_rest: dict[Expr, int | Fraction] = {}
-    order: list[Expr] = []
     for t in flat:
         coeff, rest = _coeff_split(t)
         if rest is None:
             const += coeff
         else:
-            if rest not in by_rest:
-                by_rest[rest] = 0
-                order.append(rest)
-            by_rest[rest] += coeff
-    parts: list[tuple[int | Fraction, Optional[Expr]]] = []
-    for rest in order:
-        if by_rest[rest] != 0:
-            parts.append((by_rest[rest], rest))
+            by_rest[rest] = by_rest.get(rest, 0) + coeff
+    parts: list[tuple[int | Fraction, Optional[Expr]]] = [
+        (coeff, rest) for rest, coeff in by_rest.items() if coeff != 0]
     if const != 0:
         parts.append((const, None))
     if not parts:
@@ -404,23 +397,18 @@ def mul(*factors: Expr) -> Expr:
         else:
             flat.append(f)
     coeff = 1
-    by_base: dict[Expr, list] = {}
-    order: list[Expr] = []
+    by_base: dict[Expr, int | Fraction] = {}  # base -> exponent sum, in first-seen order
     for f in flat:
         q = exact_value(f)
         if q is not None:
             coeff *= q
             continue
         base, e = _base_exp(f)
-        if base not in by_base:
-            by_base[base] = [0]
-            order.append(base)
-        by_base[base][0] += e
+        by_base[base] = by_base.get(base, 0) + e
     if coeff == 0:
         return ZERO
     rebuilt: list[Expr] = []
-    for base in order:
-        e = by_base[base][0]
+    for base, e in by_base.items():
         if e == 0:
             continue
         p = base if e == 1 else pow_(base, num_from_exact(e))
@@ -579,18 +567,12 @@ def substitute(e: Expr, target: Expr, replacement: Expr) -> Expr:
     Callers pass canonical trees (every constructor output is canonical), so
     untouched branches are reused as-is and only rebuilt paths re-canonicalize.
     """
-    if target is replacement:
-        return e
-    return _subst_canonical(e, target, replacement)
-
-
-def _subst_canonical(e: Expr, target: Expr, replacement: Expr) -> Expr:
     if e is target:
         return replacement
     t = type(e)
     if t is Symbol or t is Integer or t is Rational:
         return e
-    return keep_or_rebuild(e, [_subst_canonical(x, target, replacement) for x in e.children()])
+    return keep_or_rebuild(e, [substitute(x, target, replacement) for x in e.children()])
 
 
 def distinct_subtrees(*roots: Expr) -> Iterator[Expr]:

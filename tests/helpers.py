@@ -8,14 +8,15 @@ rows, prompt equations, the mode length and top chain of a `stats` report),
 the `random.choices` draws, full sort, full subtree walk, uncached
 free-symbol walk and pool-walking step note that generation's tables,
 pruning and caches replace, the calculus walkers that rebuild every node
-where the engine keeps untouched subtrees, the two-loop score report that
-the one family loop replaces, the per-order n-gram counts and summed n-gram
-totals that the one counting pass and the closed forms replace, the
-line-by-line file reader that the one decode step replaces, the printer that
-renders every node again that the per-node text replaces, the per-step
-renaming that VR's one memo per derivation replaces, a wrapper for tree
-strategies whose constructors may refuse, and a fixed reference block for
-scaling wall-clock bounds to the host's speed."""
+where the engine keeps untouched subtrees, the integration table as rule
+functions tried in order that the one clause function replaces, the two-loop
+score report that the one family loop replaces, the per-order n-gram counts
+and summed n-gram totals that the one counting pass and the closed forms
+replace, the line-by-line file reader that the one decode step replaces, the
+printer that renders every node again that the per-node text replaces, the
+per-step renaming that VR's one memo per derivation replaces, a wrapper for
+tree strategies whose constructors may refuse, and a fixed reference block
+for scaling wall-clock bounds to the host's speed."""
 from __future__ import annotations
 
 import cmath
@@ -34,7 +35,9 @@ from derivekit import ops
 from derivekit.calculus import (
     CalculusError,
     _IntegralEvaluator,
+    _depends_on,
     _is_concrete_integrand,
+    _is_plain_coefficient,
     antiderivative,
     differentiate,
 )
@@ -50,6 +53,7 @@ from derivekit.expr import (
     Integral,
     Mul,
     Number,
+    ONE,
     Pow,
     Rational,
     Symbol,
@@ -62,8 +66,10 @@ from derivekit.expr import (
     exact_value,
     func,
     integral,
+    mul,
     neg,
     num_from_exact,
+    pow_,
     rebuild,
     sub,
     symbol_nodes,
@@ -615,6 +621,81 @@ def evaluate_integrals_by_rebuild(eq: Equation, used_symbols, constant_pool):
     if new == eq:
         raise CalculusError("no concrete integral to evaluate")
     return new, tuple(ev.constants)
+
+
+# ---------------------------------------------------------------------------
+# the integration table as a list of rules, each tried in order
+
+def _rule_constant(e: Expr, v: Symbol) -> Optional[Expr]:
+    if not _depends_on(e, v) and _is_plain_coefficient(e):
+        return mul(e, v)
+    return None
+
+
+def _rule_power(e: Expr, v: Symbol) -> Optional[Expr]:
+    if e == v:
+        return div(pow_(v, Integer(2)), Integer(2))
+    if type(e) is Pow and e.base == v:
+        n = exact_value(e.exp)
+        if n is None:
+            return None
+        if n == -1:
+            return func("log", v)
+        return div(pow_(v, num_from_exact(n + 1)), num_from_exact(n + 1))
+    return None
+
+
+def _rule_elementary(e: Expr, v: Symbol) -> Optional[Expr]:
+    if type(e) is Func and e.arg == v:
+        if e.kind == "sin":
+            return neg(func("cos", v))
+        if e.kind == "cos":
+            return func("sin", v)
+        if e.kind == "exp":
+            return func("exp", v)
+        if e.kind == "log":
+            return sub(mul(v, func("log", v)), v)
+    return None
+
+
+_RULES = (_rule_constant, _rule_power, _rule_elementary)
+
+
+def _atom_by_rule_list(e: Expr, v: Symbol) -> Optional[Expr]:
+    for rule in _RULES:
+        out = rule(e, v)
+        if out is not None:
+            return out
+    return None
+
+
+def _term_by_rule_list(e: Expr, v: Symbol) -> Optional[Expr]:
+    direct = _atom_by_rule_list(e, v)
+    if direct is not None:
+        return direct
+    if type(e) is Mul:
+        const_parts = [f for f in e.factors if not _depends_on(f, v)]
+        var_parts = [f for f in e.factors if _depends_on(f, v)]
+        if not all(_is_plain_coefficient(f) for f in const_parts):
+            return None
+        if const_parts and len(var_parts) <= 1:
+            rest = var_parts[0] if var_parts else ONE
+            inner = _atom_by_rule_list(rest, v)
+            if inner is not None:
+                return mul(*const_parts, inner)
+    return None
+
+
+def antiderivative_by_rule_list(e: Expr, v: Symbol) -> Optional[Expr]:
+    """calculus.antiderivative as the table was once written: three rule
+    functions tried in order for each term, and a product split into a plain
+    coefficient free of v and one factor a rule integrates."""
+    if type(e) is Add:
+        parts = [_term_by_rule_list(t, v) for t in e.terms]
+        if any(p is None for p in parts):
+            return None
+        return add(*parts)
+    return _term_by_rule_list(e, v)
 
 
 # ---------------------------------------------------------------------------

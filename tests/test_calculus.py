@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from derivekit.calculus import (
     CalculusError,
+    _is_plain_coefficient,
     antiderivative,
     differentiate,
     evaluate_derivatives,
@@ -15,13 +16,18 @@ from derivekit.calculus import (
 )
 from derivekit.expr import (
     FUNCTION_KINDS,
+    Add,
     Equation,
+    Func,
     Integer,
+    Mul,
+    Pow,
     Symbol,
     add,
     applied,
     derivative,
     div,
+    free_symbols,
     func,
     integral,
     mul,
@@ -31,6 +37,7 @@ from derivekit.expr import (
 from derivekit.latex import equation_to_latex, to_latex
 from helpers import (
     EvalError,
+    antiderivative_by_rule_list,
     eval_complex,
     eval_numeric,
     evaluate_derivatives_by_rebuild,
@@ -259,6 +266,81 @@ def test_antiderivative_of_rules_matches_patterns():
         anti = antiderivative(integrand, x)
         assert anti is not None
         assert differentiate(anti, x) == integrand
+
+
+# ---------------------------------------------------------------------------
+# the one clause function integrates what the rule functions tried in order did
+
+c = Symbol("c")
+HALF = div(Integer(1), Integer(2))
+_TABLE_FACTORS = (
+    Integer(3), HALF, c, y, pow_(c, HALF),  # plain coefficients
+    func("sin", c), applied("f", [c]), pow_(c, y),  # free of x, not plain
+    x, pow_(x, Integer(2)), pow_(x, Integer(-1)), pow_(x, Integer(-3)), pow_(x, HALF),
+    pow_(x, y), *(func(kind, x) for kind in FUNCTION_KINDS),
+    func("sin", mul(Integer(2), x)), applied("f", [x]),
+)
+_INTEGRANDS = st.lists(
+    st.lists(st.sampled_from(_TABLE_FACTORS), min_size=1, max_size=3).map(lambda fs: mul(*fs)),
+    min_size=1, max_size=3,
+).map(lambda terms: add(*terms))
+
+_TABLE_CASES = {
+    "a plain coefficient", "a factor free of x, not plain", "x", "a numeric power of x",
+    "x^{-1}", "x^{y}", "an elementary function of x", "a function of a compound argument",
+    "a coefficient times one factor in x", "two factors in x", "a sum with one term that misses",
+}
+
+
+def _table_cases(e):
+    """The clauses of the integration table, and their near misses, that e reaches."""
+    terms = e.terms if type(e) is Add else (e,)
+    cases = set()
+    if len(terms) > 1 and [antiderivative_by_rule_list(t, x) for t in terms].count(None) == 1:
+        cases.add("a sum with one term that misses")
+    for t in terms:
+        factors = t.factors if type(t) is Mul else (t,)
+        in_x = [f for f in factors if "x" in free_symbols(f)]
+        if len(in_x) > 1:
+            cases.add("two factors in x")
+        elif in_x and len(factors) > 1:
+            cases.add("a coefficient times one factor in x")
+        for f in factors:
+            if f not in in_x:
+                plain = _is_plain_coefficient(f)
+                cases.add("a plain coefficient" if plain else "a factor free of x, not plain")
+            elif f is x:
+                cases.add("x")
+            elif type(f) is Pow and f.base is x:
+                cases.add("x^{-1}" if f.exp is Integer(-1)
+                          else "x^{y}" if f.exp is y else "a numeric power of x")
+            elif type(f) is Func:
+                cases.add("an elementary function of x" if f.arg is x
+                          else "a function of a compound argument")
+    return cases
+
+
+def test_antiderivative_matches_the_rule_list():
+    seen = set()
+
+    @given(_INTEGRANDS)
+    @example(func("sin", c))
+    @example(applied("f", [c]))
+    @example(mul(func("sin", c), x))
+    @example(mul(applied("f", [c]), pow_(x, Integer(2))))
+    @example(mul(pow_(c, HALF), y))
+    @example(pow_(x, y))
+    @example(mul(Integer(3), pow_(x, Integer(-1))))
+    @example(func("sin", mul(Integer(2), x)))
+    @example(mul(x, func("cos", x)))
+    @example(add(x, func("exp", x), pow_(x, y)))
+    @settings(max_examples=300, deadline=None)
+    def check(e):
+        seen.update(_table_cases(e))
+        assert antiderivative(e, x) is antiderivative_by_rule_list(e, x), to_latex(e)
+
+    check()
+    assert seen == _TABLE_CASES
 
 
 # ---------------------------------------------------------------------------
