@@ -6,7 +6,8 @@ named unknown functions differentiate to symbolic Derivative nodes, so
 Integration is a closed table (powers, 1/x, sin, cos, e^x, log x, linear
 combinations); integrands outside the table yield ``None`` rather than an
 error, mirroring the generator's skip-on-miss contract. Each successful
-integration introduces a fresh constant drawn from the unused vocabulary.
+integration introduces a constant, the next of the names the caller passes;
+the caller keeps those names fresh.
 """
 from __future__ import annotations
 
@@ -214,18 +215,16 @@ def evaluate_derivatives(eq: Equation) -> Equation:
 
 
 class _IntegralEvaluator:
-    def __init__(self, used: set[str], constant_pool: tuple[str, ...]):
-        self.used = used
-        self.pool = constant_pool
+    def __init__(self, names: Iterable[str]):
+        self.names = iter(names)
         self.constants: list[Symbol] = []
         self.miss = False
         self.saw_integral = False
 
     def fresh_constant(self) -> Symbol:
-        name = next((n for n in self.pool if n not in self.used), None)
+        name = next(self.names, None)
         if name is None:
             raise CalculusError("constant pool exhausted")
-        self.used.add(name)
         const = Symbol(name)
         self.constants.append(const)
         return const
@@ -247,17 +246,17 @@ class _IntegralEvaluator:
 
 
 def evaluate_integrals(
-    eq: Equation,
-    used_symbols: Iterable[str],
-    constant_pool: Iterable[str],
+    eq: Equation, names: Iterable[str]
 ) -> Optional[tuple[Equation, tuple[Symbol, ...]]]:
-    """Evaluate every concrete Integral node, one fresh constant per node.
+    """Evaluate every concrete Integral node, adding to each the constant
+    named by the next of `names`.
 
     Integrals over unknown-function applications stay symbolic. Returns None
     when some concrete integrand has no table rule; raises CalculusError
-    when there is no concrete integral to evaluate at all.
+    when there is no concrete integral to evaluate at all, or when `names`
+    runs out.
     """
-    ev = _IntegralEvaluator(set(used_symbols), tuple(constant_pool))
+    ev = _IntegralEvaluator(names)
     lhs = ev.visit(eq.lhs)
     rhs = ev.visit(eq.rhs)
     if ev.miss:

@@ -339,7 +339,8 @@ class _GenState:
         ops.shuffle(pool, self.rng)
         return pool
 
-    def apply_once(self, op: str, parents: tuple[int, ...], **kwargs) -> Optional[Step]:
+    def apply_once(self, op: str, parents: tuple[int, ...],
+                   fresh: Sequence[str] = ()) -> Optional[Step]:
         """ops.apply on this attempt's steps, None when it fails.
 
         The result depends only on op and the parents' equations, so each
@@ -352,7 +353,7 @@ class _GenState:
         if key in self.applied:
             return self.applied[key]
         try:
-            step = ops.apply(op, self.steps, parents, **kwargs)
+            step = ops.apply(op, self.steps, parents, fresh=fresh)
         except ops.OpError:
             step = None
         if step is None or op != ops.EVAL_INT:
@@ -435,7 +436,7 @@ def apply_action(
             if action == ops.EVAL_DIFF:
                 return state.apply_once(action, parents)
             # the pool is shuffled (drawing from rng) even on a memo hit
-            return state.apply_once(action, parents, constant_pool=state.constant_pool())
+            return state.apply_once(action, parents, fresh=state.constant_pool())
         if action == ops.ADD_EQ:
             if parents is None:
                 first = _recency_pick(state, range(n))
@@ -451,7 +452,7 @@ def apply_action(
                 operand = eq.lhs if rng.random() < 0.5 else eq.rhs
             else:
                 operand = rng.choice(tuple(distinct_subtrees(eq.lhs, eq.rhs)))
-            return ops.apply(action, steps, parents, operand, fresh_name=name)
+            return ops.apply(action, steps, parents, operand, (name,))
         parents = parents or (_recency_pick(state, range(n)),)
         eq = steps[parents[0]].equation
         if action in (ops.DIFF, ops.INT):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import calculus
 from .expr import (
@@ -43,9 +43,9 @@ class OpError(Exception):
     pass
 
 
-# Operation identifiers. The first twelve form the core set; the rest are
-# extension ops, drawn by GenConfig's p_extension (negate, swap, exp, log),
-# p_add_eq and p_define. OpInfo.extension only marks them.
+# Operation identifiers. REGISTRY lists the twelve core ops first; the rest
+# are extension ops, drawn by GenConfig's p_extension (negate, swap, exp,
+# log), p_add_eq and p_define.
 ADD = "add"
 SUB = "sub"
 MUL = "mul"
@@ -67,44 +67,39 @@ DEFINE = "define"
 
 PREMISE = "premise"  # pseudo-op tag for introduced premises
 
-CHAIN_GLYPHS = {
-    ADD: "+", SUB: "-", MUL: "*", DIV: "/", POW: "X^O",
-    DIFF: "d", INT: "int", EVAL_DIFF: "d_E", EVAL_INT: "int_E",
-    SUB_LHS: "S_L", SUB_RHS: "S_R", RENAME: "R",
-    NEGATE: "neg", SWAP: "swap", EXP_BOTH: "exp", LOG_BOTH: "log",
-    ADD_EQ: "+eq", DEFINE: "def",
-}
-
 
 @dataclass(frozen=True)
 class OpInfo:
     op: str
     arity: int              # parent equations consumed
     needs_operand: bool
-    extension: bool = False
+    glyph: str              # its label in an operation chain (stats)
+    # an op that runs one function on both sides: side(expr, operand); the
+    # operand is None for the ops that take none
+    side: Optional[Callable[[Expr, Optional[Expr]], Expr]] = None
 
 
 REGISTRY: dict[str, OpInfo] = {
     info.op: info
     for info in (
-        OpInfo(ADD, 1, True),
-        OpInfo(SUB, 1, True),
-        OpInfo(MUL, 1, True),
-        OpInfo(DIV, 1, True),
-        OpInfo(POW, 1, True),
-        OpInfo(DIFF, 1, True),          # operand: the differentiation variable
-        OpInfo(INT, 1, True),           # operand: the integration variable
-        OpInfo(EVAL_DIFF, 1, False),
-        OpInfo(EVAL_INT, 1, False),     # constants recorded on the step
-        OpInfo(SUB_LHS, 2, False),      # parents: (definition, target)
-        OpInfo(SUB_RHS, 2, False),
-        OpInfo(RENAME, 1, True),        # operand: a side of the parent equation
-        OpInfo(NEGATE, 1, False, extension=True),
-        OpInfo(SWAP, 1, False, extension=True),
-        OpInfo(EXP_BOTH, 1, False, extension=True),
-        OpInfo(LOG_BOTH, 1, False, extension=True),
-        OpInfo(ADD_EQ, 2, False, extension=True),
-        OpInfo(DEFINE, 1, True, extension=True),
+        OpInfo(ADD, 1, True, "+", add),
+        OpInfo(SUB, 1, True, "-", sub),
+        OpInfo(MUL, 1, True, "*", mul),
+        OpInfo(DIV, 1, True, "/", div),
+        OpInfo(POW, 1, True, "X^O", pow_),
+        OpInfo(DIFF, 1, True, "d", derivative),     # operand: the differentiation variable
+        OpInfo(INT, 1, True, "int", integral),      # operand: the integration variable
+        OpInfo(EVAL_DIFF, 1, False, "d_E"),
+        OpInfo(EVAL_INT, 1, False, "int_E"),        # constants recorded on the step
+        OpInfo(SUB_LHS, 2, False, "S_L"),           # parents: (definition, target)
+        OpInfo(SUB_RHS, 2, False, "S_R"),
+        OpInfo(RENAME, 1, True, "R"),               # operand: a side of the parent equation
+        OpInfo(NEGATE, 1, False, "neg", lambda e, _: neg(e)),
+        OpInfo(SWAP, 1, False, "swap"),
+        OpInfo(EXP_BOTH, 1, False, "exp", lambda e, _: func("exp", e)),
+        OpInfo(LOG_BOTH, 1, False, "log", lambda e, _: func("log", e)),
+        OpInfo(ADD_EQ, 2, False, "+eq"),
+        OpInfo(DEFINE, 1, True, "def"),
     )
 }
 
@@ -153,36 +148,19 @@ class ValidityReport(NamedTuple):
     failures: tuple[tuple[int, str], ...] = ()
 
 
-# ops that run one function on both sides: side(expr, operand); the operand
-# is None for the ops that take none
-_BOTH_SIDES = {
-    ADD: add,
-    SUB: sub,
-    MUL: mul,
-    DIV: div,
-    POW: pow_,
-    DIFF: derivative,
-    INT: integral,
-    NEGATE: lambda e, _: neg(e),
-    EXP_BOTH: lambda e, _: func("exp", e),
-    LOG_BOTH: lambda e, _: func("log", e),
-}
-
-
 def apply(
     op: str,
     steps: Sequence[Step],
     parents: tuple[int, ...],
     operand: Optional[Expr] = None,
-    fresh_name: Optional[str] = None,
-    constants: Optional[Sequence[Symbol]] = None,
-    constant_pool: Iterable[str] = (),
+    fresh: Sequence[str] = (),
 ) -> Step:
     """Execute one operation and return the resulting step.
 
-    Deterministic given its inputs: rename-family ops take the fresh name
-    explicitly and eval_int either reuses the given constants (replay) or
-    draws them in order from constant_pool (generation).
+    Deterministic given its inputs. `fresh` lists, in order, the names the
+    op may introduce: a rename-family op names its function after the first,
+    and eval_int takes one per evaluated integral. The caller keeps them
+    fresh; apply does not check them against the steps.
     """
     info = REGISTRY.get(op)
     if info is None:
@@ -198,7 +176,7 @@ def apply(
             raise OpError(f"parent index {p} out of range")
     eqs = [steps[p].equation for p in parents]
     try:
-        side = _BOTH_SIDES.get(op)
+        side = info.side
         if side is not None:
             if op == DIV and is_zero(operand):
                 raise OpError("division by syntactic zero")
@@ -211,19 +189,10 @@ def apply(
             return Step(calculus.evaluate_derivatives(eqs[0]), op, parents)
 
         if op == EVAL_INT:
-            used = set().union(*(equation_free_symbols(s.equation) for s in steps))
-            if constants is not None:
-                pool: Iterable[str] = [c.name for c in constants]
-                used -= {c.name for c in constants}
-            else:
-                pool = constant_pool
-            out = calculus.evaluate_integrals(eqs[0], used, pool)
+            out = calculus.evaluate_integrals(eqs[0], fresh)
             if out is None:
                 raise OpError("integrand outside the integral table")
-            eq, drawn = out
-            if constants is not None and tuple(drawn) != tuple(constants):
-                raise OpError("recorded integration constants do not replay")
-            return Step(eq, op, parents, constants=tuple(drawn))
+            return Step(out[0], op, parents, constants=out[1])
 
         if op in (SUB_LHS, SUB_RHS):
             # S_L replaces the definition's LHS by its RHS throughout the target
@@ -242,7 +211,7 @@ def apply(
             return Step(Equation(new_lhs, new_rhs), op, parents, pattern)
 
         if op in RENAME_FAMILY:
-            if fresh_name is None:
+            if not fresh:
                 raise OpError(f"{op} requires a fresh function name")
             source = eqs[0]
             if operand not in distinct_subtrees(source.lhs, source.rhs):
@@ -252,7 +221,7 @@ def apply(
             args = symbol_nodes(operand)
             if not args:
                 raise OpError("cannot name an expression with no variables")
-            eq = Equation(applied(fresh_name, args), operand)
+            eq = Equation(applied(fresh[0], args), operand)
             return Step(eq, op, parents, operand)
 
         if op == SWAP:
@@ -301,39 +270,42 @@ def shuffle(x: list, rng) -> None:
 def replay(derivation: Derivation) -> ValidityReport:
     """Re-execute every step from its annotation; report mismatches.
 
-    A rename-family step replays with the function name its lhs records,
-    which must not occur in any earlier equation. Replay checks step
+    The names a step introduces (a rename-family step's function, an
+    eval_int step's recorded constants) must be fresh: in no earlier
+    equation and not repeated within the step. The step then replays with
+    them and must draw exactly its recorded constants. Replay checks step
     reproduction only; DAG coherence and duplicate freedom are separate
     derivation invariants (see dag_coherent and duplicate_free).
     """
     failures: list[tuple[int, str]] = []
     steps = derivation.steps
+    seen: set[str] = set()  # the names of the equations before step i
     for i, step in enumerate(steps):
+        if i:
+            seen.update(equation_free_symbols(steps[i - 1].equation))
         if step.op is None:
             if step.parents:
                 failures.append((i, "premise with parents"))
             if step.role != ROLE_PREMISE:
                 failures.append((i, "unannotated step without premise role"))
             continue
-        name = None
-        if step.op in RENAME_FAMILY and isinstance(step.equation.lhs, AppliedFunction):
-            name = step.equation.lhs.name
-            if any(name in equation_free_symbols(prior.equation) for prior in steps[:i]):
-                failures.append((i, f"renamed function {name!r} is not fresh"))
-                continue
+        kind, fresh = "renamed function", ()
+        if step.op == EVAL_INT:
+            kind, fresh = "integration constant", tuple(c.name for c in step.constants)
+        elif step.op in RENAME_FAMILY and isinstance(step.equation.lhs, AppliedFunction):
+            fresh = (step.equation.lhs.name,)
+        clash = next((n for k, n in enumerate(fresh) if n in seen or n in fresh[:k]), None)
+        if clash is not None:
+            failures.append((i, f"{kind} {clash!r} is not fresh"))
+            continue
         try:
-            redone = apply(
-                step.op,
-                steps[:i],
-                step.parents,
-                step.operand,
-                fresh_name=name,
-                constants=step.constants if step.op == EVAL_INT else None,
-            )
+            redone = apply(step.op, steps[:i], step.parents, step.operand, fresh)
         except OpError as exc:
             failures.append((i, f"replay error: {exc}"))
             continue
-        if redone.equation != step.equation:
+        if redone.constants != step.constants:
+            failures.append((i, "replay error: recorded integration constants do not replay"))
+        elif redone.equation != step.equation:
             failures.append((i, "replayed equation differs from record"))
     return ValidityReport(not failures, tuple(failures))
 

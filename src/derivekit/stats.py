@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Iterable, Sequence
 
-from .ops import CHAIN_GLYPHS, PREMISE
+from .ops import PREMISE, REGISTRY
 
 
 def chain_label(chain: Sequence[str]) -> str:
-    return " -> ".join(CHAIN_GLYPHS.get(op, op) for op in chain)
+    return " -> ".join(REGISTRY[op].glyph for op in chain)
 
 
 def build_stats(op_tags: Iterable[Sequence[str]], top_per_length: int = 2) -> dict:

@@ -148,7 +148,7 @@ def prompt_example_derivation() -> Derivation:
     steps.append(
         ops.apply(
             ops.DEFINE, steps, (3,),
-            operand=add(neg(ea), derivative(qa, a)), fresh_name="G",
+            operand=add(neg(ea), derivative(qa, a)), fresh=["G"],
         )
     )
     steps.append(ops.apply(ops.SUB_RHS, steps, (4, 3)))
@@ -220,7 +220,7 @@ def infer_derivation(equations: list[Equation]) -> Derivation:
     steps: list[Step] = [Step(equations[0], None, role=ROLE_PREMISE)]
     for equation in equations[1:]:
         # a rename candidate names its function after the equation's lhs
-        name = equation.lhs.name if type(equation.lhs) is AppliedFunction else None
+        renamed = (equation.lhs.name,) if type(equation.lhs) is AppliedFunction else ()
         found = None
         for candidate in _candidate_steps(steps, equation):
             try:
@@ -229,12 +229,11 @@ def infer_derivation(equations: list[Equation]) -> Derivation:
                     steps,
                     candidate.parents,
                     candidate.operand,
-                    fresh_name=name,
-                    constants=candidate.constants if candidate.op == ops.EVAL_INT else None,
+                    fresh=[c.name for c in candidate.constants] or renamed,
                 )
             except ops.OpError:
                 continue
-            if redone.equation == equation:
+            if redone.constants == candidate.constants and redone.equation == equation:
                 found = redone
                 break
         if found is None:
@@ -608,9 +607,9 @@ class _RebuildingIntegralEvaluator(_IntegralEvaluator):
         return add(anti, self.fresh_constant())
 
 
-def evaluate_integrals_by_rebuild(eq: Equation, used_symbols, constant_pool):
+def evaluate_integrals_by_rebuild(eq: Equation, names):
     """calculus.evaluate_integrals rebuilding every node it walks."""
-    ev = _RebuildingIntegralEvaluator(set(used_symbols), tuple(constant_pool))
+    ev = _RebuildingIntegralEvaluator(names)
     lhs = ev.visit(eq.lhs)
     rhs = ev.visit(eq.rhs)
     if ev.miss:

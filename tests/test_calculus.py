@@ -73,10 +73,10 @@ def test_differentiate_product_and_chain_rules():
     assert differentiate(func("cos", x), x) == neg(func("sin", x))
 
 
-def integral_rhs(e, v, used_symbols, constant_pool):
+def integral_rhs(e, v, names=POOL):
     """(rhs, constant) of evaluate_integrals on F = integral(e, v), or None
     on a table miss."""
-    out = evaluate_integrals(Equation(Symbol("F"), integral(e, v)), used_symbols, constant_pool)
+    out = evaluate_integrals(Equation(Symbol("F"), integral(e, v)), names)
     if out is None:
         return None
     eq, (const,) = out
@@ -85,7 +85,7 @@ def integral_rhs(e, v, used_symbols, constant_pool):
 
 def test_integrate_golden_log():
     s = Symbol("\\mathbf{s}")
-    out = integral_rhs(func("log", s), s, {"\\mathbf{s}", "y^{\\prime}"}, POOL)
+    out = integral_rhs(func("log", s), s)
     assert out is not None
     anti, const = out
     assert const == Symbol("\\omega")
@@ -94,7 +94,7 @@ def test_integrate_golden_log():
 
 def test_integrate_golden_polynomial():
     J, v = Symbol("\\mathbf{J}"), Symbol("\\mathbf{v}")
-    out = integral_rhs(add(J, v), J, {"\\mathbf{J}", "\\mathbf{v}", "\\omega", "\\chi", "n", "Q"}, POOL)
+    out = integral_rhs(add(J, v), J, POOL[4:])  # the pool less its first four names
     assert out is not None
     anti, const = out
     assert const == Symbol("f")
@@ -102,24 +102,24 @@ def test_integrate_golden_polynomial():
 
 
 def test_integrate_zero_gives_bare_constant():
-    out = integral_rhs(Integer(0), x, set(), POOL)
+    out = integral_rhs(Integer(0), x)
     assert out is not None
     anti, const = out
     assert anti == const
 
 
 def test_integrate_table_miss_returns_none():
-    assert integral_rhs(mul(x, func("sin", x)), x, set(), POOL) is None
-    assert integral_rhs(pow_(x, y), x, set(), POOL) is None
-    assert integral_rhs(func("sin", mul(Integer(2), x)), x, set(), POOL) is None
+    assert integral_rhs(mul(x, func("sin", x)), x) is None
+    assert integral_rhs(pow_(x, y), x) is None
+    assert integral_rhs(func("sin", mul(Integer(2), x)), x) is None
 
 
 def test_integrate_constant_never_collides():
-    used = set(POOL[:-1]) | {"x"}
-    out = integral_rhs(x, x, used, POOL)
+    # one name per integral, in the order given: two integrals never share one
+    out = evaluate_integrals(Equation(integral(x, x), integral(y, y)), POOL)
     assert out is not None
-    _, const = out
-    assert const == Symbol(POOL[-1])
+    _, constants = out
+    assert constants == (Symbol(POOL[0]), Symbol(POOL[1]))
 
 
 def test_evaluate_derivatives_golden():
@@ -148,7 +148,7 @@ def test_evaluate_integrals_golden():
     lam = Symbol("\\lambda")
     u = applied("u", [lam])
     eq = Equation(integral(u, lam), integral(func("sin", lam), lam))
-    out = evaluate_integrals(eq, {"u", "\\lambda"}, ["n", "Q"])
+    out = evaluate_integrals(eq, ["n", "Q"])
     assert out is not None
     new, constants = out
     assert equation_to_latex(new) == r"\int u{(\lambda)} d\lambda = n - \cos{(\lambda)}"
@@ -157,7 +157,7 @@ def test_evaluate_integrals_golden():
     psl = Symbol("\\Psi_{\\lambda}")
     I_ = applied("\\mathbb{I}", [psl])
     eq2 = Equation(integral(I_, psl), integral(func("exp", psl), psl))
-    out2 = evaluate_integrals(eq2, {"\\mathbb{I}", "\\Psi_{\\lambda}"}, ["\\chi"])
+    out2 = evaluate_integrals(eq2, ["\\chi"])
     assert out2 is not None
     new2, _ = out2
     assert equation_to_latex(new2).endswith(r"= \chi + e^{\Psi_{\lambda}}")
@@ -165,23 +165,23 @@ def test_evaluate_integrals_golden():
 
 def test_evaluate_integrals_table_miss_is_absent():
     eq = Equation(x, integral(mul(x, func("sin", x)), x))
-    assert evaluate_integrals(eq, set(), POOL) is None
+    assert evaluate_integrals(eq, POOL) is None
 
 
 def test_evaluate_integrals_errors():
     with pytest.raises(CalculusError, match="no integral node in equation"):
-        evaluate_integrals(Equation(x, y), set(), POOL)
+        evaluate_integrals(Equation(x, y), POOL)
     # only a stuck (unknown-function) integral present: nothing to evaluate
     eq = Equation(integral(applied("u", [x]), x), y)
     with pytest.raises(CalculusError, match="no concrete integral to evaluate"):
-        evaluate_integrals(eq, set(), POOL)
+        evaluate_integrals(eq, POOL)
 
 
 def test_evaluate_integrals_nested_in_derivative():
     xp = Symbol("x^\\prime")
     inner = integral(func("log", xp), xp)
     eq = Equation(x, derivative(inner, xp))
-    out = evaluate_integrals(eq, {"x", "x^\\prime"}, ["n_{2}"])
+    out = evaluate_integrals(eq, ["n_{2}"])
     assert out is not None
     new, constants = out
     assert constants == (Symbol("n_{2}"),)
@@ -254,7 +254,7 @@ TABLE_INSTANCES = [
 
 @pytest.mark.parametrize("integrand", TABLE_INSTANCES, ids=[to_latex(t) for t in TABLE_INSTANCES])
 def test_differentiate_integrate_identity(integrand):
-    out = integral_rhs(integrand, x, {"x", "c", "b"}, POOL)
+    out = integral_rhs(integrand, x)
     assert out is not None, "table should cover this instance"
     anti, _ = out
     assert differentiate(anti, x) == integrand
@@ -385,5 +385,6 @@ def _outcome(evaluate, *args):
 def test_walkers_match_the_walkers_that_rebuild_every_node(lhs, rhs, used):
     eq = Equation(lhs, rhs)
     assert _outcome(evaluate_derivatives, eq) == _outcome(evaluate_derivatives_by_rebuild, eq)
-    assert (_outcome(evaluate_integrals, eq, used, POOL)
-            == _outcome(evaluate_integrals_by_rebuild, eq, used, POOL))
+    names = [n for n in POOL if n not in used]
+    assert (_outcome(evaluate_integrals, eq, names)
+            == _outcome(evaluate_integrals_by_rebuild, eq, names))

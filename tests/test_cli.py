@@ -112,21 +112,28 @@ def test_verify_reports_incoherent_and_duplicate_records(tmp_path):
 # a premise, then one hand-broken step, and the problem line verify reports
 BROKEN_STEPS = {
     "wrong-parent-count": ("x = y", {"latex": "y = x", "op": "swap", "parents": [0, 0]},
-                           "swap expects 1 parents, got 2"),
+                           "replay error: swap expects 1 parents, got 2"),
     "operand-on-swap": ("x = y", {"latex": "y = x", "op": "swap", "operand_latex": "x"},
-                        "swap does not take an operand"),
+                        "replay error: swap does not take an operand"),
     "division-by-zero": ("x = y", {"latex": "2 x = 2 y", "op": "div", "operand_latex": "0"},
-                         "division by syntactic zero"),
+                         "replay error: division by syntactic zero"),
     "eval-diff-nothing-to-evaluate": ("x = y", {"latex": "y = x", "op": "eval_diff"},
-                                      "no evaluable derivative in equation"),
+                                      "replay error: no evaluable derivative in equation"),
     "eval-int-extra-constant": (r"x = \int y dy", {
         "latex": r"x = \frac{1}{2} y^{2} + C", "op": "eval_int", "operand_latex": "C,D"},
-        "recorded integration constants do not replay"),
+        "replay error: recorded integration constants do not replay"),
     "eval-int-no-constant": (r"x = \int y dy", {
         "latex": r"x = \frac{1}{2} y^{2} + C", "op": "eval_int", "operand_latex": ""},
-        "constant pool exhausted"),
+        "replay error: constant pool exhausted"),
+    "eval-int-constant-in-the-premise": (r"x = \int y dy", {
+        "latex": r"x = \frac{y^{2}}{2} + y", "op": "eval_int", "operand_latex": "y"},
+        "integration constant 'y' is not fresh"),
+    "eval-int-repeated-constant": (r"x = \int y dy + \int z dz", {
+        "latex": r"x = 2 C + \frac{y^{2}}{2} + \frac{z^{2}}{2}", "op": "eval_int",
+        "operand_latex": "C,C"},
+        "integration constant 'C' is not fresh"),
     "constructor-error": ("x = 0", {"latex": "x^{2} = 0", "op": "pow", "operand_latex": "-1"},
-                          "zero to a negative power"),
+                          "replay error: zero to a negative power"),
 }
 
 
@@ -140,7 +147,7 @@ def test_verify_report_names_each_replay_error(tmp_path):
     infile, report = _file(tmp_path / "in.jsonl", "\n".join(rows) + "\n"), tmp_path / "r.json"
     assert run(["verify", "--in", infile, "--report", report]) == 1
     assert json.loads(report.read_text())["failures"] == [
-        {"id": name, "problems": [f"step 1: replay error: {message}"]}
+        {"id": name, "problems": [f"step 1: {message}"]}
         for name, (_, _, message) in BROKEN_STEPS.items()]
 
 

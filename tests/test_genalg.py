@@ -395,7 +395,7 @@ def test_caches_agree_with_recomputation_after_every_note(monkeypatch):
             if op == ops.EVAL_INT:
                 assert memo is None
                 with pytest.raises(ops.OpError):
-                    ops.apply(op, steps, parents, constant_pool=_fresh_pool(state, pool_rng))
+                    ops.apply(op, steps, parents, fresh=_fresh_pool(state, pool_rng))
                 counts["eval_int failures"] += 1
             else:
                 try:
@@ -458,14 +458,14 @@ def _one_step_per_op() -> list[Step]:
     diff = apply(ops.DIFF, (0,), x)
     apply(ops.EVAL_DIFF, (diff,))
     integral = apply(ops.INT, (1,), y)
-    apply(ops.EVAL_INT, (integral,), constant_pool=["C"])
+    apply(ops.EVAL_INT, (integral,), fresh=["C"])
     apply(ops.SUB_LHS, (0, 2))
     apply(ops.SUB_RHS, (0, 2))
-    apply(ops.RENAME, (2,), steps[2].equation.rhs, fresh_name="h")
+    apply(ops.RENAME, (2,), steps[2].equation.rhs, fresh=["h"])
     for op in (ops.NEGATE, ops.SWAP, ops.EXP_BOTH, ops.LOG_BOTH):
         apply(op, (1,))
     apply(ops.ADD_EQ, (0, 1))
-    apply(ops.DEFINE, (1,), func("log", y), fresh_name="k")
+    apply(ops.DEFINE, (1,), func("log", y), fresh=["k"])
     return steps
 
 
@@ -513,7 +513,8 @@ def test_note_matches_the_note_that_walks_the_pool(seed, monkeypatch):
 def test_cached_free_symbols_match_a_fresh_walk():
     equations = [eq for lines in DERIVATIONS.values() for eq in parse_derivation(lines)]
     records, _ = generate_dataset(GenConfig(seed=0), 20)
-    # generation fills some caches itself (eval_int reads every step's names)
+    for r in records:  # replay fills the caches of every step but the last
+        assert replay(r.derivation).valid
     equations += [s.equation for r in records for s in r.derivation.steps]
     assert any(eq._free is not None for eq in equations)
     for eq in equations:

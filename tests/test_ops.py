@@ -21,10 +21,13 @@ from derivekit.expr import (
     applied,
     derivative,
     distinct_subtrees,
+    div,
     func,
     integral,
     mul,
+    neg,
     pow_,
+    sub,
     symbol_nodes,
 )
 from derivekit.genalg import GenConfig, _GenState, apply_action
@@ -56,7 +59,10 @@ def premise(latex: str) -> Step:
 
 def test_registry_has_eighteen_ops():
     assert len(ops.REGISTRY) == 18
-    assert sum(1 for info in ops.REGISTRY.values() if not info.extension) == 12
+    # the core ops come first, in this order
+    assert list(ops.REGISTRY)[:12] == [
+        "add", "sub", "mul", "div", "pow", "diff", "int", "eval_diff", "eval_int",
+        "sub_lhs", "sub_rhs", "rename"]
 
 
 def test_diff_wraps_both_sides():
@@ -118,7 +124,7 @@ def test_arity_mismatch():
 def test_eval_int_without_integral_inapplicable():
     steps = [premise(r"f{(x)} = x")]
     with pytest.raises(OpError, match="no integral node in equation"):
-        ops.apply(ops.EVAL_INT, steps, (0,), constant_pool=["n"])
+        ops.apply(ops.EVAL_INT, steps, (0,), fresh=["n"])
 
 
 # calls ops.apply rejects with OpError, on the steps q(a) = a^2, f(x) = 0 and
@@ -133,11 +139,29 @@ BAD_APPLY_CASES = {
     "add-eq-on-one-parent": (ops.ADD_EQ, (1, 1), None, {}, "two distinct parents"),
     "wrong-recorded-operand": (ops.SUB_LHS, (0, 1), x, {}, "recorded operand"),
     "rename-without-a-name": (ops.RENAME, (0,), Symbol("a"), {}, "fresh function name"),
-    "constants-do-not-replay": (ops.EVAL_INT, (2,), None,
-                                {"constants": [Symbol("n"), Symbol("m")]}, "do not replay"),
-    "constant-pool-exhausted": (ops.EVAL_INT, (2,), None, {"constant_pool": ["x"]},
-                                "pool exhausted"),
+    "constant-pool-exhausted": (ops.EVAL_INT, (2,), None, {"fresh": []}, "pool exhausted"),
 }
+
+
+# what an eval_int step records in place of the constant n that the integral
+# of g(x) = \int x dx draws, and what replay reports
+BAD_CONSTANTS = {
+    "constants-do-not-replay": (("n", "m"),
+                                "replay error: recorded integration constants do not replay"),
+    "none": ((), "replay error: constant pool exhausted"),
+    "a-premise-variable": (("x",), "integration constant 'x' is not fresh"),
+    "a-premise-function": (("g",), "integration constant 'g' is not fresh"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONSTANTS))
+def test_replay_checks_recorded_integration_constants(case):
+    names, message = BAD_CONSTANTS[case]
+    steps = [premise(r"q{(a)} = a^{2}"), premise(r"g{(x)} = \int x dx")]
+    good = ops.apply(ops.EVAL_INT, steps, (1,), fresh=["n"])
+    assert replay(Derivation((*steps, good))).valid
+    bad = good._replace(constants=tuple(map(Symbol, names)))
+    assert replay(Derivation((*steps, bad))).failures == ((2, message),)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_APPLY_CASES))
@@ -155,7 +179,7 @@ def test_rename_records_source_and_freshness():
         ops.apply(ops.DIFF, [premise(r"\phi{(x)} = \int \log{(x)} dx")], (0,), x),
     ]
     body = steps[1].equation.rhs
-    step = ops.apply(ops.RENAME, steps, (1,), body, fresh_name="t_{1}")
+    step = ops.apply(ops.RENAME, steps, (1,), body, fresh=["t_{1}"])
     assert step.equation.lhs == applied("t_{1}", [x])
     assert step.equation.rhs == body
     report = replay(Derivation((steps[0], steps[1], step)))
@@ -320,7 +344,7 @@ def test_a_named_expression_must_occur_where_the_full_walk_finds_it(lhs, rhs, op
         occurs = any(node == named for side in (lhs, rhs) for node in full_walk(side))
         for op in ops.RENAME_FAMILY:
             try:
-                ops.apply(op, steps, (0,), named, fresh_name="g")
+                ops.apply(op, steps, (0,), named, fresh=["g"])
                 refused = False
             except OpError as exc:
                 refused = "must occur" in str(exc)
@@ -450,10 +474,30 @@ MALFORMED_RENAMES = {
 def test_replay_rejects_malformed_renames(op, fault):
     steps = [premise(r"q{(a)} = a^{2}")]
     steps.append(ops.apply(ops.DIFF, steps, (0,), A))
-    good = ops.apply(op, steps, (1,), steps[1].equation.rhs, fresh_name="G")
+    good = ops.apply(op, steps, (1,), steps[1].equation.rhs, fresh=["G"])
     assert replay(Derivation((*steps, good))).valid
     bad = MALFORMED_RENAMES[fault](good)
     assert not replay(Derivation((*steps, bad))).valid
+
+
+# the function each both-sides op runs on the lhs and on the rhs
+BOTH_SIDES = {
+    ops.ADD: add, ops.SUB: sub, ops.MUL: mul, ops.DIV: div, ops.POW: pow_,
+    ops.DIFF: derivative, ops.INT: integral,
+    ops.NEGATE: lambda e, _: neg(e),
+    ops.EXP_BOTH: lambda e, _: func("exp", e),
+    ops.LOG_BOTH: lambda e, _: func("log", e),
+}
+
+
+def test_both_sides_ops_run_one_function_on_each_side():
+    assert [op for op, info in ops.REGISTRY.items() if info.side] == list(BOTH_SIDES)
+    steps = [premise(r"q{(a)} = e^{a} + a")]
+    lhs, rhs = steps[0].equation.lhs, steps[0].equation.rhs
+    for op, side in BOTH_SIDES.items():
+        operand = A if ops.REGISTRY[op].needs_operand else None
+        step = ops.apply(op, steps, (0,), operand)
+        assert step.equation == Equation(side(lhs, operand), side(rhs, operand)), op
 
 
 @pytest.mark.parametrize("fault,message", [

@@ -265,7 +265,7 @@ def test_prompt_lexemes_of_hand_made_derivations():
     steps.append(ops.apply(ops.EXP_BOTH, steps, (0,)))
     steps.append(ops.apply(ops.NEGATE, steps, (1,)))
     no_intermediates = extract_derivation(steps)
-    renamed = [premise, ops.apply(ops.RENAME, [premise], (0,), func("sin", x), fresh_name="g")]
+    renamed = [premise, ops.apply(ops.RENAME, [premise], (0,), func("sin", x), fresh=["g"])]
     renamed.append(ops.apply(ops.SUB_RHS, renamed, (1, 0)))
     cases = {
         "one step": Derivation((premise,)),

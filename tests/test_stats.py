@@ -2,6 +2,7 @@
 relative-frequency arithmetic."""
 import pytest
 
+from derivekit import ops
 from derivekit.stats import build_stats, chain_label, relative_frequency
 from helpers import mode_length, op_tags, top_chain
 
@@ -43,6 +44,23 @@ def test_chain_counts_sum_within_length(small_dataset):
 def test_chain_label_glyphs():
     assert chain_label(("diff", "eval_diff", "sub_lhs")) == "d -> d_E -> S_L"
     assert chain_label(("int", "eval_int", "sub_rhs")) == "int -> int_E -> S_R"
+
+
+# every op's chain glyph, written out
+CHAIN_GLYPHS = {
+    "add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "X^O",
+    "diff": "d", "int": "int", "eval_diff": "d_E", "eval_int": "int_E",
+    "sub_lhs": "S_L", "sub_rhs": "S_R", "rename": "R",
+    "negate": "neg", "swap": "swap", "exp": "exp", "log": "log",
+    "add_eq": "+eq", "define": "def",
+}
+
+
+def test_chain_label_of_every_op():
+    assert list(CHAIN_GLYPHS) == list(ops.REGISTRY)
+    for op, glyph in CHAIN_GLYPHS.items():
+        assert chain_label((op,)) == glyph
+    assert chain_label(tuple(CHAIN_GLYPHS)) == " -> ".join(CHAIN_GLYPHS.values())
 
 
 def test_mode_and_top_chain_helpers(small_dataset):
