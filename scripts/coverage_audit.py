@@ -44,7 +44,7 @@ SRC = ROOT / "src" / "derivekit"
 # The physical lines src/ has: a ratchet. A change that shrinks src/ lowers it
 # to the new count; one that raises it says by how much in CHANGES.md, next to
 # what it buys.
-SRC_LINE_CEILING = 4113
+SRC_LINE_CEILING = 4141
 
 # Functions no command enters, each with the reason it stays.
 ALLOWED = {

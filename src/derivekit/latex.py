@@ -314,6 +314,12 @@ def _kind(text: str) -> Optional[str]:
 MAX_DEPTH = 100
 
 
+def within_depth(text: str) -> bool:
+    """Whether the parser surely stays within MAX_DEPTH levels on `text`:
+    each level but a side's first opens at a "{", "(", "^" or "\\int"."""
+    return sum(map(text.count, ("{", "(", "^", "\\int"))) < MAX_DEPTH
+
+
 class _Parser:
     """Recursive descent over one string's tokens, held as parallel `kinds`/
     `texts` lists padded with EOF; positions are computed only for errors."""

@@ -10,7 +10,7 @@ only ancestors of its final equation (see ``ancestors``).
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -128,6 +128,7 @@ class Step(NamedTuple):
 @dataclass(frozen=True)
 class Derivation:
     steps: tuple[Step, ...]
+    replayed: frozenset[int] = field(default=frozenset(), compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -268,7 +269,8 @@ def shuffle(x: list, rng) -> None:
 # replay
 
 def replay(derivation: Derivation) -> ValidityReport:
-    """Re-execute every step from its annotation; report mismatches.
+    """Re-execute every step from its annotation; report mismatches. A step in
+    derivation.replayed, which its loader rebuilt with apply, is not applied again.
 
     The names a step introduces (a rename-family step's function, an
     eval_int step's recorded constants) must be fresh: in no earlier
@@ -297,6 +299,8 @@ def replay(derivation: Derivation) -> ValidityReport:
         clash = next((n for k, n in enumerate(fresh) if n in seen or n in fresh[:k]), None)
         if clash is not None:
             failures.append((i, f"{kind} {clash!r} is not fresh"))
+            continue
+        if i in derivation.replayed:
             continue
         try:
             redone = apply(step.op, steps[:i], step.parents, step.operand, fresh)

@@ -15,9 +15,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, TextIO, TypeVar
 
-from .expr import Expr, ExprError, Symbol
-from .latex import LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex
-from .ops import EVAL_INT, PREMISE, REGISTRY, ROLES, Derivation, Step
+from .expr import Equation, Expr, ExprError, Symbol
+from .latex import (
+    LatexParseError, equation_to_latex, parse_equation, parse_latex, to_latex, within_depth)
+from .ops import EVAL_INT, PREMISE, REGISTRY, RENAME_FAMILY, ROLES, Derivation, OpError, Step, apply
 
 SCHEMA_VERSION = 1
 
@@ -124,10 +125,10 @@ def _steps(payload: dict) -> list:
     return steps
 
 
-def step_from_json(payload: dict, i: int, sides: Optional[dict[str, Expr]] = None) -> Step:
-    """Step i of a record. `sides` is the parse memo of latex.parse_equation,
-    shared by the steps of one record: a derivation repeats most of its
-    parents' sides."""
+def _annotation(payload: dict, i: int, sides: dict[str, Expr]) -> Step:
+    """Step i of a record, checked, with every field but its equation (None).
+    `sides` is the parse memo of latex.parse_equation, shared by the steps
+    of one record: a derivation repeats most of its parents' sides."""
     op, parents, role = _step_fields(payload, i)
     operand = None
     constants: tuple[Symbol, ...] = ()
@@ -137,14 +138,26 @@ def step_from_json(payload: dict, i: int, sides: Optional[dict[str, Expr]] = Non
             constants = tuple(Symbol(name) for name in raw_operand.split(","))
     elif raw_operand is not None:
         operand = parse_latex(raw_operand, sides)
-    return Step(
-        equation=parse_equation(payload["latex"], sides),
-        op=None if op == PREMISE else op,
-        parents=parents,
-        operand=operand,
-        role=role,
-        constants=constants,
-    )
+    return Step(None, None if op == PREMISE else op, parents, operand, role, constants)
+
+
+def _replayed(steps: list[Step], step: Step, text: str, sides: dict) -> Optional[Equation]:
+    """ops.apply's equation for a derived step other than a rename or define,
+    if it draws the step's constants and renders to `text`, its stored LaTeX,
+    which then parses to it (docs/latex-grammar.md); its sides go into `sides`."""
+    if step.op in (None, *RENAME_FAMILY) or not within_depth(text):
+        return None
+    try:  # a constant's name is the one part of the tree no parse made
+        if all(parse_latex(c.name, sides) is c for c in step.constants):
+            redone = apply(step.op, steps, step.parents, step.operand,
+                           [c.name for c in step.constants])
+            eq = redone.equation
+            if redone.constants == step.constants and equation_to_latex(eq) == text:
+                sides[to_latex(eq.lhs)], sides[to_latex(eq.rhs)] = eq.lhs, eq.rhs
+                return eq
+    except (OpError, LatexParseError, RecursionError):
+        pass
+    return None
 
 
 def derivation_record_to_json(record: DerivationRecord) -> dict:
@@ -161,12 +174,17 @@ def derivation_record_to_json(record: DerivationRecord) -> dict:
 
 
 def derivation_record_from_json(payload: dict) -> DerivationRecord:
+    """A derivation row's record: each equation from _replayed, or else parsed."""
+    fields = _row_fields(payload)
     sides: dict[str, Expr] = {}
-    return DerivationRecord(
-        **_row_fields(payload),
-        derivation=Derivation(tuple(
-            step_from_json(s, i, sides) for i, s in enumerate(_steps(payload)))),
-    )
+    steps: list[Step] = []
+    replayed = []
+    for i, raw in enumerate(_steps(payload)):
+        step = _annotation(raw, i, sides)
+        if (equation := _replayed(steps, step, raw["latex"], sides)) is not None:
+            replayed.append(i)
+        steps.append(step._replace(equation=equation or parse_equation(raw["latex"], sides)))
+    return DerivationRecord(**fields, derivation=Derivation(tuple(steps), frozenset(replayed)))
 
 
 def op_tags_from_json(payload: dict) -> tuple[str, ...]:

@@ -13,6 +13,7 @@ functions tried in order that the one clause function replaces, the two-loop
 score report that the one family loop replaces, the per-order n-gram counts
 and summed n-gram totals that the one counting pass and the closed forms
 replace, the line-by-line file reader that the one decode step replaces, the
+parse-only derivation loader that replaying derived steps replaces, the
 printer that renders every node again that the per-node text replaces, the
 per-step renaming that VR's one memo per derivation replaces, a wrapper for
 tree strategies whose constructors may refuse, and a fixed reference block
@@ -75,7 +76,14 @@ from derivekit.expr import (
     symbol_nodes,
 )
 from derivekit.genalg import NEW_PREMISE, Applicability, _recency_pick, extract_derivation
-from derivekit.latex import _PUNCT, LatexParseError, RenderError, _is_simple_head, parse_equation
+from derivekit.latex import (
+    _PUNCT,
+    LatexParseError,
+    RenderError,
+    _is_simple_head,
+    parse_equation,
+    parse_latex,
+)
 from derivekit.metrics import (
     BLEU_MAX_N,
     BLEU_SMOOTHING,
@@ -95,7 +103,15 @@ from derivekit.prompts import (
     qualifies_for_fewshot,
 )
 from derivekit.perturb import Skipped
-from derivekit.records import _MALFORMED, RecordError, _numbered_rows
+from derivekit.records import (
+    _MALFORMED,
+    DerivationRecord,
+    RecordError,
+    _numbered_rows,
+    _row_fields,
+    _step_fields,
+    _steps,
+)
 from derivekit.vocab import GREEK_POOL_DEFAULT
 
 
@@ -720,6 +736,31 @@ def load_rows_by_open(path: str | Path, convert) -> list:
             except _MALFORMED as exc:
                 raise RecordError(f"{path}:{lineno}: malformed row: {exc!r}") from exc
     return out
+
+
+# ---------------------------------------------------------------------------
+# oracle for the derivation loader: every stored equation parsed
+
+def derivation_record_from_json_by_parse(payload: dict) -> DerivationRecord:
+    """records.derivation_record_from_json as it was before it took derived
+    steps from their replay: every equation and operand parsed, through one
+    parse memo per record, and Derivation.replayed empty."""
+    sides: dict = {}
+
+    def step(s: dict, i: int) -> Step:
+        op, parents, role = _step_fields(s, i)
+        operand, constants = None, ()
+        raw_operand = s.get("operand_latex")
+        if op == ops.EVAL_INT:
+            if raw_operand:
+                constants = tuple(Symbol(name) for name in raw_operand.split(","))
+        elif raw_operand is not None:
+            operand = parse_latex(raw_operand, sides)
+        return Step(parse_equation(s["latex"], sides), None if op == ops.PREMISE else op,
+                    parents, operand, role, constants)
+
+    return DerivationRecord(**_row_fields(payload), derivation=Derivation(tuple(
+        step(s, i) for i, s in enumerate(_steps(payload)))))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,17 @@ BROKEN_STEPS = {
         "integration constant 'C' is not fresh"),
     "constructor-error": ("x = 0", {"latex": "x^{2} = 0", "op": "pow", "operand_latex": "-1"},
                           "replay error: zero to a negative power"),
+    # each stored LaTeX below is the text its replay renders to
+    "eval-int-replayed-constant-in-the-premise": (r"y = \int x dx", {
+        "latex": r"y = \frac{x^{2}}{2} + y", "op": "eval_int", "operand_latex": "y"},
+        "integration constant 'y' is not fresh"),
+    "eval-int-replayed-extra-constant": (r"x = \int y dy", {
+        "latex": r"x = C + \frac{y^{2}}{2}", "op": "eval_int", "operand_latex": "C,D"},
+        "replay error: recorded integration constants do not replay"),
+    # the constant is the symbol "a b"; the stored text parses to the product a b
+    "eval-int-constant-that-parses-to-a-product": (r"x = \int y dy", {
+        "latex": r"x = a b + \frac{y^{2}}{2}", "op": "eval_int", "operand_latex": "a b"},
+        "replayed equation differs from record"),
 }
 
 
@@ -426,10 +437,11 @@ STORED_FIELD_CASES = {
 }
 
 
-def _two_step(path, goal):
+def _two_step(path, goal, premise="x = y"):
     """A file of one derivation, x = y and then its swap; `goal` holds fields
-    that replace those of the swap, the goal step."""
-    steps = [{"latex": "x = y", "op": "premise", "parents": [], "operand_latex": None,
+    that replace those of the swap, the goal step, and `premise` the premise's
+    LaTeX."""
+    steps = [{"latex": premise, "op": "premise", "parents": [], "operand_latex": None,
               "role": "premise"},
              {"latex": "y = x", "op": "swap", "parents": [0], "operand_latex": None,
               "role": "goal", **goal}]
@@ -504,6 +516,10 @@ BAD_INPUT_CASES = {
     "verify-deep-tower": (lambda d: ["verify", "--in", _stored(
         d / "in.jsonl", "x = " + "x^{" * 700 + "x" + "}" * 700)], 3),
     "verify-caret-chain": (lambda d: ["verify", "--in", _stored(d / "in.jsonl", CARET_CHAIN)], 3),
+    # a constant's name that does not parse, in the text its replay renders to
+    "verify-eval-int-unparsable-constant": (lambda d: ["verify", "--in", _two_step(
+        d / "in.jsonl", {"latex": r"x = \frob + \frac{y^{2}}{2}", "op": "eval_int",
+                         "operand_latex": r"\frob"}, premise=r"x = \int y dy")], 3),
     "prompt-caret-chain": (lambda d: ["prompt", "--mode", "finetune", "--in", _stored(
         d / "in.jsonl", CARET_CHAIN), "--out", d / "o.jsonl"], 3),
     "perturb-caret-chain": (lambda d: ["perturb", "--kind", "vr", "--in", _stored(
